@@ -1,16 +1,19 @@
 """Linear system assembly, batch least squares, and the recursive refinement.
 
 The pattern model is linear in the weights, so sampling the target at M0
-points yields an overdetermined system A I = B.  The batch stage solves the
-first M rows by orthogonal factorization and seeds the inverse Gramian
-P = (A^T A)^{-1}; the recursive stage then absorbs the remaining rows one at
-a time through rank-one gain updates.  Absorbing a row set this way is
-algebraically identical to batch least squares over the same rows, which is
-the correctness property the test suite leans on.
+points yields an overdetermined system A I = B, built once as one design
+matrix.  The batch stage solves its even-indexed rows (the batch half of the
+sample set) by orthogonal factorization and seeds the inverse Gramian
+P = (A^T A)^{-1}; the recursive stage then absorbs the odd-indexed rows in
+one pass of Sherman-Morrison-Woodbury block updates, each block at most as
+tall as the weight count.  A one-row block is the rank-one gain update of
+:func:`rls_absorb`, kept as the reference form.  Absorbing a row set either
+way is algebraically identical to batch least squares over the same rows,
+which is the correctness property the test suite leans on.
 
 Targets here are real valued and the basis is real, so the solver works in
-real arithmetic; weights stay complex-capable at the boundary for forward
-pattern evaluation.
+real arithmetic and rejects a complex estimate; weights stay complex-capable
+at the boundary for forward pattern evaluation.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ def _vector_from_weights(w: Weights, n_columns: int) -> NDArray[np.float64]:
         raise DomainError(
             f"row of length {n_columns} does not fit weights with {len(w.rings)} rings"
         )
+    if any(p.imag != 0.0 for p in parts):
+        raise DomainError("the real-valued solver cannot take a complex estimate")
     return np.array([float(p.real) for p in parts])
 
 
@@ -195,11 +200,31 @@ def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> So
     )
 
 
-def _residual_norm(
-    matrix: DesignMatrix, rhs: NDArray[np.float64], w: Weights
-) -> float:
-    x = _vector_from_weights(w, matrix.column_count)
-    return float(np.linalg.norm(matrix.entries @ x - rhs))
+def _absorb_rows(
+    x: NDArray[np.float64],
+    p: NDArray[np.float64],
+    rows: NDArray[np.float64],
+    rhs: NDArray[np.float64],
+    block_size: int,
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Absorb sample rows into (x, P) in Woodbury blocks of ``block_size``.
+
+    Each block A with right-hand side b updates K = P A^T (I + A P A^T)^{-1},
+    x += K (b - A x), P -= K A P, then re-symmetrizes P.  A one-row block is
+    the rank-one gain of :func:`rls_absorb`.  Blocks no taller than P keep
+    the inner matrix no larger than P whatever the row count.
+    """
+    for start in range(0, rows.shape[0], block_size):
+        a = rows[start : start + block_size]
+        pat = p @ a.T
+        inner = a @ pat
+        inner[np.diag_indices_from(inner)] += 1.0
+        # the inner matrix is symmetric, so solving for K^T gives K
+        gain = np.linalg.solve(inner, pat.T).T
+        x = x + gain @ (rhs[start : start + block_size] - a @ x)
+        p = p - gain @ pat.T
+        p = 0.5 * (p + p.T)
+    return x, p
 
 
 def synthesize(
@@ -213,12 +238,15 @@ def synthesize(
     """Run the two-stage synthesis pipeline for a geometry and target.
 
     The batch stage solves the batch half of the sample set and seeds the
-    recursive state.  Each pass then replays the incremental samples through
-    :func:`rls_absorb` from that seed; passes stop early once the estimate
-    change across a pass drops to ``tolerance``.  In exact arithmetic one
-    pass already reproduces the full least-squares solution, so later passes
-    exist to confirm the state is numerically settled.  If the tolerance is
-    never met the returned state is flagged unconverged rather than raising.
+    recursive state; one pass then absorbs the incremental half in Woodbury
+    blocks.  In exact arithmetic that pass reproduces the full least-squares
+    solution, and a repeated pass from the same seed would be a bit-identical
+    replay, so the pass counters follow from the single pass: the estimate
+    is ``settled`` when it moved from the seed by at most ``tolerance``
+    (relative), one pass is reported when settled or when ``max_passes`` is
+    1, two otherwise, and the state is flagged unconverged (never raised)
+    only when one pass was allowed and the estimate had not settled.
+    ``max_passes == 0`` returns the batch seed.
     """
     if max_passes < 0:
         raise DomainError(f"max_passes must be >= 0, got {max_passes}")
@@ -234,60 +262,30 @@ def synthesize(
         # grow the sample set until the batch stage is strictly overdetermined.
         samples = build_sample_set(geom, target, total_count=2 * (n_columns + 2))
 
-    batch_matrix = build_design_matrix(geom, samples.batch_abscissas)
-    batch_weights, p_seed = solve_batch(batch_matrix, samples.batch_values)
+    matrix = build_design_matrix(geom, samples.abscissas)
+    rhs = np.asarray(samples.values, dtype=float)
+    batch = DesignMatrix(entries=matrix.entries[0::2], column_labels=matrix.column_labels)
+    batch_weights, p = solve_batch(batch, rhs[0::2])
     x_seed = _vector_from_weights(batch_weights, n_columns)
+    seed_residual = float(np.linalg.norm(matrix.entries @ x_seed - rhs))
 
-    full_matrix = build_design_matrix(geom, samples.abscissas)
-    full_rhs = np.asarray(samples.values, dtype=float)
-    residuals = [_residual_norm(full_matrix, full_rhs, batch_weights)]
-
-    incremental_matrix = (
-        build_design_matrix(geom, samples.incremental_abscissas)
-        if samples.incremental_abscissas
-        else None
-    )
-
+    rows = matrix.entries[1::2]
+    x = x_seed
+    settled, passes = True, 0
+    if max_passes > 0 and rows.shape[0] > 0:
+        x, p = _absorb_rows(x_seed, p, rows, rhs[1::2], n_columns)
+        change = float(np.linalg.norm(x - x_seed))
+        scale = float(np.linalg.norm(x_seed))
+        settled = (change / scale if scale > 0.0 else change) <= tolerance
+        passes = 1 if settled or max_passes == 1 else 2
+    final_residual = float(np.linalg.norm(matrix.entries @ x - rhs))
+    weights = _weights_from_vector(x, matrix.column_labels)
     state = SolverState(
-        estimate=batch_weights,
-        inv_gramian=p_seed,
-        samples_absorbed=samples.batch_count,
-        passes_completed=0,
-        residual_trace=tuple(residuals),
-        converged=True if max_passes == 0 else None,
+        estimate=weights,
+        inv_gramian=p,
+        samples_absorbed=samples.batch_count + passes * rows.shape[0],
+        passes_completed=passes,
+        residual_trace=(seed_residual,) + (final_residual,) * passes,
+        converged=settled or max_passes >= 2,
     )
-    if max_passes == 0 or incremental_matrix is None:
-        return state.estimate, replace(state, converged=True)
-
-    converged = False
-    absorbed_total = samples.batch_count
-    x_prev = x_seed
-    final = state
-    for sweep in range(1, max_passes + 1):
-        working = SolverState(
-            estimate=batch_weights,
-            inv_gramian=p_seed,
-            samples_absorbed=absorbed_total,
-            passes_completed=sweep - 1,
-            residual_trace=tuple(residuals),
-        )
-        for row, value in zip(incremental_matrix.entries, samples.incremental_values):
-            working = rls_absorb(working, row, value)
-        absorbed_total = working.samples_absorbed
-        x_now = _vector_from_weights(working.estimate, n_columns)
-        residuals.append(_residual_norm(full_matrix, full_rhs, working.estimate))
-        change = float(np.linalg.norm(x_now - x_prev))
-        scale = float(np.linalg.norm(x_prev))
-        relative = change / scale if scale > 0.0 else change
-        final = replace(
-            working,
-            passes_completed=sweep,
-            residual_trace=tuple(residuals),
-        )
-        if relative <= tolerance:
-            converged = True
-            break
-        x_prev = x_now
-
-    final = replace(final, converged=converged)
-    return final.estimate, final
+    return weights, state

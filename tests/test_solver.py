@@ -1,6 +1,7 @@
 """Design matrix assembly, batch least squares, and the recursive update."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from ringsynth.sampling import build_sample_set, midpoint_abscissas
 from ringsynth.solver import (
     DesignMatrix,
     SolverState,
+    _absorb_rows,
     build_design_matrix,
     rls_absorb,
     solve_batch,
     synthesize,
 )
 from ringsynth.specialfn import bessel_j0
-from ringsynth.targets import TargetPattern, flat_top
+from ringsynth.targets import TargetPattern, equi_ripple, flat_top
 
 
 def weights_vector(w: Weights, has_center: bool = True) -> np.ndarray:
@@ -211,6 +213,37 @@ class TestRlsAbsorb:
         with pytest.raises(DomainError):
             rls_absorb(state, np.ones(5), 1.0)
 
+    def test_rejects_complex_estimate(self):
+        rng = np.random.default_rng(12)
+        state = random_state(rng, 3)
+        rings = state.estimate.rings
+        estimate = replace(state.estimate, rings=(rings[0] + 1e-3j,) + rings[1:])
+        complex_state = replace(state, estimate=estimate)
+        with pytest.raises(DomainError):
+            rls_absorb(complex_state, np.ones(3), 1.0)
+
+
+class TestAbsorbRows:
+    @pytest.mark.parametrize("k", [1, 4, 19])
+    def test_blocks_match_successive_rank_one_updates(self, k):
+        # block size 6: one row, a partial block, and three full blocks plus
+        # a partial one
+        rng = np.random.default_rng(13)
+        state = random_state(rng, 6)
+        rows = rng.standard_normal((k, 6))
+        rhs = rng.standard_normal(k)
+        x, p = _absorb_rows(
+            weights_vector(state.estimate), state.inv_gramian, rows, rhs, block_size=6
+        )
+        for row, value in zip(rows, rhs):
+            state = rls_absorb(state, row, value)
+        want_x = weights_vector(state.estimate)
+        want_p = state.inv_gramian
+        assert np.linalg.norm(x - want_x) <= 1e-12 * np.linalg.norm(want_x)
+        assert np.linalg.norm(p - want_p) <= 1e-12 * np.linalg.norm(want_p)
+        assert np.array_equal(p, p.T)
+        np.linalg.cholesky(p)
+
 
 def manufactured_target(geom, weights_vec) -> TargetPattern:
     """Exact pattern of known weights, normalized by its scan peak."""
@@ -318,3 +351,15 @@ class TestSynthesize:
         _, state = synthesize(geom, target, max_passes=3, tolerance=0.0, samples=samples)
         incremental = samples.total_count - samples.batch_count
         assert state.samples_absorbed == samples.batch_count + state.passes_completed * incremental
+
+    @pytest.mark.parametrize("rings", [200, 500])
+    @pytest.mark.parametrize("kind", ["flat_top", "equi_ripple"])
+    def test_large_array_matches_lstsq(self, rings, kind):
+        geom = uniform_half_wavelength_geometry(rings)
+        target = flat_top(0.35, 0.12) if kind == "flat_top" else equi_ripple(-30.0, rings)
+        samples = build_sample_set(geom, target)
+        w, _ = synthesize(geom, target, samples=samples)
+        matrix = build_design_matrix(geom, samples.abscissas)
+        want = np.linalg.lstsq(matrix.entries, np.array(samples.values), rcond=None)[0]
+        got = weights_vector(w)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
