@@ -109,27 +109,23 @@ def evaluate_cut(geom: RingGeometry, w: Weights, grid_points: int = 2001) -> Pat
     return PatternCut(u_grid=u, amplitude_db=db)
 
 
+def _contiguous_runs(mask: NDArray[np.bool_]) -> list[tuple[int, int]]:
+    """(first, last) index pairs of each run of True values in a 1-D mask."""
+    padded = np.concatenate([[False], mask, [False]])
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return [(int(lo), int(hi) - 1) for lo, hi in zip(edges[0::2], edges[1::2])]
+
+
 def _main_lobe_mask(cut: PatternCut, target: TargetPattern) -> NDArray[np.bool_]:
     """Grid mask of the main lobe region(s) excluded from sidelobe search."""
-    u = cut.u_grid
     db = cut.amplitude_db
     if target.kind.startswith("flat_top"):
-        return np.array([target.amplitude(float(x)) > 0.5 for x in u])
+        return target.amplitude(cut.u_grid) > 0.5
 
-    above = db > _MAIN_LOBE_EDGE_DB
-    mask = np.zeros_like(above)
-    idx = 0
-    n = len(u)
-    while idx < n:
-        if not above[idx]:
-            idx += 1
-            continue
-        stop = idx
-        while stop < n and above[stop]:
-            stop += 1
-        if db[idx:stop].max() >= -_PEAK_TOL_DB:
-            mask[idx:stop] = True
-        idx = stop
+    mask = np.zeros(db.shape, dtype=bool)
+    for lo, hi in _contiguous_runs(db > _MAIN_LOBE_EDGE_DB):
+        if db[lo : hi + 1].max() >= -_PEAK_TOL_DB:
+            mask[lo : hi + 1] = True
     return mask
 
 
@@ -166,26 +162,18 @@ def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
     main = _main_lobe_mask(cut, target)
 
     sll: float | None = None
-    outside = np.where(~main)[0]
-    if outside.size:
-        candidates = []
-        # scan each connected run outside the main region for local maxima
-        start = 0
-        while start < outside.size:
-            stop = start
-            while stop + 1 < outside.size and outside[stop + 1] == outside[stop] + 1:
-                stop += 1
-            lo, hi = outside[start], outside[stop]
-            run = db[lo : hi + 1]
-            if run.size == 1:
-                if lo == 0 or hi == len(u) - 1:
-                    candidates.append(float(run[0]))
-            else:
-                for peak_idx in _local_maxima(run, lo == 0, hi == len(u) - 1):
-                    candidates.append(float(run[peak_idx]))
-            start = stop + 1
-        if candidates:
-            sll = float(max(candidates))
+    candidates = []
+    # scan each connected run outside the main region for local maxima
+    for lo, hi in _contiguous_runs(~main):
+        run = db[lo : hi + 1]
+        if run.size == 1:
+            if lo == 0 or hi == len(u) - 1:
+                candidates.append(float(run[0]))
+        else:
+            for peak_idx in _local_maxima(run, lo == 0, hi == len(u) - 1):
+                candidates.append(float(run[peak_idx]))
+    if candidates:
+        sll = float(max(candidates))
 
     ripple: float | None = None
     edge = target.params.get("passband_edge")
@@ -209,7 +197,7 @@ def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
         if left is not None and right is not None:
             hpbw = right - left
 
-    amp = np.array([target.amplitude(float(x)) for x in u])
+    amp = target.amplitude(u)
     meaningful = amp > 1e-4
     if np.any(meaningful):
         target_db = 20.0 * np.log10(amp[meaningful])
@@ -224,22 +212,6 @@ def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
         hpbw_u=hpbw,
         rms_error_vs_target_db=rms,
     )
-
-
-def _contiguous_runs(mask: NDArray[np.bool_]) -> list[tuple[int, int]]:
-    runs = []
-    idx = 0
-    n = len(mask)
-    while idx < n:
-        if not mask[idx]:
-            idx += 1
-            continue
-        stop = idx
-        while stop + 1 < n and mask[stop + 1]:
-            stop += 1
-        runs.append((idx, stop))
-        idx = stop + 1
-    return runs
 
 
 def _crossing(
@@ -290,10 +262,12 @@ def cut_rows(cut: PatternCut, target: TargetPattern | None = None) -> list[str]:
         rows.extend(f"{u:.6f},{db:.6f}" for u, db in zip(cut.u_grid, cut.amplitude_db))
         return rows
     floor_lin = 10.0 ** (DB_FLOOR / 20.0)
+    target_db = 20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), floor_lin))
     rows = ["u,db,target_db"]
-    for u, db in zip(cut.u_grid, cut.amplitude_db):
-        amp = max(target.amplitude(float(u)), floor_lin)
-        rows.append(f"{u:.6f},{db:.6f},{20.0 * math.log10(amp):.6f}")
+    rows.extend(
+        f"{u:.6f},{db:.6f},{t:.6f}"
+        for u, db, t in zip(cut.u_grid, cut.amplitude_db, target_db)
+    )
     return rows
 
 

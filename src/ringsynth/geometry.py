@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .specialfn import bessel_j0
+from .specialfn import bessel_j0_grid
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,10 @@ def array_factor(geom: RingGeometry, w: Weights, u: float) -> complex:
     u = float(u)
     if not math.isfinite(u) or abs(u) > 1.0:
         raise DomainError(f"u must lie in [-1, 1], got {u!r}")
-    k = geom.wavenumber
+    j0 = bessel_j0_grid(geom.wavenumber * np.asarray(geom.radii) * u)
     total = w.center if geom.has_center_element else 0j
-    for radius, count, weight in zip(geom.radii, geom.elements_per_ring, w.rings):
-        total += weight * count * bessel_j0(k * radius * u)
+    for value, count, weight in zip(j0, geom.elements_per_ring, w.rings):
+        total += weight * count * float(value)
     return total
 
 

@@ -7,6 +7,9 @@ interleaves the recursive stage's samples halfway between the batch ones.
 The batch portion is the 1st, 3rd, 5th, ... midpoint (even indices, counted
 from zero); the remaining interleaved points feed the recursive refinement.
 
+Sample sizing has one rule, :func:`effective_total_count`: every sample set
+the pipeline builds without an explicit ``total_count`` is sized by it.
+
 Angles map as psi = pi * u, so the sampling kernel's 2*pi period spans the
 full u in [-1, 1] range and uniform u-midpoints become uniform kernel nodes.
 """
@@ -17,6 +20,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DomainError
 from .geometry import RingGeometry
 from .specialfn import sampling_kernel
@@ -25,11 +30,14 @@ from .targets import TargetPattern
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Ordered target samples split into batch and incremental portions."""
+    """Ordered target samples split into batch and incremental portions.
+
+    The split is fixed: even indices (counted from zero) form the batch,
+    odd indices the incremental portion.
+    """
 
     abscissas: tuple[float, ...]
     values: tuple[float, ...]
-    batch_count: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "abscissas", tuple(float(u) for u in self.abscissas))
@@ -37,10 +45,6 @@ class SampleSet:
         if len(self.abscissas) != len(self.values):
             raise DomainError(
                 f"{len(self.abscissas)} abscissas but {len(self.values)} values"
-            )
-        if not 0 <= self.batch_count <= len(self.abscissas):
-            raise DomainError(
-                f"batch count {self.batch_count} outside 0..{len(self.abscissas)}"
             )
         prev = -math.inf
         for u in self.abscissas:
@@ -54,6 +58,10 @@ class SampleSet:
     @property
     def total_count(self) -> int:
         return len(self.abscissas)
+
+    @property
+    def batch_count(self) -> int:
+        return (len(self.abscissas) + 1) // 2
 
     @property
     def batch_abscissas(self) -> tuple[float, ...]:
@@ -100,11 +108,13 @@ def midpoint_abscissas(count: int) -> tuple[float, ...]:
 
 
 def effective_total_count(geom: RingGeometry, oversample: float = 1.0) -> int:
-    """Total sample count the solver will actually use.
+    """Total sample count the pipeline uses: the one sample-sizing rule.
 
     The doubled minimum scaled by ``oversample`` (rounded up to even), except
     when that would leave the batch stage square or underdetermined, in which
-    case the batch is grown two rows past the weight count.
+    case the batch is grown two rows past the weight count.  Both
+    :func:`build_sample_set` and the solver's regrowth of an undersized set
+    size through here.
     """
     if not (math.isfinite(oversample) and oversample >= 1.0):
         raise DomainError(f"oversample factor must be >= 1, got {oversample!r}")
@@ -118,27 +128,18 @@ def effective_total_count(geom: RingGeometry, oversample: float = 1.0) -> int:
 def build_sample_set(
     geom: RingGeometry,
     target: TargetPattern,
-    oversample: float = 1.0,
     total_count: int | None = None,
 ) -> SampleSet:
     """Sample a target on the midpoint grid sized for the geometry.
 
-    ``oversample`` scales the minimum total count (rounded up to an even
-    number so the two stages stay equal); ``total_count`` overrides the
-    sizing entirely and must be even.
+    Without ``total_count`` the grid holds :func:`effective_total_count`
+    samples; ``total_count`` overrides the sizing and must be even.
     """
-    if total_count is None:
-        if not (math.isfinite(oversample) and oversample >= 1.0):
-            raise DomainError(f"oversample factor must be >= 1, got {oversample!r}")
-        total = math.ceil(min_total_samples(geom) * oversample)
-        total += total % 2
-    else:
-        total = int(total_count)
-        if total < 2 or total % 2:
-            raise DomainError(f"total_count must be even and >= 2, got {total_count}")
+    total = effective_total_count(geom) if total_count is None else int(total_count)
+    if total < 2 or total % 2:
+        raise DomainError(f"total_count must be even and >= 2, got {total_count}")
     abscissas = midpoint_abscissas(total)
-    values = tuple(target.sample_value(u) for u in abscissas)
-    return SampleSet(abscissas=abscissas, values=values, batch_count=total - total // 2)
+    return SampleSet(abscissas=abscissas, values=target.sample_value(np.array(abscissas)))
 
 
 def _interpolation_kernel(psi: float, points: int) -> float:

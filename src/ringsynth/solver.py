@@ -247,20 +247,23 @@ def synthesize(
     1, two otherwise, and the state is flagged unconverged (never raised)
     only when one pass was allowed and the estimate had not settled.
     ``max_passes == 0`` returns the batch seed.
+
+    Without ``samples`` the set is sized by
+    :func:`~ringsynth.sampling.effective_total_count` with ``oversample``; a
+    caller's set whose batch half is not strictly overdetermined is rebuilt
+    the same way.
     """
     if max_passes < 0:
         raise DomainError(f"max_passes must be >= 0, got {max_passes}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise DomainError(f"tolerance must be >= 0, got {tolerance!r}")
     n_columns = geom.column_count
-    if samples is None:
+    if samples is None or samples.batch_count <= n_columns:
+        # A square (or smaller) batch system has no residual to average out,
+        # so an undersized caller set is rebuilt by the one sizing rule.
         samples = build_sample_set(
             geom, target, total_count=effective_total_count(geom, oversample)
         )
-    elif samples.batch_count <= n_columns:
-        # A square (or smaller) batch system has no residual to average out;
-        # grow the sample set until the batch stage is strictly overdetermined.
-        samples = build_sample_set(geom, target, total_count=2 * (n_columns + 2))
 
     matrix = build_design_matrix(geom, samples.abscissas)
     rhs = np.asarray(samples.values, dtype=float)

@@ -7,6 +7,10 @@ oscillation is far better conditioned than fitting its rectified magnitude,
 whose kinks at the zero crossings are not bandlimited.  Callers that only
 care about the shape use :meth:`TargetPattern.amplitude`; the sampling stage
 uses :meth:`TargetPattern.sample_value`.
+
+Evaluators are array-native: each takes a 1-D float array of u values and
+returns the pattern values as an array of the same length, so a whole grid
+is one call.  The two methods accept a float or an array of any shape.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError, TableFormatError
 
@@ -28,6 +33,14 @@ TABULATED = "tabulated"
 _SLL_MIN = -80.0
 _SLL_MAX = -3.0
 
+Evaluator = Callable[[NDArray[np.float64]], NDArray[np.float64]]
+
+
+def _evaluate(fn: Evaluator, u: ArrayLike) -> NDArray[np.float64] | np.float64:
+    """Run an evaluator on u flattened to 1-D; a scalar u gives a scalar back."""
+    u = np.asarray(u, dtype=float)
+    return fn(u.ravel()).reshape(u.shape)[()]
+
 
 @dataclass(frozen=True)
 class TargetPattern:
@@ -35,26 +48,25 @@ class TargetPattern:
 
     kind: str
     params: Mapping[str, object]
-    evaluator: Callable[[float], float]
-    signed_evaluator: Callable[[float], float] | None = field(default=None, repr=False)
+    evaluator: Evaluator
+    signed_evaluator: Evaluator | None = field(default=None, repr=False)
 
-    def amplitude(self, u: float) -> float:
+    def amplitude(self, u: ArrayLike) -> NDArray[np.float64] | np.float64:
         """Magnitude of the desired pattern at u (peak value 1)."""
-        return self.evaluator(float(u))
+        return _evaluate(self.evaluator, u)
 
-    def sample_value(self, u: float) -> float:
+    def sample_value(self, u: ArrayLike) -> NDArray[np.float64] | np.float64:
         """Value fed to the linear solver; signed where the generator has one."""
-        fn = self.signed_evaluator or self.evaluator
-        return fn(float(u))
+        return _evaluate(self.signed_evaluator or self.evaluator, u)
 
 
-def _chebyshev(order: int, x: float) -> float:
-    if abs(x) <= 1.0:
-        return math.cos(order * math.acos(x))
-    value = math.cosh(order * math.acosh(abs(x)))
-    if x < 0.0 and order % 2:
-        return -value
-    return value
+def _chebyshev(order: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """T_order(x): cos(n acos x) inside [-1, 1], +/-cosh(n acosh |x|) outside."""
+    ax = np.abs(x)
+    inner = np.cos(order * np.arccos(np.clip(x, -1.0, 1.0)))
+    outer = np.cosh(order * np.arccosh(np.maximum(ax, 1.0)))
+    outer *= np.where(x < 0.0, (-1.0) ** order, 1.0)
+    return np.where(ax <= 1.0, inner, outer)
 
 
 def _chebyshev_design(sll_db: float, n_rings: int) -> tuple[int, float, float]:
@@ -98,13 +110,12 @@ def flat_top(passband_edge: float, transition_width: float = 0.0) -> TargetPatte
             f"passband edge {edge:g} plus transition width {width:g} exceeds 1"
         )
 
-    def evaluate(u: float) -> float:
-        a = abs(u)
-        if a <= edge:
-            return 1.0
-        if width == 0.0 or a >= edge + width:
-            return 0.0
-        return 0.5 * (1.0 + math.cos(math.pi * (a - edge) / width))
+    def evaluate(u: NDArray[np.float64]) -> NDArray[np.float64]:
+        a = np.abs(u)
+        out = np.where(a <= edge, 1.0, 0.0)
+        ramp = (a > edge) & (a < edge + width)
+        out[ramp] = 0.5 * (1.0 + np.cos(np.pi * (a[ramp] - edge) / width))
+        return out
 
     params = {"passband_edge": edge, "transition_width": width}
     return TargetPattern(kind=FLAT_TOP, params=params, evaluator=evaluate)
@@ -122,11 +133,11 @@ def equi_ripple(sll_db: float, aperture_rings: int) -> TargetPattern:
         raise DomainError(f"aperture_rings must be >= 1, got {aperture_rings}")
     order, ratio, x0 = _chebyshev_design(sll_db, int(aperture_rings))
 
-    def signed(u: float) -> float:
-        return _chebyshev(order, x0 * math.cos(math.pi * u / 2.0)) / ratio
+    def signed(u: NDArray[np.float64]) -> NDArray[np.float64]:
+        return _chebyshev(order, x0 * np.cos(np.pi * u / 2.0)) / ratio
 
-    def evaluate(u: float) -> float:
-        return abs(signed(u))
+    def evaluate(u: NDArray[np.float64]) -> NDArray[np.float64]:
+        return np.abs(signed(u))
 
     params = {
         "sll_db": sll_db,
@@ -138,22 +149,23 @@ def equi_ripple(sll_db: float, aperture_rings: int) -> TargetPattern:
     )
 
 
-def _refined_peak(fn: Callable[[float], float], lo: float, hi: float, points: int) -> float:
+def _refined_peak(fn: Evaluator, lo: float, hi: float, points: int) -> float:
     """Grid scan followed by a ternary polish; returns the peak of |fn|."""
     grid = np.linspace(lo, hi, points)
-    values = np.array([abs(fn(float(u))) for u in grid])
+    values = np.abs(fn(grid))
     idx = int(np.argmax(values))
     a = grid[max(idx - 1, 0)]
     b = grid[min(idx + 1, points - 1)]
     for _ in range(80):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
-        if abs(fn(m1)) < abs(fn(m2)):
+        v1, v2 = np.abs(fn(np.array([m1, m2])))
+        if v1 < v2:
             a = m1
         else:
             b = m2
     u_star = 0.5 * (a + b)
-    return max(abs(fn(u_star)), float(values[idx]))
+    return max(float(np.abs(fn(np.array([u_star])))[0]), float(values[idx]))
 
 
 def difference(sll_db: float, aperture_rings: int) -> TargetPattern:
@@ -177,25 +189,27 @@ def difference(sll_db: float, aperture_rings: int) -> TargetPattern:
         x0 = math.cosh(math.acosh(ratio) / order)
         shift = _first_null(order, x0)
 
-        def raw(u: float, _order=order, _ratio=ratio, _x0=x0, _shift=shift) -> float:
-            def beam(v: float) -> float:
-                return _chebyshev(_order, _x0 * math.cos(math.pi * v / 2.0)) / _ratio
+        def raw(
+            u: NDArray[np.float64], _order=order, _ratio=ratio, _x0=x0, _shift=shift
+        ) -> NDArray[np.float64]:
+            def beam(v: NDArray[np.float64]) -> NDArray[np.float64]:
+                return _chebyshev(_order, _x0 * np.cos(np.pi * v / 2.0)) / _ratio
 
             return beam(u - _shift) - beam(u + _shift)
 
         peak = _refined_peak(raw, 0.0, 1.0, 8001)
         sidelobe_edge = 2.0 * shift + _first_null(order, x0)
         scan = np.linspace(min(sidelobe_edge, 1.0), 1.0, 4001)
-        worst = max(abs(raw(float(u))) for u in scan) / peak
+        worst = float(np.abs(raw(scan)).max()) / peak
         if worst <= bound or margin >= 30.0:
             break
         margin += 1.0
 
-    def signed(u: float, _raw=raw, _peak=peak) -> float:
+    def signed(u: NDArray[np.float64], _raw=raw, _peak=peak) -> NDArray[np.float64]:
         return _raw(u) / _peak
 
-    def evaluate(u: float) -> float:
-        return abs(signed(u))
+    def evaluate(u: NDArray[np.float64]) -> NDArray[np.float64]:
+        return np.abs(signed(u))
 
     params = {
         "sll_db": sll_db,
@@ -246,15 +260,15 @@ def with_nulls(
 
     depth_lin = 10.0 ** (depth_db / 20.0)
 
-    def notch_factor(u: float) -> float:
-        factor = 1.0
+    def notch_factor(u: NDArray[np.float64]) -> NDArray[np.float64]:
+        factor = np.ones_like(u)
         for c in centers:
             t = (u - c) / width
-            if abs(t) < 1.0:
-                factor *= 1.0 - (1.0 - depth_lin) * 0.5 * (1.0 + math.cos(math.pi * t))
+            dip = 1.0 - (1.0 - depth_lin) * 0.5 * (1.0 + np.cos(np.pi * t))
+            factor = np.where(np.abs(t) < 1.0, factor * dip, factor)
         return factor
 
-    def evaluate(u: float, _base=base.evaluator) -> float:
+    def evaluate(u: NDArray[np.float64], _base=base.evaluator) -> NDArray[np.float64]:
         return _base(u) * notch_factor(u)
 
     params = dict(base.params)
@@ -297,11 +311,11 @@ def from_table(samples: Sequence[tuple[float, float]]) -> TargetPattern:
     u_arr = np.array(us)
     v_arr = np.array(vs) / peak
 
-    def signed(u: float) -> float:
-        return float(np.interp(u, u_arr, v_arr))
+    def signed(u: NDArray[np.float64]) -> NDArray[np.float64]:
+        return np.interp(u, u_arr, v_arr)
 
-    def evaluate(u: float) -> float:
-        return abs(signed(u))
+    def evaluate(u: NDArray[np.float64]) -> NDArray[np.float64]:
+        return np.abs(signed(u))
 
     params = {"points": tuple((u, v) for u, v in points)}
     return TargetPattern(

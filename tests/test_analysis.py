@@ -22,7 +22,7 @@ from ringsynth.targets import equi_ripple, flat_top, from_table, with_nulls
 def cut_from_target(target, points: int = 4001) -> PatternCut:
     """A cut whose dB trace is the target itself (no synthesis involved)."""
     u = np.linspace(-1.0, 1.0, points)
-    amp = np.array([target.amplitude(float(x)) for x in u])
+    amp = target.amplitude(u)
     floor = 10.0 ** (DB_FLOOR / 20.0)
     db = 20.0 * np.log10(np.maximum(amp / amp.max(), floor))
     return PatternCut(u_grid=u, amplitude_db=db)

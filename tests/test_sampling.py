@@ -10,6 +10,7 @@ from ringsynth.geometry import RingGeometry, uniform_half_wavelength_geometry
 from ringsynth.sampling import (
     SampleSet,
     build_sample_set,
+    effective_total_count,
     export_samples,
     midpoint_abscissas,
     min_batch_samples,
@@ -17,7 +18,7 @@ from ringsynth.sampling import (
     reconstruct,
     sample_rows,
 )
-from ringsynth.specialfn import bessel_j0
+from ringsynth.specialfn import bessel_j0_grid
 from ringsynth.targets import flat_top, from_table
 
 
@@ -70,7 +71,7 @@ class TestBuildSampleSet:
 
     def test_batch_takes_odd_numbered_midpoints(self):
         geom = uniform_half_wavelength_geometry(1)
-        samples = build_sample_set(geom, constant_target())
+        samples = build_sample_set(geom, constant_target(), total_count=4)
         assert samples.total_count == 4
         assert samples.batch_count == 2
         assert samples.batch_abscissas == (0.125, 0.625)
@@ -88,16 +89,25 @@ class TestBuildSampleSet:
         for u, v in zip(samples.abscissas, samples.values):
             assert v == (1.0 if u < 0.4 else 0.0)
 
+    def test_default_size_is_effective_total_count(self):
+        # two tight rings: the doubled minimum leaves a square batch, so the
+        # one sizing rule grows it two rows past the weight count
+        geom = RingGeometry(1.0, (0.5, 0.625), (6, 8))
+        samples = build_sample_set(geom, constant_target())
+        assert min_total_samples(geom) // 2 == geom.column_count
+        assert samples.total_count == effective_total_count(geom)
+        assert samples.batch_count == geom.column_count + 2
+
     def test_oversample_scales_total(self):
         geom = uniform_half_wavelength_geometry(9)
-        samples = build_sample_set(geom, constant_target(), oversample=2.0)
+        total = effective_total_count(geom, oversample=2.0)
+        samples = build_sample_set(geom, constant_target(), total_count=total)
         assert samples.total_count == 64
         assert samples.batch_count == 32
 
     def test_oversample_rounds_to_even(self):
         geom = uniform_half_wavelength_geometry(9)
-        samples = build_sample_set(geom, constant_target(), oversample=1.1)
-        assert samples.total_count % 2 == 0
+        assert effective_total_count(geom, oversample=1.1) % 2 == 0
 
     def test_explicit_total_must_be_even(self):
         geom = uniform_half_wavelength_geometry(3)
@@ -107,11 +117,12 @@ class TestBuildSampleSet:
     def test_rejects_undersampling_factor(self):
         geom = uniform_half_wavelength_geometry(3)
         with pytest.raises(DomainError):
-            build_sample_set(geom, constant_target(), oversample=0.5)
+            effective_total_count(geom, oversample=0.5)
 
     def test_abscissas_strictly_increasing_and_interior(self):
         geom = uniform_half_wavelength_geometry(14)
-        samples = build_sample_set(geom, constant_target(), oversample=3.0)
+        total = effective_total_count(geom, oversample=3.0)
+        samples = build_sample_set(geom, constant_target(), total_count=total)
         assert all(b > a for a, b in zip(samples.abscissas, samples.abscissas[1:]))
         assert samples.abscissas[0] > 0.0
         assert samples.abscissas[-1] < 1.0
@@ -120,19 +131,21 @@ class TestBuildSampleSet:
 class TestSampleSetValidation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DomainError):
-            SampleSet((0.1, 0.2), (1.0,), 1)
+            SampleSet((0.1, 0.2), (1.0,))
 
     def test_rejects_unsorted(self):
         with pytest.raises(DomainError):
-            SampleSet((0.2, 0.1), (1.0, 1.0), 1)
-
-    def test_rejects_bad_batch_count(self):
-        with pytest.raises(DomainError):
-            SampleSet((0.1, 0.2), (1.0, 1.0), 3)
+            SampleSet((0.2, 0.1), (1.0, 1.0))
 
     def test_rejects_non_finite_value(self):
         with pytest.raises(DomainError):
-            SampleSet((0.1, 0.2), (1.0, math.inf), 1)
+            SampleSet((0.1, 0.2), (1.0, math.inf))
+
+    @pytest.mark.parametrize("total", [1, 2, 19, 20, 21])
+    def test_batch_count_follows_even_index_split(self, total):
+        samples = SampleSet(midpoint_abscissas(total), (1.0,) * total)
+        assert samples.batch_count == len(samples.batch_abscissas)
+        assert samples.batch_count + len(samples.incremental_abscissas) == total
 
 
 class TestReconstruct:
@@ -143,12 +156,12 @@ class TestReconstruct:
             assert reconstruct(samples, u) == pytest.approx(v, abs=1e-9)
 
     def test_all_zero_values(self):
-        samples = SampleSet(midpoint_abscissas(16), (0.0,) * 16, 8)
+        samples = SampleSet(midpoint_abscissas(16), (0.0,) * 16)
         for u in np.linspace(-1, 1, 50):
             assert reconstruct(samples, float(u)) == 0.0
 
     def test_constant_set_midpoints(self):
-        samples = SampleSet(midpoint_abscissas(32), (1.0,) * 32, 16)
+        samples = SampleSet(midpoint_abscissas(32), (1.0,) * 32)
         abscissas = samples.abscissas
         for a, b in zip(abscissas, abscissas[1:]):
             assert reconstruct(samples, 0.5 * (a + b)) == pytest.approx(1.0, abs=1e-6)
@@ -161,24 +174,24 @@ class TestReconstruct:
         weights = rng.standard_normal(10)
         k = geom.wavenumber
 
-        def pattern(u: float) -> float:
-            total = weights[-1]
-            for r, n, w in zip(geom.radii, geom.elements_per_ring, weights[:9]):
-                total += w * n * bessel_j0(k * r * u)
-            return total
+        def pattern(u: np.ndarray) -> np.ndarray:
+            basis = bessel_j0_grid(k * np.outer(u, geom.radii)) * geom.elements_per_ring
+            return basis @ weights[:9] + weights[-1]
 
         total_count = 2 * min_total_samples(geom)
         abscissas = midpoint_abscissas(total_count)
-        samples = SampleSet(abscissas, tuple(pattern(u) for u in abscissas), total_count // 2)
+        samples = SampleSet(abscissas, pattern(np.array(abscissas)))
 
-        dense = np.linspace(0.0, 1.0, 3001)
-        peak = max(abs(pattern(float(u))) for u in dense)
+        peak = np.max(np.abs(pattern(np.linspace(0.0, 1.0, 3001))))
         between = np.linspace(abscissas[0], abscissas[-1], 1501)
-        worst = max(abs(reconstruct(samples, float(u)) - pattern(float(u))) for u in between)
+        worst = max(
+            abs(reconstruct(samples, float(u)) - value)
+            for u, value in zip(between, pattern(between))
+        )
         assert worst <= 0.01 * peak
 
     def test_rejects_non_finite_point(self):
-        samples = SampleSet(midpoint_abscissas(4), (1.0,) * 4, 2)
+        samples = SampleSet(midpoint_abscissas(4), (1.0,) * 4)
         with pytest.raises(DomainError):
             reconstruct(samples, math.nan)
 
@@ -195,7 +208,7 @@ class TestExport:
 
     def test_export_writes_file(self, tmp_path):
         geom = uniform_half_wavelength_geometry(1)
-        samples = build_sample_set(geom, constant_target())
+        samples = build_sample_set(geom, constant_target(), total_count=4)
         path = tmp_path / "samples.csv"
         export_samples(samples, path)
         lines = path.read_text(encoding="utf-8").splitlines()

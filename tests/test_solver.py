@@ -8,7 +8,7 @@ import pytest
 
 from ringsynth.errors import DomainError, SingularSystemError
 from ringsynth.geometry import RingGeometry, Weights, uniform_half_wavelength_geometry
-from ringsynth.sampling import build_sample_set, midpoint_abscissas
+from ringsynth.sampling import SampleSet, build_sample_set, midpoint_abscissas
 from ringsynth.solver import (
     DesignMatrix,
     SolverState,
@@ -18,7 +18,7 @@ from ringsynth.solver import (
     solve_batch,
     synthesize,
 )
-from ringsynth.specialfn import bessel_j0
+from ringsynth.specialfn import bessel_j0, bessel_j0_grid
 from ringsynth.targets import TargetPattern, equi_ripple, flat_top
 
 
@@ -249,21 +249,19 @@ def manufactured_target(geom, weights_vec) -> TargetPattern:
     """Exact pattern of known weights, normalized by its scan peak."""
     k = geom.wavenumber
 
-    def pattern(u: float) -> float:
-        total = weights_vec[-1]
-        for r, n, w in zip(geom.radii, geom.elements_per_ring, weights_vec[:-1]):
-            total += w * n * bessel_j0(k * r * u)
-        return total
+    def pattern(u: np.ndarray) -> np.ndarray:
+        basis = bessel_j0_grid(k * np.outer(u, geom.radii)) * geom.elements_per_ring
+        return basis @ weights_vec[:-1] + weights_vec[-1]
 
-    peak = max(abs(pattern(float(u))) for u in np.linspace(0, 1, 2001))
+    peak = float(np.max(np.abs(pattern(np.linspace(0, 1, 2001)))))
 
-    def signed(u: float) -> float:
+    def signed(u: np.ndarray) -> np.ndarray:
         return pattern(u) / peak
 
     return TargetPattern(
         kind="manufactured",
         params={"peak": peak},
-        evaluator=lambda u: abs(signed(u)),
+        evaluator=lambda u: np.abs(signed(u)),
         signed_evaluator=signed,
     )
 
@@ -351,6 +349,16 @@ class TestSynthesize:
         _, state = synthesize(geom, target, max_passes=3, tolerance=0.0, samples=samples)
         incremental = samples.total_count - samples.batch_count
         assert state.samples_absorbed == samples.batch_count + state.passes_completed * incremental
+
+    @pytest.mark.parametrize("total", [20, 21])
+    def test_hand_built_set_absorbs_each_sample_once(self, total):
+        geom = uniform_half_wavelength_geometry(3)
+        target = flat_top(0.5, 0.2)
+        abscissas = midpoint_abscissas(total)
+        samples = SampleSet(abscissas, target.sample_value(np.array(abscissas)))
+        _, state = synthesize(geom, target, max_passes=1, samples=samples)
+        assert state.passes_completed == 1
+        assert state.samples_absorbed == samples.total_count == total
 
     @pytest.mark.parametrize("rings", [200, 500])
     @pytest.mark.parametrize("kind", ["flat_top", "equi_ripple"])
