@@ -58,6 +58,16 @@ class SurfaceGrid:
     phi: NDArray[np.float64]
     amplitude_db: NDArray[np.float64]
 
+    def __post_init__(self) -> None:
+        shape = (len(self.theta), len(self.phi))
+        if self.amplitude_db.shape != shape or 0 in shape:
+            raise DomainError(
+                f"surface dB grid must have non-empty shape {shape}, "
+                f"got {self.amplitude_db.shape}"
+            )
+        if np.ptp(self.amplitude_db, axis=1).any():
+            raise DomainError("surface dB values must be constant along phi")
+
 
 def _symmetric_grid(n: int) -> NDArray[np.float64]:
     """Uniform grid over [-1, 1] whose points are exact +/- mirror pairs.
@@ -272,11 +282,16 @@ def cut_rows(cut: PatternCut, target: TargetPattern | None = None) -> list[str]:
 
 
 def surface_rows(surface: SurfaceGrid) -> list[str]:
-    """Comma-separated (theta, phi, dB) rows, header included."""
+    """Comma-separated (theta, phi, dB) rows, header included.
+
+    The surface is constant along phi, so each label and each theta row's
+    dB value is formatted once and the rows are joined from those strings.
+    """
+    phi_labels = [f"{phi:.6f}" for phi in surface.phi]
     rows = ["theta,phi,db"]
-    for i, theta in enumerate(surface.theta):
-        for j, phi in enumerate(surface.phi):
-            rows.append(f"{theta:.6f},{phi:.6f},{surface.amplitude_db[i, j]:.6f}")
+    for theta, db in zip(surface.theta, surface.amplitude_db[:, 0]):
+        head, tail = f"{theta:.6f},", f",{db:.6f}"
+        rows.extend([head + phi + tail for phi in phi_labels])
     return rows
 
 

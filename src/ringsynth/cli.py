@@ -5,9 +5,7 @@ Two subcommands drive the pipeline:
     ringsynth run <config>       synthesize and emit result files
     ringsynth validate <config>  schema plus feasibility checks, no solve
 
-Exit codes: 0 on success (including completed-but-unconverged runs, which
-carry a warning in the report), 2 for config problems, 3 for numerical
-failures.
+Exit codes: 0 on success, 2 for config problems, 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="config file path or bundled example name")
     run.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
     run.add_argument("--grid", type=int, metavar="POINTS", help="cut grid resolution")
-    run.add_argument("--passes", type=int, metavar="N", help="maximum refinement passes")
     run.add_argument("--surface", action="store_true", help="also emit surface.csv")
     run.add_argument("--quiet", action="store_true", help="suppress console summary")
 
@@ -72,22 +69,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    raw = dict(raw)
-    output = dict(raw.get("output", {})) if isinstance(raw.get("output", {}), dict) else {}
-    solver = dict(raw.get("solver", {})) if isinstance(raw.get("solver", {}), dict) else {}
+    output = raw.get("output", {})
+    if not isinstance(output, dict):
+        return raw  # left malformed for resolve_config to report
+    output = dict(output)
     if args.out is not None:
         output["directory"] = args.out
     if args.grid is not None:
         output["grid_points"] = args.grid
     if args.surface:
         output["surface"] = True
-    if args.passes is not None:
-        solver["max_passes"] = args.passes
-    if output:
-        raw["output"] = output
-    if solver:
-        raw["solver"] = solver
-    return raw
+    return {**raw, "output": output} if output else raw
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -20,9 +20,17 @@ from .errors import ConfigError, DomainError, TableFormatError
 from .geometry import RingGeometry, elements_for_spacing
 from .targets import TargetPattern
 
-_GENERATED_KINDS = ("flat_top", "equi_ripple", "difference")
+# The fields each target kind reads besides ``kind``; any other is rejected.
+_TARGET_FIELDS = {
+    "flat_top": ("passband_edge", "transition_width", "nulls"),
+    "equi_ripple": ("sll_db", "nulls"),
+    "difference": ("sll_db", "nulls"),
+    "table": ("path", "points"),
+}
 _DEFAULT_GRID = 2001
 _MIN_GRID = 801
+# Accepted and ignored for one release, each with a warning.
+_RETIRED_SOLVER_KEYS = ("max_passes", "tolerance")
 
 
 @dataclass(frozen=True)
@@ -31,8 +39,6 @@ class ResolvedConfig:
 
     geometry: RingGeometry
     target: TargetPattern
-    max_passes: int
-    tolerance: float
     oversample: float
     grid_points: int
     surface: bool
@@ -58,6 +64,10 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     return raw
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _get_number(
     section: Mapping[str, Any],
     field: str,
@@ -71,7 +81,7 @@ def _get_number(
     if field not in section:
         return default
     value = section[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         problems.append(f"{prefix}.{field}: expected a number, got {value!r}")
         return None
     value = float(value)
@@ -145,9 +155,7 @@ def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeomet
         counts = tuple(elements_for_spacing(r, spacing) for r in radii)
     else:
         raw_radii = section["radii"]
-        if not isinstance(raw_radii, list) or not all(
-            isinstance(r, (int, float)) and not isinstance(r, bool) for r in raw_radii
-        ):
+        if not isinstance(raw_radii, list) or not all(map(_is_number, raw_radii)):
             problems.append("geometry.radii: expected a list of numbers")
             return None
         radii = tuple(float(r) for r in raw_radii)
@@ -225,15 +233,18 @@ def _resolve_target(
     if not isinstance(section, dict):
         problems.append("target: section missing or not an object")
         return None
-    known = {"kind", "passband_edge", "transition_width", "sll_db", "nulls", "path", "points"}
+    kind = section.get("kind")
+    fields = _TARGET_FIELDS.get(kind) if isinstance(kind, str) else None
+    known = {field for kind_fields in _TARGET_FIELDS.values() for field in kind_fields}
     for key in section:
+        if key == "kind":
+            continue
         if key not in known:
             problems.append(f"target.{key}: unknown field")
-    kind = section.get("kind")
-    if kind not in _GENERATED_KINDS + ("table",):
-        problems.append(
-            f"target.kind: expected one of {_GENERATED_KINDS + ('table',)}, got {kind!r}"
-        )
+        elif fields is not None and key not in fields:
+            problems.append(f"target.{key}: not used by a {kind} target")
+    if fields is None:
+        problems.append(f"target.kind: expected one of {tuple(_TARGET_FIELDS)}, got {kind!r}")
         return None
 
     if kind == "table":
@@ -242,18 +253,22 @@ def _resolve_target(
         if has_path == has_points:
             problems.append("target: a table needs exactly one of 'path' or 'points'")
             return None
+        points = section.get("points")
+        if has_points and not (
+            isinstance(points, list)
+            and all(isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+                    for p in points)
+        ):
+            problems.append("target.points: expected a list of [u, value] number pairs")
+            return None
         try:
-            if has_path:
-                path = Path(str(section["path"]))
-                if not path.is_absolute():
-                    path = base_dir / path
-                return targets.load_table(path)
-            points = section["points"]
-            if not isinstance(points, list):
-                problems.append("target.points: expected a list of [u, value] pairs")
-                return None
-            return targets.from_table([(p[0], p[1]) for p in points])
-        except (TableFormatError, DomainError, TypeError, IndexError) as exc:
+            if has_points:
+                return targets.from_table(points)
+            path = Path(str(section["path"]))
+            if not path.is_absolute():
+                path = base_dir / path
+            return targets.load_table(path)
+        except (TableFormatError, DomainError) as exc:
             problems.append(f"target: {exc}")
             return None
 
@@ -293,7 +308,7 @@ def _resolve_target(
         return None
 
 
-def _target_echo(section: Mapping[str, Any], target: TargetPattern) -> dict[str, Any]:
+def _target_echo(target: TargetPattern) -> dict[str, Any]:
     if target.kind == targets.TABULATED:
         return {
             "kind": "table",
@@ -326,7 +341,8 @@ def resolve_config(
     """Validate a raw config mapping and build the concrete run plan.
 
     Raises :class:`ConfigError` carrying every field problem found; returns
-    the resolved config plus non-fatal feasibility warnings otherwise.
+    the resolved config plus non-fatal warnings (retired keys, feasibility)
+    otherwise.
     """
     problems: list[str] = []
     base_dir = Path(base_dir)
@@ -343,13 +359,13 @@ def resolve_config(
     if not isinstance(solver_raw, dict):
         problems.append("solver: section must be an object")
         solver_raw = {}
-    max_passes = _get_int(solver_raw, "max_passes", "solver", problems, default=3, minimum=0)
-    tolerance = _get_number(solver_raw, "tolerance", "solver", problems,
-                            default=1e-6, minimum=0.0)
     oversample = _get_number(solver_raw, "oversample", "solver", problems,
                              default=1.0, minimum=1.0)
+    warnings: list[str] = []
     for key in solver_raw:
-        if key not in {"max_passes", "tolerance", "oversample"}:
+        if key in _RETIRED_SOLVER_KEYS:
+            warnings.append(f"solver.{key} is ignored: the solver makes one absorption pass")
+        elif key != "oversample":
             problems.append(f"solver.{key}: unknown field")
 
     output_raw = raw.get("output", {})
@@ -376,7 +392,7 @@ def resolve_config(
 
     if problems or geometry is None or target is None:
         raise ConfigError(problems or ["config could not be resolved"])
-    assert max_passes is not None and tolerance is not None and oversample is not None
+    assert oversample is not None
     assert grid_points is not None and theta_points is not None and phi_points is not None
 
     echo = {
@@ -386,12 +402,8 @@ def resolve_config(
             "counts": list(geometry.elements_per_ring),
             "center_element": geometry.has_center_element,
         },
-        "target": _target_echo(raw.get("target", {}), target),
-        "solver": {
-            "max_passes": max_passes,
-            "tolerance": tolerance,
-            "oversample": oversample,
-        },
+        "target": _target_echo(target),
+        "solver": {"oversample": oversample},
         "output": {
             "grid_points": grid_points,
             "surface": surface,
@@ -403,8 +415,6 @@ def resolve_config(
     resolved = ResolvedConfig(
         geometry=geometry,
         target=target,
-        max_passes=max_passes,
-        tolerance=tolerance,
         oversample=oversample,
         grid_points=grid_points,
         surface=surface,
@@ -413,7 +423,7 @@ def resolve_config(
         out_dir=out_dir,
         echo=echo,
     )
-    return resolved, feasibility_warnings(resolved)
+    return resolved, warnings + feasibility_warnings(resolved)
 
 
 def feasibility_warnings(cfg: ResolvedConfig) -> list[str]:

@@ -60,13 +60,7 @@ def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> Syn
         cfg.target,
         total_count=effective_total_count(cfg.geometry, cfg.oversample),
     )
-    weights, state = synthesize(
-        cfg.geometry,
-        cfg.target,
-        max_passes=cfg.max_passes,
-        tolerance=cfg.tolerance,
-        samples=samples,
-    )
+    weights, state = synthesize(cfg.geometry, cfg.target, samples=samples)
     cut = evaluate_cut(cfg.geometry, weights, grid_points=cfg.grid_points)
     metrics = measure_metrics(cut, cfg.target)
     surface = None
@@ -75,12 +69,6 @@ def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> Syn
             cfg.geometry, weights, theta_points=cfg.theta_points, phi_points=cfg.phi_points
         )
     elapsed = time.perf_counter() - started
-    run_warnings = tuple(warnings or [])
-    if state.converged is False:
-        run_warnings += (
-            f"estimate had not settled to tolerance {cfg.tolerance:g} "
-            f"after {state.passes_completed} passes",
-        )
     return SynthesisReport(
         weights=weights,
         state=state,
@@ -90,7 +78,7 @@ def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> Syn
         samples=samples,
         target=cfg.target,
         config_echo=cfg.echo,
-        warnings=run_warnings,
+        warnings=tuple(warnings or []),
         wall_time_s=elapsed,
     )
 
@@ -129,7 +117,6 @@ def report_rows(report: SynthesisReport) -> list[str]:
         f"total_samples = {report.samples.total_count}",
         f"passes_completed = {state.passes_completed}",
         f"samples_absorbed = {state.samples_absorbed}",
-        f"converged = {str(bool(state.converged)).lower()}",
         "residual_trace = " + ",".join(f"{r:.12e}" for r in state.residual_trace),
     ]
     rows.extend(metrics_rows(report.metrics))
@@ -182,8 +169,7 @@ def summary_lines(report: SynthesisReport) -> list[str]:
     lines = [
         f"samples: {report.samples.batch_count} batch + "
         f"{report.samples.total_count - report.samples.batch_count} incremental",
-        f"passes: {report.state.passes_completed} "
-        f"(converged: {str(bool(report.state.converged)).lower()})",
+        f"passes: {report.state.passes_completed}",
         f"wall time: {report.wall_time_s:.3f} s",
     ]
     if m.sll_db is not None:

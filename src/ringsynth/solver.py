@@ -73,7 +73,6 @@ class SolverState:
     samples_absorbed: int
     passes_completed: int
     residual_trace: tuple[float, ...]
-    converged: bool | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inv_gramian", np.asarray(self.inv_gramian, dtype=float))
@@ -230,8 +229,6 @@ def _absorb_rows(
 def synthesize(
     geom: RingGeometry,
     target: TargetPattern,
-    max_passes: int = 3,
-    tolerance: float = 1e-6,
     oversample: float = 1.0,
     samples: SampleSet | None = None,
 ) -> tuple[Weights, SolverState]:
@@ -239,24 +236,16 @@ def synthesize(
 
     The batch stage solves the batch half of the sample set and seeds the
     recursive state; one pass then absorbs the incremental half in Woodbury
-    blocks.  In exact arithmetic that pass reproduces the full least-squares
-    solution, and a repeated pass from the same seed would be a bit-identical
-    replay, so the pass counters follow from the single pass: the estimate
-    is ``settled`` when it moved from the seed by at most ``tolerance``
-    (relative), one pass is reported when settled or when ``max_passes`` is
-    1, two otherwise, and the state is flagged unconverged (never raised)
-    only when one pass was allowed and the estimate had not settled.
-    ``max_passes == 0`` returns the batch seed.
+    blocks, which in exact arithmetic reproduces the full least-squares
+    solution.  ``passes_completed`` is that one pass (0 without incremental
+    rows), every sample is absorbed once, and ``residual_trace`` holds the
+    seed's residual and the final one over the whole sample set.
 
     Without ``samples`` the set is sized by
     :func:`~ringsynth.sampling.effective_total_count` with ``oversample``; a
     caller's set whose batch half is not strictly overdetermined is rebuilt
     the same way.
     """
-    if max_passes < 0:
-        raise DomainError(f"max_passes must be >= 0, got {max_passes}")
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise DomainError(f"tolerance must be >= 0, got {tolerance!r}")
     n_columns = geom.column_count
     if samples is None or samples.batch_count <= n_columns:
         # A square (or smaller) batch system has no residual to average out,
@@ -270,25 +259,16 @@ def synthesize(
     batch = DesignMatrix(entries=matrix.entries[0::2], column_labels=matrix.column_labels)
     batch_weights, p = solve_batch(batch, rhs[0::2])
     x_seed = _vector_from_weights(batch_weights, n_columns)
-    seed_residual = float(np.linalg.norm(matrix.entries @ x_seed - rhs))
-
     rows = matrix.entries[1::2]
-    x = x_seed
-    settled, passes = True, 0
-    if max_passes > 0 and rows.shape[0] > 0:
-        x, p = _absorb_rows(x_seed, p, rows, rhs[1::2], n_columns)
-        change = float(np.linalg.norm(x - x_seed))
-        scale = float(np.linalg.norm(x_seed))
-        settled = (change / scale if scale > 0.0 else change) <= tolerance
-        passes = 1 if settled or max_passes == 1 else 2
-    final_residual = float(np.linalg.norm(matrix.entries @ x - rhs))
+    x, p = _absorb_rows(x_seed, p, rows, rhs[1::2], n_columns)
     weights = _weights_from_vector(x, matrix.column_labels)
     state = SolverState(
         estimate=weights,
         inv_gramian=p,
-        samples_absorbed=samples.batch_count + passes * rows.shape[0],
-        passes_completed=passes,
-        residual_trace=(seed_residual,) + (final_residual,) * passes,
-        converged=settled or max_passes >= 2,
+        samples_absorbed=samples.total_count,
+        passes_completed=1 if rows.shape[0] else 0,
+        residual_trace=tuple(
+            float(np.linalg.norm(matrix.entries @ v - rhs)) for v in (x_seed, x)
+        ),
     )
     return weights, state

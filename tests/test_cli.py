@@ -73,6 +73,24 @@ class TestConfigResolution:
             resolve_config(minimal_config(solver={"passes": 3}))
         assert any("solver.passes" in p for p in err.value.problems)
 
+    @pytest.mark.parametrize(
+        "target, field",
+        [
+            ({"kind": "table", "points": [[-1, 0], [1, 1]], "nulls": []}, "nulls"),
+            ({"kind": "table", "points": [[-1, 0], [1, 1]], "sll_db": -20}, "sll_db"),
+            ({"kind": "flat_top", "passband_edge": 0.4, "sll_db": -20}, "sll_db"),
+            ({"kind": "equi_ripple", "sll_db": -20, "passband_edge": 0.4}, "passband_edge"),
+            ({"kind": "difference", "sll_db": -20, "transition_width": 0.1},
+             "transition_width"),
+            ({"kind": "flat_top", "passband_edge": 0.4, "points": [[-1, 0], [1, 1]]},
+             "points"),
+        ],
+    )
+    def test_target_field_unused_by_kind_rejected(self, target, field):
+        with pytest.raises(ConfigError) as err:
+            resolve_config(minimal_config(target=target))
+        assert f"target.{field}: not used by a {target['kind']} target" in err.value.problems
+
     def test_problems_are_collected_not_first_only(self):
         raw = {
             "geometry": {"wavelength": -1.0, "rings": 0},
@@ -191,12 +209,10 @@ class TestCliRun:
         assert echo["output"]["grid_points"] == 1001
         assert len((tmp_path / "cut.csv").read_text().splitlines()) == 1002
 
-    def test_passes_override(self, tmp_path):
-        rc = main(["run", "example-a-flattop", "--out", str(tmp_path),
-                   "--passes", "0", "--quiet"])
-        assert rc == 0
-        report = (tmp_path / "report.txt").read_text(encoding="utf-8")
-        assert "passes_completed = 0" in report
+    def test_passes_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "example-a-flattop", "--out", str(tmp_path), "--passes", "0"])
+        assert exc.value.code == 2
 
     def test_weights_file_layout(self, tmp_path):
         assert main(["run", "example-a-flattop", "--out", str(tmp_path), "--quiet"]) == 0
@@ -243,19 +259,38 @@ class TestCliRun:
         )
         assert main(["run", str(path)]) == 3
 
-    def test_unconverged_run_still_succeeds(self, tmp_path):
-        raw = {
-            "geometry": {"wavelength": 1.0, "rings": 9},
-            "target": {"kind": "flat_top", "passband_edge": 0.4,
-                       "transition_width": 0.12},
-            "solver": {"max_passes": 1, "tolerance": 1e-15},
-            "output": {"directory": str(tmp_path)},
-        }
+    def test_retired_solver_keys_warn_and_are_not_echoed(self, tmp_path, capsys):
+        raw = minimal_config(
+            solver={"max_passes": 1, "tolerance": 1e-15, "oversample": 1.0},
+            output={"directory": str(tmp_path)},
+        )
         path = write_config(tmp_path, raw)
+        assert main(["validate", str(path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
         assert main(["run", str(path), "--quiet"]) == 0
-        report = (tmp_path / "report.txt").read_text(encoding="utf-8")
-        assert "converged = false" in report
-        assert "warning = " in report
+        report = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+        for key in ("max_passes", "tolerance"):
+            warning = f"solver.{key} is ignored: the solver makes one absorption pass"
+            assert f"warning: {warning}" in printed
+            assert f"warning = {warning}" in report
+        echo = json.loads(next(l for l in report if l.startswith("config = "))[9:])
+        assert echo["solver"] == {"oversample": 1.0}
+        assert "passes_completed = 1" in report
+
+    def test_malformed_output_section_not_hidden_by_overrides(self, tmp_path):
+        path = write_config(tmp_path, minimal_config(output="results"))
+        assert main(["run", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--surface"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "points", [[["x", 1], [0.5, 1]], [[0.0, 1.0, 2.0], [0.5, 1]], [[0.0], [0.5, 1]],
+                   [[True, 1], [0.5, 1]]],
+    )
+    def test_malformed_table_point_exit_code(self, tmp_path, capsys, points):
+        raw = minimal_config(target={"kind": "table", "points": points})
+        assert main(["run", str(write_config(tmp_path, raw))]) == 2
+        assert "config error: target.points: " in capsys.readouterr().err
 
     def test_geometry_without_center_element(self, tmp_path):
         raw = {

@@ -273,7 +273,7 @@ class TestSynthesize:
         x_true = rng.standard_normal(6)
         target = manufactured_target(geom, x_true)
         peak = float(target.params["peak"])
-        w, state = synthesize(geom, target, max_passes=1)
+        w, state = synthesize(geom, target)
         got = weights_vector(w) * peak
         assert np.linalg.norm(got - x_true) <= 1e-8 * np.linalg.norm(x_true)
 
@@ -285,28 +285,20 @@ class TestSynthesize:
         for earlier, later in zip(trace, trace[1:]):
             assert later <= earlier + 1e-10
 
-    def test_zero_passes_returns_batch_solution(self):
+    def test_residual_trace_is_seed_then_final(self):
         geom = uniform_half_wavelength_geometry(4)
         target = flat_top(0.5, 0.1)
         samples = build_sample_set(geom, target)
-        w0, state0 = synthesize(geom, target, max_passes=0, samples=samples)
-        matrix = build_design_matrix(geom, samples.batch_abscissas)
-        w_batch, _ = solve_batch(matrix, samples.batch_values)
-        assert weights_vector(w0) == pytest.approx(weights_vector(w_batch), abs=0)
-        assert state0.passes_completed == 0
-        assert state0.converged is True
-
-    def test_sweeps_settle_and_flag_convergence(self):
-        geom = uniform_half_wavelength_geometry(9)
-        _, state = synthesize(geom, flat_top(0.4, 0.12), max_passes=3, tolerance=1e-6)
-        assert state.converged is True
-        assert state.passes_completed <= 3
-
-    def test_non_convergence_flagged_not_raised(self):
-        geom = uniform_half_wavelength_geometry(9)
-        _, state = synthesize(geom, flat_top(0.4, 0.12), max_passes=1, tolerance=1e-15)
-        assert state.converged is False
-        assert state.passes_completed == 1
+        w, state = synthesize(geom, target, samples=samples)
+        full = build_design_matrix(geom, samples.abscissas)
+        w_seed, _ = solve_batch(
+            build_design_matrix(geom, samples.batch_abscissas), samples.batch_values
+        )
+        b = np.asarray(samples.values)
+        assert state.residual_trace == (
+            np.linalg.norm(full.entries @ weights_vector(w_seed) - b),
+            np.linalg.norm(full.entries @ weights_vector(w) - b),
+        )
 
     def test_target_scaling_scales_weights_exactly(self):
         geom = uniform_half_wavelength_geometry(5)
@@ -342,21 +334,13 @@ class TestSynthesize:
         w, state = synthesize(geom, target)
         assert state.samples_absorbed >= geom.column_count + 2
 
-    def test_absorbed_counter_accumulates_over_sweeps(self):
-        geom = uniform_half_wavelength_geometry(9)
-        target = flat_top(0.5, 0.1)
-        samples = build_sample_set(geom, target)
-        _, state = synthesize(geom, target, max_passes=3, tolerance=0.0, samples=samples)
-        incremental = samples.total_count - samples.batch_count
-        assert state.samples_absorbed == samples.batch_count + state.passes_completed * incremental
-
     @pytest.mark.parametrize("total", [20, 21])
     def test_hand_built_set_absorbs_each_sample_once(self, total):
         geom = uniform_half_wavelength_geometry(3)
         target = flat_top(0.5, 0.2)
         abscissas = midpoint_abscissas(total)
         samples = SampleSet(abscissas, target.sample_value(np.array(abscissas)))
-        _, state = synthesize(geom, target, max_passes=1, samples=samples)
+        _, state = synthesize(geom, target, samples=samples)
         assert state.passes_completed == 1
         assert state.samples_absorbed == samples.total_count == total
 
