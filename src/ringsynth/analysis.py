@@ -59,13 +59,20 @@ class SurfaceGrid:
     amplitude_db: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        shape = (len(self.theta), len(self.phi))
-        if self.amplitude_db.shape != shape or 0 in shape:
+        theta = np.asarray(self.theta, dtype=float)
+        phi = np.asarray(self.phi, dtype=float)
+        db = np.asarray(self.amplitude_db, dtype=float)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "amplitude_db", db)
+        if theta.ndim != 1 or phi.ndim != 1:
+            raise DomainError("surface theta and phi must be 1-D arrays")
+        shape = (theta.size, phi.size)
+        if db.shape != shape or 0 in shape:
             raise DomainError(
-                f"surface dB grid must have non-empty shape {shape}, "
-                f"got {self.amplitude_db.shape}"
+                f"surface dB grid must have non-empty shape {shape}, got {db.shape}"
             )
-        if np.ptp(self.amplitude_db, axis=1).any():
+        if np.ptp(db, axis=1).any():
             raise DomainError("surface dB values must be constant along phi")
 
 
@@ -93,7 +100,8 @@ def pattern_on_grid(
     u = np.asarray(u, dtype=float)
     counts = np.asarray(geom.elements_per_ring, dtype=float)
     radii = np.asarray(geom.radii, dtype=float)
-    basis = counts[None, :] * bessel_j0_grid(geom.wavenumber * np.outer(u, radii))
+    basis = bessel_j0_grid(geom.wavenumber * np.outer(u, radii))
+    basis *= counts
     rings = np.asarray(w.rings, dtype=complex)
     total = basis.astype(complex) @ rings
     if geom.has_center_element:
@@ -104,19 +112,23 @@ def pattern_on_grid(
 def evaluate_cut(geom: RingGeometry, w: Weights, grid_points: int = 2001) -> PatternCut:
     """Normalized |F(u)| in dB on a uniform grid over [-1, 1].
 
-    Exact zeros are floored at -200 dB.  All-zero weights cannot be
-    normalized and raise :class:`DegeneratePatternError`.
+    The pattern is even in u and the grid's points are exact +/- pairs, so
+    only the non-negative half is evaluated and its dB values are mirrored;
+    the result is bit-identical to evaluating every point.  Exact zeros are
+    floored at -200 dB.  All-zero weights cannot be normalized and raise
+    :class:`DegeneratePatternError`.
     """
     if grid_points < _MIN_GRID:
         raise DomainError(f"grid_points must be >= {_MIN_GRID}, got {grid_points}")
-    u = _symmetric_grid(int(grid_points))
-    magnitude = np.abs(pattern_on_grid(geom, w, u))
+    n = int(grid_points)
+    u = _symmetric_grid(n)
+    magnitude = np.abs(pattern_on_grid(geom, w, u[n // 2 :]))
     peak = float(magnitude.max())
     if peak == 0.0:
         raise DegeneratePatternError("all-zero pattern cannot be peak-normalized")
     floor_lin = 10.0 ** (DB_FLOOR / 20.0)
     db = 20.0 * np.log10(np.maximum(magnitude / peak, floor_lin))
-    return PatternCut(u_grid=u, amplitude_db=db)
+    return PatternCut(u_grid=u, amplitude_db=np.concatenate([db[::-1][: n // 2], db]))
 
 
 def _contiguous_runs(mask: NDArray[np.bool_]) -> list[tuple[int, int]]:

@@ -171,6 +171,8 @@ def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeomet
                 )
                 return None
             counts = tuple(int(c) for c in raw_counts)
+            if "spacing" in section:
+                problems.append("geometry.spacing: not used when counts are given")
         else:
             try:
                 counts = tuple(elements_for_spacing(r, spacing) for r in radii)
@@ -207,6 +209,9 @@ def _resolve_nulls(
         if not isinstance(entry, dict):
             problems.append(f"target.nulls[{i}]: expected an object")
             return None
+        for key in entry:
+            if key not in ("center", "depth_db", "width"):
+                problems.append(f"target.nulls[{i}].{key}: unknown field")
         center = _get_number(entry, "center", f"target.nulls[{i}]", problems)
         depth = _get_number(entry, "depth_db", f"target.nulls[{i}]", problems)
         width = _get_number(entry, "width", f"target.nulls[{i}]", problems,

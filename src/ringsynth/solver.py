@@ -94,11 +94,12 @@ def build_design_matrix(geom: RingGeometry, abscissas: Sequence[float]) -> Desig
         raise DomainError("sample abscissas must be finite")
     counts = np.asarray(geom.elements_per_ring, dtype=float)
     radii = np.asarray(geom.radii, dtype=float)
-    ring_block = counts[None, :] * bessel_j0_grid(geom.wavenumber * np.outer(u, radii))
+    ring_block = bessel_j0_grid(geom.wavenumber * np.outer(u, radii))
     if geom.has_center_element:
-        entries = np.hstack([ring_block, np.ones((len(u), 1))])
+        entries = np.ones((len(u), geom.column_count))
+        np.multiply(ring_block, counts, out=entries[:, :-1])
     else:
-        entries = ring_block
+        entries = np.multiply(ring_block, counts, out=ring_block)
     return DesignMatrix(entries=entries, column_labels=_column_labels(geom))
 
 

@@ -1,16 +1,20 @@
 """Pattern cuts, surfaces, and metric measurement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ringsynth.analysis import (
     DB_FLOOR,
     PatternCut,
+    SurfaceGrid,
     cut_rows,
     evaluate_cut,
     evaluate_surface,
     measure_metrics,
     metrics_rows,
+    pattern_on_grid,
     surface_rows,
 )
 from ringsynth.errors import DegeneratePatternError, DomainError
@@ -82,6 +86,33 @@ class TestEvaluateCut:
         geom = RingGeometry(1.0, (0.5,), (6,), has_center_element=True)
         cut = evaluate_cut(geom, Weights(center=-6.0, rings=(1.0,)))
         assert np.all(cut.amplitude_db >= DB_FLOOR)
+
+    @pytest.mark.parametrize("points", [801, 2000, 2001])
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    def test_half_grid_matches_full_grid(self, points, complex_weights):
+        rng = np.random.default_rng(points)
+        geom = uniform_half_wavelength_geometry(30)
+        rings = rng.standard_normal(30) + (1j * rng.standard_normal(30) if complex_weights else 0)
+        w = Weights(center=rng.standard_normal(), rings=tuple(rings))
+        cut = evaluate_cut(geom, w, grid_points=points)
+        magnitude = np.abs(pattern_on_grid(geom, w, cut.u_grid))
+        floor = 10.0 ** (DB_FLOOR / 20.0)
+        reference = 20.0 * np.log10(np.maximum(magnitude / magnitude.max(), floor))
+        assert np.array_equal(cut.amplitude_db, reference)
+        assert np.array_equal(cut.amplitude_db, cut.amplitude_db[::-1])
+
+    def test_peak_memory_at_500_rings(self):
+        geom = uniform_half_wavelength_geometry(500)
+        rng = np.random.default_rng(9)
+        w = Weights(center=1.0, rings=tuple(rng.standard_normal(500)))
+        tracemalloc.start()
+        try:
+            evaluate_cut(geom, w, grid_points=2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # full-grid evaluation with full-size J0 temporaries peaks near 89 MB
+        assert peak < 30e6
 
 
 class TestMeasureMetrics:
@@ -159,6 +190,26 @@ class TestEvaluateSurface:
         assert surface.amplitude_db[-1, 0] == pytest.approx(
             cut.amplitude_db[-1], abs=1e-9
         )
+
+    def test_surface_grid_coerces_sequences(self):
+        surface = SurfaceGrid(theta=[0.0, 0.5], phi=[0.0, 1.0, 2.0],
+                              amplitude_db=[[0, 0, 0], [-3, -3, -3]])
+        assert surface.theta.dtype == float and surface.phi.dtype == float
+        assert surface.amplitude_db.dtype == float
+        assert surface.amplitude_db.shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "theta, phi, db",
+        [
+            ([0.0, 0.5], [0.0, 1.0], [[0, 0]]),
+            ([[0.0, 0.5]], [0.0, 1.0], [[0, 0], [0, 0]]),
+            ([0.0], [], [[]]),
+            ([0.0, 0.5], [0.0, 1.0], [[0, -1], [0, 0]]),
+        ],
+    )
+    def test_surface_grid_rejects_bad_shapes(self, theta, phi, db):
+        with pytest.raises(DomainError):
+            SurfaceGrid(theta=theta, phi=phi, amplitude_db=db)
 
     def test_rejects_tiny_grid(self):
         geom = uniform_half_wavelength_geometry(2)

@@ -344,6 +344,22 @@ class TestCliValidate:
         err = capsys.readouterr().err
         assert "geometry.wavelength" in err
 
+    def test_spacing_with_explicit_counts_rejected(self, tmp_path, capsys):
+        geometry = {"wavelength": 1.0, "radii": [0.5, 1.0], "counts": [6, 13], "spacing": 0.4}
+        path = write_config(tmp_path, minimal_config(geometry=geometry))
+        assert main(["validate", str(path)]) == 2
+        assert "geometry.spacing: not used when counts are given" in capsys.readouterr().err
+
+    def test_unknown_null_field_rejected(self, tmp_path, capsys):
+        target = {
+            "kind": "equi_ripple",
+            "sll_db": -16,
+            "nulls": [{"center": 0.4, "depth_db": -40, "width": 0.05, "depht": -60}],
+        }
+        raw = minimal_config(geometry={"wavelength": 1.0, "rings": 14}, target=target)
+        assert main(["validate", str(write_config(tmp_path, raw))]) == 2
+        assert "target.nulls[0].depht: unknown field" in capsys.readouterr().err
+
     def test_validate_feasibility_warning_exits_zero(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -1,6 +1,7 @@
 """Bessel J0 and sampling-kernel contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringsynth.errors import DomainError
-from ringsynth.specialfn import KernelOrder, bessel_j0, bessel_j0_grid, sampling_kernel
+from ringsynth.specialfn import (
+    _BLOCK,
+    KernelOrder,
+    bessel_j0,
+    bessel_j0_grid,
+    sampling_kernel,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,6 +83,64 @@ class TestBesselJ0:
     def test_grid_rejects_non_finite(self):
         with pytest.raises(DomainError):
             bessel_j0_grid(np.array([1.0, math.nan]))
+
+
+class TestBlockedGrid:
+    """bessel_j0_grid walks its argument in blocks; no boundary may show."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        # series-range and Hankel-range values, the switchover and zero included,
+        # each with its per-element reference
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            [0.0, -0.0, 8.0, -8.0, np.nextafter(8.0, 0.0), 600.0],
+            rng.uniform(-8.0, 8.0, 250),
+            rng.choice([-1.0, 1.0], 250) * rng.uniform(8.0, 600.0, 250),
+        ])
+        return values, np.array([bessel_j0(float(v)) for v in values])
+
+    @pytest.mark.parametrize("length", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_shuffled_branches_match_scalar(self, pool, length):
+        values, ref = pool
+        idx = np.random.default_rng(length).integers(0, len(values), length)
+        assert np.array_equal(bessel_j0_grid(values[idx]), ref[idx])
+
+    def test_single_branch_blocks_match_scalar(self, pool):
+        values, ref = pool
+        series = np.flatnonzero(np.abs(values) < 8.0)
+        hankel = np.flatnonzero(np.abs(values) >= 8.0)
+        rng = np.random.default_rng(6)
+        # one all-series block, one all-Hankel block, then a mixed tail
+        idx = np.concatenate([
+            rng.choice(series, _BLOCK), rng.choice(hankel, _BLOCK), [series[0], hankel[0]]
+        ])
+        assert np.array_equal(bessel_j0_grid(values[idx]), ref[idx])
+
+    def test_shapes_match_scalar(self, pool):
+        values, ref = pool
+        idx = np.random.default_rng(7).integers(0, len(values), (256, 2 * _BLOCK // 256))
+        assert np.array_equal(bessel_j0_grid(values[idx]), ref[idx])
+        assert np.array_equal(bessel_j0_grid(values[idx].T), ref[idx].T)
+        zero_d = bessel_j0_grid(np.float64(values[-1]))
+        assert zero_d.shape == () and zero_d == ref[-1]
+
+    def test_non_finite_in_a_later_block_rejected(self):
+        x = np.ones(2 * _BLOCK + 1)
+        x[-1] = math.inf
+        with pytest.raises(DomainError):
+            bessel_j0_grid(x)
+
+    def test_peak_memory_stays_near_output_size(self):
+        # a 2001 x 500 cut argument; full-size temporaries would peak near 10x
+        x = np.random.default_rng(8).uniform(-300.0, 300.0, (2001, 500))
+        tracemalloc.start()
+        try:
+            bessel_j0_grid(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.nbytes
 
 
 class TestSamplingKernel:
