@@ -29,8 +29,6 @@ _TARGET_FIELDS = {
 }
 _DEFAULT_GRID = 2001
 _MIN_GRID = 801
-# Accepted and ignored for one release, each with a warning.
-_RETIRED_SOLVER_KEYS = ("max_passes", "tolerance")
 
 
 @dataclass(frozen=True)
@@ -346,8 +344,7 @@ def resolve_config(
     """Validate a raw config mapping and build the concrete run plan.
 
     Raises :class:`ConfigError` carrying every field problem found; returns
-    the resolved config plus non-fatal warnings (retired keys, feasibility)
-    otherwise.
+    the resolved config plus non-fatal feasibility warnings otherwise.
     """
     problems: list[str] = []
     base_dir = Path(base_dir)
@@ -366,11 +363,8 @@ def resolve_config(
         solver_raw = {}
     oversample = _get_number(solver_raw, "oversample", "solver", problems,
                              default=1.0, minimum=1.0)
-    warnings: list[str] = []
     for key in solver_raw:
-        if key in _RETIRED_SOLVER_KEYS:
-            warnings.append(f"solver.{key} is ignored: the solver makes one absorption pass")
-        elif key != "oversample":
+        if key != "oversample":
             problems.append(f"solver.{key}: unknown field")
 
     output_raw = raw.get("output", {})
@@ -428,7 +422,7 @@ def resolve_config(
         out_dir=out_dir,
         echo=echo,
     )
-    return resolved, warnings + feasibility_warnings(resolved)
+    return resolved, feasibility_warnings(resolved)
 
 
 def feasibility_warnings(cfg: ResolvedConfig) -> list[str]:

@@ -2,14 +2,18 @@
 
 The pattern model is linear in the weights, so sampling the target at M0
 points yields an overdetermined system A I = B, built once as one design
-matrix.  The batch stage solves its even-indexed rows (the batch half of the
-sample set) by orthogonal factorization and seeds the inverse Gramian
-P = (A^T A)^{-1}; the recursive stage then absorbs the odd-indexed rows in
-one pass of Sherman-Morrison-Woodbury block updates, each block at most as
-tall as the weight count.  A one-row block is the rank-one gain update of
-:func:`rls_absorb`, kept as the reference form.  Absorbing a row set either
-way is algebraically identical to batch least squares over the same rows,
-which is the correctness property the test suite leans on.
+matrix.  The solver works in square-root information form (Bierman, 1977):
+its state is the upper-triangular factor R, with R^T R the Gramian A^T A of
+the rows absorbed so far, and z = Q^T B, so the estimate solves R I = z.
+The batch stage triangularizes the augmented even-indexed rows [A B] (the
+batch half of the sample set) by orthogonal factorization; the recursive
+stage absorbs the odd-indexed rows by re-triangularizing [R z; A B] block by
+block, each block at most as tall as the weight count, and back-substitutes
+once.  Neither stage forms Q or the inverse Gramian P = (A^T A)^{-1}.  The
+rank-one gain update K = P a / (a^T P a + 1) of :func:`rls_absorb` is kept as
+the reference form.  Absorbing a row set either way is algebraically
+identical to batch least squares over the same rows, which is the
+correctness property the test suite leans on.
 
 Targets here are real valued and the basis is real, so the solver works in
 real arithmetic and rejects a complex estimate; weights stay complex-capable
@@ -32,6 +36,7 @@ from .specialfn import bessel_j0_grid
 from .targets import TargetPattern
 
 _CONDITION_LIMIT = 1e12
+_BACK_SUBSTITUTION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -66,16 +71,26 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class SolverState:
-    """Estimate, inverse Gramian, and bookkeeping for the recursive stage."""
+    """Estimate, square-root information factor, and recursive bookkeeping.
+
+    ``r_factor`` is the upper-triangular R with R^T R equal to the Gramian
+    A^T A of every row absorbed so far.
+    """
 
     estimate: Weights
-    inv_gramian: NDArray[np.float64]
+    r_factor: NDArray[np.float64]
     samples_absorbed: int
     passes_completed: int
     residual_trace: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inv_gramian", np.asarray(self.inv_gramian, dtype=float))
+        object.__setattr__(self, "r_factor", np.asarray(self.r_factor, dtype=float))
+
+    @property
+    def inv_gramian(self) -> NDArray[np.float64]:
+        """P = (A^T A)^{-1} = R^{-1} R^{-T}, formed on each access."""
+        r_inv = _back_substitute(self.r_factor, np.eye(self.r_factor.shape[0]))
+        return r_inv @ r_inv.T
 
 
 def _column_labels(geom: RingGeometry) -> tuple[str, ...]:
@@ -124,15 +139,31 @@ def _vector_from_weights(w: Weights, n_columns: int) -> NDArray[np.float64]:
     return np.array([float(p.real) for p in parts])
 
 
+def _back_substitute(r: NDArray[np.float64], z: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Solve R x = z for upper-triangular R (z 1-D or 2-D), bottom block first.
+
+    numpy has no triangular solve, and a general LU over the whole of R
+    costs an order of magnitude more; each diagonal block goes through
+    ``np.linalg.solve`` and its solution is eliminated from the rows above.
+    """
+    x = np.array(z, dtype=float)
+    for end in range(r.shape[0], 0, -_BACK_SUBSTITUTION_BLOCK):
+        start = max(0, end - _BACK_SUBSTITUTION_BLOCK)
+        x[start:end] = np.linalg.solve(r[start:end, start:end], x[start:end])
+        x[:start] -= r[:start, start:end] @ x[start:end]
+    return x
+
+
 def solve_batch(
     matrix: DesignMatrix, rhs: Sequence[float]
 ) -> tuple[Weights, NDArray[np.float64]]:
-    """Least-squares weights and inverse Gramian for a sample block.
+    """Least-squares weights and square-root information array for a block.
 
-    Solves via QR, and forms P = (A^T A)^{-1} from the inverse triangular
-    factor rather than the squared normal matrix.  A condition estimate
-    above 1e12 raises :class:`SingularSystemError` naming the offending
-    column.
+    Triangularizes the augmented rows [A b] by QR without forming Q and
+    returns the weights with the n-by-(n+1) array [R z]: R is upper
+    triangular with R^T R = A^T A, z = Q^T b, and the weights solve R x = z.
+    A condition estimate from diag(R) above 1e12 raises
+    :class:`SingularSystemError` naming the offending column.
     """
     a = matrix.entries
     b = np.asarray(rhs, dtype=float)
@@ -145,8 +176,9 @@ def solve_batch(
     if not np.all(np.isfinite(b)):
         raise DomainError("rhs must be finite")
 
-    q, r = np.linalg.qr(a)
-    diag = np.abs(np.diag(r))
+    n = a.shape[1]
+    info = np.linalg.qr(np.column_stack((a, b)), mode="r")[:n]
+    diag = np.abs(np.diag(info))
     worst = int(np.argmin(diag))
     if diag[worst] == 0.0 or diag.max() / diag[worst] > _CONDITION_LIMIT:
         label = matrix.column_labels[worst]
@@ -155,19 +187,17 @@ def solve_batch(
             column_index=worst,
             column_label=label,
         )
-    x = np.linalg.solve(r, q.T @ b)
-    r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
-    p = r_inv @ r_inv.T
-    p = 0.5 * (p + p.T)
-    return _weights_from_vector(x, matrix.column_labels), p
+    x = _back_substitute(info[:, :n], info[:, n])
+    return _weights_from_vector(x, matrix.column_labels), info
 
 
 def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> SolverState:
     """Absorb one sample row into the estimate via the rank-one gain update.
 
-    gain K = P a / (a^T P a + 1); the estimate moves by K times the
-    innovation (rhs minus prediction) and P contracts by K a^T P, with an
-    explicit re-symmetrization to stop round-off drift.
+    gain K = P a / (a^T P a + 1), with P a = R^{-1} R^{-T} a from two
+    triangular solves; the estimate moves by K times the innovation (rhs
+    minus prediction), and R is carried forward by re-triangularizing
+    [R; a^T], so P is never formed.
     """
     a = np.asarray(row, dtype=float)
     rhs_value = float(rhs_value)
@@ -175,17 +205,18 @@ def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> So
         raise DomainError(f"row must be 1-D, got shape {a.shape}")
     if not (np.all(np.isfinite(a)) and math.isfinite(rhs_value)):
         raise DomainError("row and rhs value must be finite")
-    p = state.inv_gramian
-    if a.shape[0] != p.shape[0]:
-        raise DomainError(f"row length {a.shape[0]} does not match state size {p.shape[0]}")
+    r = state.r_factor
+    if a.shape[0] != r.shape[0]:
+        raise DomainError(f"row length {a.shape[0]} does not match state size {r.shape[0]}")
 
     x = _vector_from_weights(state.estimate, a.shape[0])
-    pa = p @ a
-    gain = pa / (a @ pa + 1.0)
+    # R^T y = a is lower triangular: reversing rows and columns makes it upper
+    y = _back_substitute(r.T[::-1, ::-1], a[::-1])[::-1]
+    pa = _back_substitute(r, y)
+    gain = pa / (y @ y + 1.0)
     innovation = rhs_value - a @ x
     x_new = x + gain * innovation
-    p_new = p - np.outer(gain, pa)
-    p_new = 0.5 * (p_new + p_new.T)
+    r_new = np.linalg.qr(np.vstack((r, a)), mode="r")
 
     has_center = a.shape[0] == len(state.estimate.rings) + 1
     if has_center:
@@ -195,36 +226,31 @@ def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> So
     return replace(
         state,
         estimate=weights,
-        inv_gramian=p_new,
+        r_factor=r_new,
         samples_absorbed=state.samples_absorbed + 1,
     )
 
 
-def _absorb_rows(
-    x: NDArray[np.float64],
-    p: NDArray[np.float64],
-    rows: NDArray[np.float64],
-    rhs: NDArray[np.float64],
-    block_size: int,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Absorb sample rows into (x, P) in Woodbury blocks of ``block_size``.
+def _retriangularize(
+    info: NDArray[np.float64], rows: NDArray[np.float64], rhs: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Absorb sample rows into the information array [R z] by QR.
 
-    Each block A with right-hand side b updates K = P A^T (I + A P A^T)^{-1},
-    x += K (b - A x), P -= K A P, then re-symmetrizes P.  A one-row block is
-    the rank-one gain of :func:`rls_absorb`.  Blocks no taller than P keep
-    the inner matrix no larger than P whatever the row count.
+    Each block [A b] of at most n rows is stacked under [R z] and the
+    (at most 2n)-by-(n+1) result re-triangularized, keeping its top n rows;
+    one preallocated buffer holds every block, so the work space stays the
+    same whatever the row count.
     """
-    for start in range(0, rows.shape[0], block_size):
-        a = rows[start : start + block_size]
-        pat = p @ a.T
-        inner = a @ pat
-        inner[np.diag_indices_from(inner)] += 1.0
-        # the inner matrix is symmetric, so solving for K^T gives K
-        gain = np.linalg.solve(inner, pat.T).T
-        x = x + gain @ (rhs[start : start + block_size] - a @ x)
-        p = p - gain @ pat.T
-        p = 0.5 * (p + p.T)
-    return x, p
+    n = info.shape[0]
+    stacked = np.empty((2 * n, n + 1))
+    stacked[:n] = info
+    for start in range(0, rows.shape[0], n):
+        block = rows[start : start + n]
+        height = n + block.shape[0]
+        stacked[n:height, :-1] = block
+        stacked[n:height, -1] = rhs[start : start + n]
+        stacked[:n] = np.linalg.qr(stacked[:height], mode="r")[:n]
+    return stacked[:n].copy()
 
 
 def synthesize(
@@ -235,12 +261,13 @@ def synthesize(
 ) -> tuple[Weights, SolverState]:
     """Run the two-stage synthesis pipeline for a geometry and target.
 
-    The batch stage solves the batch half of the sample set and seeds the
-    recursive state; one pass then absorbs the incremental half in Woodbury
-    blocks, which in exact arithmetic reproduces the full least-squares
-    solution.  ``passes_completed`` is that one pass (0 without incremental
-    rows), every sample is absorbed once, and ``residual_trace`` holds the
-    seed's residual and the final one over the whole sample set.
+    The batch stage triangularizes the batch half of the sample set into
+    [R z]; one pass then absorbs the incremental half by re-triangularizing
+    [R z; A b] in blocks of at most the weight count, and one back
+    substitution gives the weights, which in exact arithmetic are the full
+    least-squares solution.  ``passes_completed`` is that one pass (0 without
+    incremental rows), every sample is absorbed once, and ``residual_trace``
+    holds the seed's residual and the final one over the whole sample set.
 
     Without ``samples`` the set is sized by
     :func:`~ringsynth.sampling.effective_total_count` with ``oversample``; a
@@ -258,16 +285,17 @@ def synthesize(
     matrix = build_design_matrix(geom, samples.abscissas)
     rhs = np.asarray(samples.values, dtype=float)
     batch = DesignMatrix(entries=matrix.entries[0::2], column_labels=matrix.column_labels)
-    batch_weights, p = solve_batch(batch, rhs[0::2])
+    batch_weights, info = solve_batch(batch, rhs[0::2])
     x_seed = _vector_from_weights(batch_weights, n_columns)
-    rows = matrix.entries[1::2]
-    x, p = _absorb_rows(x_seed, p, rows, rhs[1::2], n_columns)
+    info = _retriangularize(info, matrix.entries[1::2], rhs[1::2])
+    r = info[:, :-1]
+    x = _back_substitute(r, info[:, -1])
     weights = _weights_from_vector(x, matrix.column_labels)
     state = SolverState(
         estimate=weights,
-        inv_gramian=p,
+        r_factor=r,
         samples_absorbed=samples.total_count,
-        passes_completed=1 if rows.shape[0] else 0,
+        passes_completed=1 if samples.total_count > samples.batch_count else 0,
         residual_trace=tuple(
             float(np.linalg.norm(matrix.entries @ v - rhs)) for v in (x_seed, x)
         ),

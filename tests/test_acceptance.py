@@ -95,9 +95,9 @@ def test_criterion_1_rls_matches_batch_over_full_system():
             continue
 
         batch = build_design_matrix(geom, samples.batch_abscissas)
-        w, p = solve_batch(batch, samples.batch_values)
+        w, info = solve_batch(batch, samples.batch_values)
         state = SolverState(
-            estimate=w, inv_gramian=p, samples_absorbed=samples.batch_count,
+            estimate=w, r_factor=info[:, :-1], samples_absorbed=samples.batch_count,
             passes_completed=0, residual_trace=(0.0,),
         )
         inc = build_design_matrix(geom, samples.incremental_abscissas)
@@ -222,9 +222,9 @@ def test_criterion_7_invariant_suites():
     target = from_table([(-1.0, 0.2), (0.0, 1.0), (1.0, 0.2)])
     samples = build_sample_set(geom, target)
     batch = build_design_matrix(geom, samples.batch_abscissas)
-    west, p = solve_batch(batch, samples.batch_values)
+    west, info = solve_batch(batch, samples.batch_values)
     state = SolverState(
-        estimate=west, inv_gramian=p, samples_absorbed=samples.batch_count,
+        estimate=west, r_factor=info[:, :-1], samples_absorbed=samples.batch_count,
         passes_completed=0, residual_trace=(0.0,),
     )
     inc = build_design_matrix(geom, samples.incremental_abscissas)

@@ -54,6 +54,8 @@ def test_extractors_read_a_real_run(harness, tmp_path):
             assert span in extracted, span
     metrics = tracing.pass_metrics(tracer.spans, tracer.counters)
     assert metrics["solver.passes"] == 1
+    # the seed's QR must stay inside the span perfbench times as the batch stage
+    assert metrics["solver.batch_s"] > 0
     for name in ("sampling.samples", "solver.design_cells", "specialfn.j0_evals",
                  "runner.bytes_written"):
         assert metrics[name] > 0, name

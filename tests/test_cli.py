@@ -259,23 +259,16 @@ class TestCliRun:
         )
         assert main(["run", str(path)]) == 3
 
-    def test_retired_solver_keys_warn_and_are_not_echoed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["max_passes", "tolerance"])
+    def test_retired_solver_keys_rejected(self, tmp_path, capsys, key):
         raw = minimal_config(
-            solver={"max_passes": 1, "tolerance": 1e-15, "oversample": 1.0},
-            output={"directory": str(tmp_path)},
+            solver={key: 1, "oversample": 1.0}, output={"directory": str(tmp_path)}
         )
         path = write_config(tmp_path, raw)
-        assert main(["validate", str(path)]) == 0
-        printed = capsys.readouterr().out.splitlines()
-        assert main(["run", str(path), "--quiet"]) == 0
-        report = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
-        for key in ("max_passes", "tolerance"):
-            warning = f"solver.{key} is ignored: the solver makes one absorption pass"
-            assert f"warning: {warning}" in printed
-            assert f"warning = {warning}" in report
-        echo = json.loads(next(l for l in report if l.startswith("config = "))[9:])
-        assert echo["solver"] == {"oversample": 1.0}
-        assert "passes_completed = 1" in report
+        assert main(["validate", str(path)]) == 2
+        assert f"solver.{key}: unknown field" in capsys.readouterr().err
+        assert main(["run", str(path), "--quiet"]) == 2
+        assert not (tmp_path / "report.txt").exists()
 
     def test_malformed_output_section_not_hidden_by_overrides(self, tmp_path):
         path = write_config(tmp_path, minimal_config(output="results"))

@@ -6,13 +6,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ringsynth.cli import BUNDLED_EXAMPLES, bundled_config_path
+from ringsynth.config import load_config_file, resolve_config
 from ringsynth.errors import DomainError, SingularSystemError
 from ringsynth.geometry import RingGeometry, Weights, uniform_half_wavelength_geometry
-from ringsynth.sampling import SampleSet, build_sample_set, midpoint_abscissas
+from ringsynth.sampling import (
+    SampleSet,
+    build_sample_set,
+    effective_total_count,
+    midpoint_abscissas,
+)
 from ringsynth.solver import (
     DesignMatrix,
     SolverState,
-    _absorb_rows,
+    _back_substitute,
+    _retriangularize,
     build_design_matrix,
     rls_absorb,
     solve_batch,
@@ -29,15 +37,28 @@ def weights_vector(w: Weights, has_center: bool = True) -> np.ndarray:
     return np.array(parts)
 
 
-def random_state(rng, n: int) -> SolverState:
+def batch_state(w: Weights, info: np.ndarray, absorbed: int = 0) -> SolverState:
+    """Recursive state seeded from ``solve_batch``'s weights and [R z]."""
+    return SolverState(
+        estimate=w, r_factor=info[:, :-1], samples_absorbed=absorbed,
+        passes_completed=0, residual_trace=(0.0,),
+    )
+
+
+def random_seed(rng, n: int) -> tuple[Weights, np.ndarray]:
     a = rng.standard_normal((3 * n, n))
     x = rng.standard_normal(n)
     matrix = DesignMatrix(a, tuple(f"ring {i}" for i in range(1, n)) + ("center",))
-    w, p = solve_batch(matrix, a @ x + 0.01 * rng.standard_normal(3 * n))
-    return SolverState(
-        estimate=w, inv_gramian=p, samples_absorbed=3 * n, passes_completed=0,
-        residual_trace=(0.0,),
-    )
+    return solve_batch(matrix, a @ x + 0.01 * rng.standard_normal(3 * n))
+
+
+def random_state(rng, n: int) -> SolverState:
+    return batch_state(*random_seed(rng, n), absorbed=3 * n)
+
+
+def well_conditioned_upper(rng, n: int) -> np.ndarray:
+    # the R of a 2n x n Gaussian matrix has a condition number near 6
+    return np.linalg.qr(rng.standard_normal((2 * n, n)), mode="r")
 
 
 class TestBuildDesignMatrix:
@@ -79,10 +100,10 @@ class TestBuildDesignMatrix:
 class TestSolveBatch:
     def test_ones_column_returns_mean(self):
         matrix = DesignMatrix(np.ones((5, 1)), ("center",))
-        w, p = solve_batch(matrix, [3.0] * 5)
+        w, info = solve_batch(matrix, [3.0] * 5)
         assert w.center == pytest.approx(3.0, abs=1e-14)
         assert w.rings == ()
-        assert p[0, 0] == pytest.approx(0.2, abs=1e-14)
+        assert batch_state(w, info).inv_gramian[0, 0] == pytest.approx(0.2, abs=1e-14)
 
     def test_recovers_consistent_system(self):
         rng = np.random.default_rng(1)
@@ -102,9 +123,10 @@ class TestSolveBatch:
         bl = b.astype(np.longdouble)
         x_oracle = np.linalg.solve((al.T @ al).astype(float), (al.T @ bl).astype(float))
         labels = tuple(f"ring {i}" for i in range(1, 8)) + ("center",)
-        w, p = solve_batch(DesignMatrix(a, labels), b)
+        w, info = solve_batch(DesignMatrix(a, labels), b)
         got = weights_vector(w)
         assert np.linalg.norm(got - x_oracle) <= 1e-8 * np.linalg.norm(x_oracle)
+        p = batch_state(w, info).inv_gramian
         p_oracle = np.linalg.inv(a.T @ a)
         assert np.max(np.abs(p - p_oracle)) <= 1e-8 * np.max(np.abs(p_oracle))
 
@@ -126,9 +148,24 @@ class TestSolveBatch:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((15, 4))
         labels = tuple(f"ring {i}" for i in range(1, 4)) + ("center",)
-        _, p = solve_batch(DesignMatrix(a, labels), rng.standard_normal(15))
+        p = batch_state(*solve_batch(DesignMatrix(a, labels), rng.standard_normal(15))).inv_gramian
         assert np.max(np.abs(p - p.T)) <= 1e-10
         np.linalg.cholesky(p)
+
+    def test_information_array_factors_the_system(self):
+        # [R z]: R upper triangular, R^T R = A^T A, and z^T z plus the squared
+        # residual is b^T b (z = Q^T b)
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((15, 4))
+        b = rng.standard_normal(15)
+        labels = tuple(f"ring {i}" for i in range(1, 4)) + ("center",)
+        w, info = solve_batch(DesignMatrix(a, labels), b)
+        r, z = info[:, :-1], info[:, -1]
+        assert info.shape == (4, 5)
+        assert np.array_equal(r, np.triu(r))
+        assert np.max(np.abs(r.T @ r - a.T @ a)) <= 1e-13 * np.max(np.abs(a.T @ a))
+        residual = b - a @ weights_vector(w)
+        assert z @ z + residual @ residual == pytest.approx(b @ b, rel=1e-13)
 
 
 class TestRlsAbsorb:
@@ -162,11 +199,7 @@ class TestRlsAbsorb:
         b = rng.standard_normal(40)
 
         head = DesignMatrix(matrix.entries[0::2], matrix.column_labels)
-        w, p = solve_batch(head, b[0::2])
-        state = SolverState(
-            estimate=w, inv_gramian=p, samples_absorbed=20,
-            passes_completed=0, residual_trace=(0.0,),
-        )
+        state = batch_state(*solve_batch(head, b[0::2]), absorbed=20)
         order = rng.permutation(np.arange(1, 40, 2))
         for idx in order:
             state = rls_absorb(state, matrix.entries[idx], b[idx])
@@ -223,18 +256,19 @@ class TestRlsAbsorb:
             rls_absorb(complex_state, np.ones(3), 1.0)
 
 
-class TestAbsorbRows:
+class TestRetriangularize:
     @pytest.mark.parametrize("k", [1, 4, 19])
     def test_blocks_match_successive_rank_one_updates(self, k):
-        # block size 6: one row, a partial block, and three full blocks plus
-        # a partial one
+        # 6 columns, so blocks of 6: one row, a partial block, and three full
+        # blocks plus a partial one
         rng = np.random.default_rng(13)
-        state = random_state(rng, 6)
+        w, info = random_seed(rng, 6)
+        state = batch_state(w, info)
         rows = rng.standard_normal((k, 6))
         rhs = rng.standard_normal(k)
-        x, p = _absorb_rows(
-            weights_vector(state.estimate), state.inv_gramian, rows, rhs, block_size=6
-        )
+        absorbed = _retriangularize(info, rows, rhs)
+        x = _back_substitute(absorbed[:, :-1], absorbed[:, -1])
+        p = batch_state(w, absorbed).inv_gramian
         for row, value in zip(rows, rhs):
             state = rls_absorb(state, row, value)
         want_x = weights_vector(state.estimate)
@@ -243,6 +277,29 @@ class TestAbsorbRows:
         assert np.linalg.norm(p - want_p) <= 1e-12 * np.linalg.norm(want_p)
         assert np.array_equal(p, p.T)
         np.linalg.cholesky(p)
+
+
+class TestBackSubstitute:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 501])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_matches_general_solve(self, n, columns):
+        # block edges at 64: below, at and above one block, a partial top
+        # block, and the 500-ring size
+        rng = np.random.default_rng(n)
+        r = well_conditioned_upper(rng, n)
+        z = rng.standard_normal(n if columns is None else (n, columns))
+        got = _back_substitute(r, z)
+        want = np.linalg.solve(r, z)
+        assert got.shape == z.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_leaves_the_right_hand_side_alone(self):
+        rng = np.random.default_rng(16)
+        r = well_conditioned_upper(rng, 70)
+        z = rng.standard_normal(70)
+        kept = z.copy()
+        _back_substitute(r, z)
+        assert np.array_equal(z, kept)
 
 
 def manufactured_target(geom, weights_vec) -> TargetPattern:
@@ -355,3 +412,22 @@ class TestSynthesize:
         want = np.linalg.lstsq(matrix.entries, np.array(samples.values), rcond=None)[0]
         got = weights_vector(w)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("name", BUNDLED_EXAMPLES)
+    def test_bundled_weights_within_cond_eps_of_exact(self, name):
+        # the exact least-squares solution of the sampled float64 system, by
+        # 40-digit QR; a backward-stable solve lands within cond(A) * eps
+        mpmath = pytest.importorskip("mpmath")
+        path = bundled_config_path(name)
+        cfg, _ = resolve_config(load_config_file(path), base_dir=path.parent)
+        geom = cfg.geometry
+        samples = build_sample_set(
+            geom, cfg.target, total_count=effective_total_count(geom, cfg.oversample)
+        )
+        w, _ = synthesize(geom, cfg.target, samples=samples)
+        a = build_design_matrix(geom, samples.abscissas).entries
+        with mpmath.workdps(40):
+            exact, _ = mpmath.qr_solve(mpmath.matrix(a.tolist()), mpmath.matrix(samples.values))
+            got = mpmath.matrix(weights_vector(w, geom.has_center_element).tolist())
+            rel = float(mpmath.norm(got - exact) / mpmath.norm(exact))
+        assert rel <= np.linalg.cond(a) * np.finfo(float).eps
