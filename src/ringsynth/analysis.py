@@ -103,7 +103,8 @@ def pattern_on_grid(
     basis = bessel_j0_grid(geom.wavenumber * np.outer(u, radii))
     basis *= counts
     rings = np.asarray(w.rings, dtype=complex)
-    total = basis.astype(complex) @ rings
+    # two real products: no complex copy of the basis
+    total = basis @ rings.real + 1j * (basis @ rings.imag)
     if geom.has_center_element:
         total = total + w.center
     return total
@@ -277,34 +278,38 @@ def evaluate_surface(
     return SurfaceGrid(theta=theta, phi=phi, amplitude_db=db)
 
 
-def cut_rows(cut: PatternCut, target: TargetPattern | None = None) -> list[str]:
-    """Comma-separated (u, dB) rows, plus a target-dB column when given one."""
-    if target is None:
-        rows = ["u,db"]
-        rows.extend(f"{u:.6f},{db:.6f}" for u, db in zip(cut.u_grid, cut.amplitude_db))
-        return rows
-    floor_lin = 10.0 ** (DB_FLOOR / 20.0)
-    target_db = 20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), floor_lin))
-    rows = ["u,db,target_db"]
-    rows.extend(
-        f"{u:.6f},{db:.6f},{t:.6f}"
-        for u, db, t in zip(cut.u_grid, cut.amplitude_db, target_db)
-    )
-    return rows
+def cut_rows(cut: PatternCut, target: TargetPattern | None = None) -> str:
+    """The cut table's text: a header, then one (u, dB) row per grid point.
 
-
-def surface_rows(surface: SurfaceGrid) -> list[str]:
-    """Comma-separated (theta, phi, dB) rows, header included.
-
-    The surface is constant along phi, so each label and each theta row's
-    dB value is formatted once and the rows are joined from those strings.
+    With a target, each row also carries the target in dB.  The columns are
+    stacked once and every cell is formatted by one ``%`` call; ``%.6f``
+    and an f-string's ``:.6f`` share CPython's float formatter, so the text
+    matches a per-cell f-string byte for byte.
     """
-    phi_labels = [f"{phi:.6f}" for phi in surface.phi]
-    rows = ["theta,phi,db"]
-    for theta, db in zip(surface.theta, surface.amplitude_db[:, 0]):
-        head, tail = f"{theta:.6f},", f",{db:.6f}"
-        rows.extend([head + phi + tail for phi in phi_labels])
-    return rows
+    header = "u,db"
+    columns = [cut.u_grid, cut.amplitude_db]
+    if target is not None:
+        floor_lin = 10.0 ** (DB_FLOOR / 20.0)
+        columns.append(20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), floor_lin)))
+        header += ",target_db"
+    row = ",".join(["%.6f"] * len(columns)) + "\n"
+    values = np.column_stack(columns).ravel().tolist()
+    return header + "\n" + (row * cut.u_grid.size) % tuple(values)
+
+
+def surface_rows(surface: SurfaceGrid) -> str:
+    """The surface table's text: a header, then one (theta, phi, dB) row per cell.
+
+    The surface is constant along phi, so each phi label and each theta
+    row's head and tail are formatted once, and a theta row's cells are
+    one join of the labels.
+    """
+    phi_labels = ["%.6f" % phi for phi in surface.phi.tolist()]
+    parts = ["theta,phi,db\n"]
+    for theta, db in zip(surface.theta.tolist(), surface.amplitude_db[:, 0].tolist()):
+        head, tail = "%.6f," % theta, ",%.6f\n" % db
+        parts.append(head + (tail + head).join(phi_labels) + tail)
+    return "".join(parts)
 
 
 def metrics_rows(metrics: PatternMetrics) -> list[str]:

@@ -150,16 +150,16 @@ def write_outputs(report: SynthesisReport, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def emit(name: str, rows: list[str]) -> None:
+    def emit(name: str, text: str) -> None:
         path = out / name
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         written.append(path)
 
-    emit(WEIGHTS_FILE, weights_rows(report))
+    emit(WEIGHTS_FILE, "\n".join(weights_rows(report)) + "\n")
     emit(CUT_FILE, cut_rows(report.cut, report.target))
     if report.surface is not None:
         emit(SURFACE_FILE, surface_rows(report.surface))
-    emit(REPORT_FILE, report_rows(report))
+    emit(REPORT_FILE, "\n".join(report_rows(report)) + "\n")
     return written
 
 

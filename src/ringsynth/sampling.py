@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -174,17 +173,3 @@ def reconstruct(samples: SampleSet, u: float) -> float:
         mirror = _interpolation_kernel(math.pi * (u + u_m), points)
         total += value * (direct + mirror)
     return total
-
-
-def sample_rows(samples: SampleSet) -> list[str]:
-    """Comma-separated (u, value, stage) debug rows, header included."""
-    rows = ["u,value,stage"]
-    for index, (u, v) in enumerate(zip(samples.abscissas, samples.values)):
-        stage = "batch" if index % 2 == 0 else "incremental"
-        rows.append(f"{u:.12g},{v:.12g},{stage}")
-    return rows
-
-
-def export_samples(samples: SampleSet, path: str | Path) -> None:
-    """Write the debug CSV rows to a file."""
-    Path(path).write_text("\n".join(sample_rows(samples)) + "\n", encoding="utf-8")

@@ -17,8 +17,11 @@ from ringsynth.analysis import (
     pattern_on_grid,
     surface_rows,
 )
+from ringsynth.cli import BUNDLED_EXAMPLES, bundled_config_path, main
+from ringsynth.config import load_config_file, resolve_config
 from ringsynth.errors import DegeneratePatternError, DomainError
 from ringsynth.geometry import RingGeometry, Weights, uniform_half_wavelength_geometry
+from ringsynth.runner import run_synthesis
 from ringsynth.solver import synthesize
 from ringsynth.targets import equi_ripple, flat_top, from_table, with_nulls
 
@@ -232,12 +235,42 @@ class TestEvaluateSurface:
             assert surface.amplitude_db[i, 2] == pytest.approx(expected, abs=1e-9)
 
 
+def per_cell_cut_text(cut: PatternCut, target=None) -> str:
+    """Reference cut table: one f-string per cell."""
+    if target is None:
+        rows = ["u,db"] + [f"{u:.6f},{db:.6f}" for u, db in zip(cut.u_grid, cut.amplitude_db)]
+    else:
+        floor = 10.0 ** (DB_FLOOR / 20.0)
+        target_db = 20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), floor))
+        rows = ["u,db,target_db"] + [
+            f"{u:.6f},{db:.6f},{t:.6f}"
+            for u, db, t in zip(cut.u_grid, cut.amplitude_db, target_db)
+        ]
+    return "\n".join(rows) + "\n"
+
+
+def per_cell_surface_text(surface: SurfaceGrid) -> str:
+    """Reference surface table: one f-string per cell."""
+    rows = ["theta,phi,db"]
+    for i, theta in enumerate(surface.theta):
+        for j, phi in enumerate(surface.phi):
+            rows.append(f"{theta:.6f},{phi:.6f},{surface.amplitude_db[i, j]:.6f}")
+    return "\n".join(rows) + "\n"
+
+
+# -0.0, the dB floor, values near 6-decimal rounding ties and magnitudes >= 100
+EDGE_VALUES = np.array(
+    [-0.0, 0.0, DB_FLOOR, -5e-7, -2.5e-6, -1.5e-6, -0.0000125, -100.0, -123.4567895,
+     -199.9999995, -1e-12, -3.0000005]
+)
+
+
 class TestSerialization:
     def test_cut_rows_format(self):
         geom = uniform_half_wavelength_geometry(3)
         w = Weights(center=1, rings=(1, 1, 1))
         cut = evaluate_cut(geom, w)
-        rows = cut_rows(cut, flat_top(0.4, 0.1))
+        rows = cut_rows(cut, flat_top(0.4, 0.1)).splitlines()
         assert rows[0] == "u,db,target_db"
         assert len(rows) == len(cut.u_grid) + 1
         first = rows[1].split(",")
@@ -248,9 +281,39 @@ class TestSerialization:
         geom = uniform_half_wavelength_geometry(2)
         w = Weights(center=1, rings=(1, 1))
         surface = evaluate_surface(geom, w, theta_points=3, phi_points=4)
-        rows = surface_rows(surface)
+        rows = surface_rows(surface).splitlines()
         assert rows[0] == "theta,phi,db"
         assert len(rows) == 3 * 4 + 1
+
+    def test_table_text_matches_per_cell_reference(self):
+        n = 811
+        db = np.resize(EDGE_VALUES, n)
+        u = np.linspace(-1.0, 1.0, n)
+        u[: EDGE_VALUES.size] = -EDGE_VALUES
+        u[EDGE_VALUES.size : 2 * EDGE_VALUES.size] = EDGE_VALUES
+        cut = PatternCut(u_grid=u, amplitude_db=db)
+        # a table target reaching exact zero (the dB floor) and exact one (0 dB)
+        table = from_table([(-1.0, 0.0), (-0.5, 1.0), (0.5, 1.0), (1.0, 0.0)])
+        for target in (None, table, flat_top(0.4, 0.1)):
+            assert cut_rows(cut, target) == per_cell_cut_text(cut, target)
+
+        theta = np.concatenate([EDGE_VALUES, [0.5, 123.4567895]])
+        phi = -EDGE_VALUES
+        grid = np.tile(np.resize(EDGE_VALUES[::-1], theta.size)[:, None], (1, phi.size))
+        surface = SurfaceGrid(theta=theta, phi=phi, amplitude_db=grid)
+        assert surface_rows(surface) == per_cell_surface_text(surface)
+
+    @pytest.mark.parametrize("name", BUNDLED_EXAMPLES)
+    def test_bundled_files_match_per_cell_reference(self, tmp_path, name):
+        assert main(["run", name, "--out", str(tmp_path), "--surface", "--quiet"]) == 0
+        raw = load_config_file(bundled_config_path(name))
+        raw["output"] = {**raw.get("output", {}), "surface": True}
+        cfg, warnings = resolve_config(raw)
+        report = run_synthesis(cfg, warnings)
+        cut_text = (tmp_path / "cut.csv").read_text(encoding="utf-8")
+        surface_text = (tmp_path / "surface.csv").read_text(encoding="utf-8")
+        assert cut_text == per_cell_cut_text(report.cut, report.target)
+        assert surface_text == per_cell_surface_text(report.surface)
 
     def test_metrics_rows_include_nulls(self):
         target = with_nulls(flat_top(0.9, 0.0), [0.5], -40.0, 0.05)

@@ -180,9 +180,10 @@ class TestCliRun:
     def test_deterministic_outputs(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        assert main(["run", "example-c-equiripple", "--out", str(a), "--quiet"]) == 0
-        assert main(["run", "example-c-equiripple", "--out", str(b), "--quiet"]) == 0
-        for name in ("weights.csv", "cut.csv", "report.txt"):
+        for out in (a, b):
+            argv = ["run", "example-c-equiripple", "--out", str(out), "--surface", "--quiet"]
+            assert main(argv) == 0
+        for name in ("weights.csv", "cut.csv", "surface.csv", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_round_trip_from_echo(self, tmp_path):

@@ -11,12 +11,10 @@ from ringsynth.sampling import (
     SampleSet,
     build_sample_set,
     effective_total_count,
-    export_samples,
     midpoint_abscissas,
     min_batch_samples,
     min_total_samples,
     reconstruct,
-    sample_rows,
 )
 from ringsynth.specialfn import bessel_j0_grid
 from ringsynth.targets import flat_top, from_table
@@ -194,23 +192,3 @@ class TestReconstruct:
         samples = SampleSet(midpoint_abscissas(4), (1.0,) * 4)
         with pytest.raises(DomainError):
             reconstruct(samples, math.nan)
-
-
-class TestExport:
-    def test_rows_carry_stage_labels(self):
-        geom = uniform_half_wavelength_geometry(1)
-        samples = build_sample_set(geom, constant_target())
-        rows = sample_rows(samples)
-        assert rows[0] == "u,value,stage"
-        assert rows[1].endswith("batch")
-        assert rows[2].endswith("incremental")
-        assert len(rows) == samples.total_count + 1
-
-    def test_export_writes_file(self, tmp_path):
-        geom = uniform_half_wavelength_geometry(1)
-        samples = build_sample_set(geom, constant_target(), total_count=4)
-        path = tmp_path / "samples.csv"
-        export_samples(samples, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "u,value,stage"
-        assert len(lines) == 5
