@@ -26,7 +26,6 @@ from .geometry import (
     RingGeometry,
     Weights,
     array_factor,
-    chord_spacing,
     elements_for_spacing,
     uniform_half_wavelength_geometry,
 )
@@ -36,7 +35,6 @@ from .sampling import (
     build_sample_set,
     min_batch_samples,
     min_total_samples,
-    reconstruct,
 )
 from .solver import (
     DesignMatrix,
@@ -46,7 +44,7 @@ from .solver import (
     solve_batch,
     synthesize,
 )
-from .specialfn import KernelOrder, bessel_j0, sampling_kernel
+from .specialfn import bessel_j0
 from .targets import (
     TargetPattern,
     difference,
@@ -64,7 +62,6 @@ __all__ = [
     "DegeneratePatternError",
     "DesignMatrix",
     "DomainError",
-    "KernelOrder",
     "PatternCut",
     "PatternMetrics",
     "ResolvedConfig",
@@ -82,7 +79,6 @@ __all__ = [
     "bessel_j0",
     "build_design_matrix",
     "build_sample_set",
-    "chord_spacing",
     "difference",
     "elements_for_spacing",
     "equi_ripple",
@@ -95,11 +91,9 @@ __all__ = [
     "measure_metrics",
     "min_batch_samples",
     "min_total_samples",
-    "reconstruct",
     "resolve_config",
     "rls_absorb",
     "run_synthesis",
-    "sampling_kernel",
     "solve_batch",
     "synthesize",
     "uniform_half_wavelength_geometry",

@@ -14,6 +14,7 @@ from .specialfn import bessel_j0_grid
 from .targets import TargetPattern
 
 DB_FLOOR = -200.0
+_FLOOR_LIN = 10.0 ** (DB_FLOOR / 20.0)
 _MIN_GRID = 801
 _MAIN_LOBE_EDGE_DB = -3.0
 _PEAK_TOL_DB = 0.01
@@ -52,7 +53,11 @@ class PatternMetrics:
 
 @dataclass(frozen=True)
 class SurfaceGrid:
-    """Pattern magnitude in dB over (theta, phi); constant along phi."""
+    """Pattern magnitude in dB over (theta, phi), one value per theta.
+
+    The pattern has no azimuth dependence, so ``amplitude_db[i]`` holds the
+    value at ``theta[i]`` for every phi.
+    """
 
     theta: NDArray[np.float64]
     phi: NDArray[np.float64]
@@ -67,13 +72,11 @@ class SurfaceGrid:
         object.__setattr__(self, "amplitude_db", db)
         if theta.ndim != 1 or phi.ndim != 1:
             raise DomainError("surface theta and phi must be 1-D arrays")
-        shape = (theta.size, phi.size)
-        if db.shape != shape or 0 in shape:
+        if db.shape != theta.shape or 0 in (theta.size, phi.size):
             raise DomainError(
-                f"surface dB grid must have non-empty shape {shape}, got {db.shape}"
+                f"surface needs non-empty axes and one dB value per theta "
+                f"{theta.shape}, got {db.shape}"
             )
-        if np.ptp(db, axis=1).any():
-            raise DomainError("surface dB values must be constant along phi")
 
 
 def _symmetric_grid(n: int) -> NDArray[np.float64]:
@@ -110,6 +113,18 @@ def pattern_on_grid(
     return total
 
 
+def _to_db(magnitude: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Peak-normalized 20*log10 of a magnitude array, floored at DB_FLOOR.
+
+    All-zero magnitudes cannot be normalized and raise
+    :class:`DegeneratePatternError`.
+    """
+    peak = float(magnitude.max())
+    if peak == 0.0:
+        raise DegeneratePatternError("all-zero pattern cannot be peak-normalized")
+    return 20.0 * np.log10(np.maximum(magnitude / peak, _FLOOR_LIN))
+
+
 def evaluate_cut(geom: RingGeometry, w: Weights, grid_points: int = 2001) -> PatternCut:
     """Normalized |F(u)| in dB on a uniform grid over [-1, 1].
 
@@ -123,12 +138,7 @@ def evaluate_cut(geom: RingGeometry, w: Weights, grid_points: int = 2001) -> Pat
         raise DomainError(f"grid_points must be >= {_MIN_GRID}, got {grid_points}")
     n = int(grid_points)
     u = _symmetric_grid(n)
-    magnitude = np.abs(pattern_on_grid(geom, w, u[n // 2 :]))
-    peak = float(magnitude.max())
-    if peak == 0.0:
-        raise DegeneratePatternError("all-zero pattern cannot be peak-normalized")
-    floor_lin = 10.0 ** (DB_FLOOR / 20.0)
-    db = 20.0 * np.log10(np.maximum(magnitude / peak, floor_lin))
+    db = _to_db(np.abs(pattern_on_grid(geom, w, u[n // 2 :])))
     return PatternCut(u_grid=u, amplitude_db=np.concatenate([db[::-1][: n // 2], db]))
 
 
@@ -261,20 +271,14 @@ def evaluate_surface(
 ) -> SurfaceGrid:
     """|F| in dB over theta in [0, pi/2] and phi in [0, 2*pi).
 
-    The pattern has no azimuth dependence, so every phi column repeats the
-    same theta cut.
+    The pattern has no azimuth dependence, so the grid holds one dB value
+    per theta, shared by every phi.
     """
     if theta_points < 2 or phi_points < 2:
         raise DomainError("surface needs at least 2 points along each axis")
     theta = np.linspace(0.0, math.pi / 2.0, int(theta_points))
     phi = np.linspace(0.0, 2.0 * math.pi, int(phi_points), endpoint=False)
-    magnitude = np.abs(pattern_on_grid(geom, w, np.sin(theta)))
-    peak = float(magnitude.max())
-    if peak == 0.0:
-        raise DegeneratePatternError("all-zero pattern cannot be peak-normalized")
-    floor_lin = 10.0 ** (DB_FLOOR / 20.0)
-    db_theta = 20.0 * np.log10(np.maximum(magnitude / peak, floor_lin))
-    db = np.tile(db_theta[:, None], (1, len(phi)))
+    db = _to_db(np.abs(pattern_on_grid(geom, w, np.sin(theta))))
     return SurfaceGrid(theta=theta, phi=phi, amplitude_db=db)
 
 
@@ -289,8 +293,7 @@ def cut_rows(cut: PatternCut, target: TargetPattern | None = None) -> str:
     header = "u,db"
     columns = [cut.u_grid, cut.amplitude_db]
     if target is not None:
-        floor_lin = 10.0 ** (DB_FLOOR / 20.0)
-        columns.append(20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), floor_lin)))
+        columns.append(20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), _FLOOR_LIN)))
         header += ",target_db"
     row = ",".join(["%.6f"] * len(columns)) + "\n"
     values = np.column_stack(columns).ravel().tolist()
@@ -300,13 +303,13 @@ def cut_rows(cut: PatternCut, target: TargetPattern | None = None) -> str:
 def surface_rows(surface: SurfaceGrid) -> str:
     """The surface table's text: a header, then one (theta, phi, dB) row per cell.
 
-    The surface is constant along phi, so each phi label and each theta
-    row's head and tail are formatted once, and a theta row's cells are
-    one join of the labels.
+    The surface holds one dB value per theta, so each phi label and each
+    theta row's head and tail are formatted once, and a theta row's cells
+    are one join of the labels.
     """
     phi_labels = ["%.6f" % phi for phi in surface.phi.tolist()]
     parts = ["theta,phi,db\n"]
-    for theta, db in zip(surface.theta.tolist(), surface.amplitude_db[:, 0].tolist()):
+    for theta, db in zip(surface.theta.tolist(), surface.amplitude_db.tolist()):
         head, tail = "%.6f," % theta, ",%.6f\n" % db
         parts.append(head + (tail + head).join(phi_labels) + tail)
     return "".join(parts)

@@ -5,7 +5,8 @@ Two subcommands drive the pipeline:
     ringsynth run <config>       synthesize and emit result files
     ringsynth validate <config>  schema plus feasibility checks, no solve
 
-Exit codes: 0 on success, 2 for config problems, 3 for numerical failures.
+Exit codes: 0 on success, 2 for config problems (an unwritable output
+directory included), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -102,7 +103,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    written = write_outputs(report, cfg.out_dir)
+    try:
+        written = write_outputs(report, cfg.out_dir)
+    except OSError as exc:
+        # the directory comes from output.directory or --out
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if not args.quiet:
         for line in summary_lines(report):
             print(line)

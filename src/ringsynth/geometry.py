@@ -98,15 +98,6 @@ def elements_for_spacing(radius: float, target_spacing: float) -> int:
     return max(count, 1)
 
 
-def chord_spacing(radius: float, count: int) -> float:
-    """Realized chord distance 2*r*sin(pi/N) between adjacent ring elements."""
-    if not (math.isfinite(radius) and radius > 0):
-        raise DomainError(f"radius must be positive, got {radius!r}")
-    if count < 2:
-        raise DomainError(f"chord spacing needs at least 2 elements, got {count}")
-    return 2.0 * radius * math.sin(math.pi / count)
-
-
 def array_factor(geom: RingGeometry, w: Weights, u: float) -> complex:
     """Far-field array factor at direction cosine u in [-1, 1]."""
     if not w.matches(geom):

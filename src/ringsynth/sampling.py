@@ -1,4 +1,4 @@
-"""Sample placement, minimum sample counts, and pattern reconstruction.
+"""Sample placement and minimum sample counts.
 
 The pattern is even in u, so samples live on [0, 1] only: mirroring them
 would duplicate equations without adding information.  Abscissas sit at
@@ -9,9 +9,6 @@ from zero); the remaining interleaved points feed the recursive refinement.
 
 Sample sizing has one rule, :func:`effective_total_count`: every sample set
 the pipeline builds without an explicit ``total_count`` is sized by it.
-
-Angles map as psi = pi * u, so the sampling kernel's 2*pi period spans the
-full u in [-1, 1] range and uniform u-midpoints become uniform kernel nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import RingGeometry
-from .specialfn import sampling_kernel
 from .targets import TargetPattern
 
 
@@ -61,22 +57,6 @@ class SampleSet:
     @property
     def batch_count(self) -> int:
         return (len(self.abscissas) + 1) // 2
-
-    @property
-    def batch_abscissas(self) -> tuple[float, ...]:
-        return self.abscissas[0::2]
-
-    @property
-    def batch_values(self) -> tuple[float, ...]:
-        return self.values[0::2]
-
-    @property
-    def incremental_abscissas(self) -> tuple[float, ...]:
-        return self.abscissas[1::2]
-
-    @property
-    def incremental_values(self) -> tuple[float, ...]:
-        return self.values[1::2]
 
 
 def min_batch_samples(geom: RingGeometry) -> int:
@@ -140,36 +120,3 @@ def build_sample_set(
     abscissas = midpoint_abscissas(total)
     return SampleSet(abscissas=abscissas, values=target.sample_value(np.array(abscissas)))
 
-
-def _interpolation_kernel(psi: float, points: int) -> float:
-    """Cardinal kernel for an even number of nodes per period.
-
-    For an even node count the plain periodic kernel is antiperiodic rather
-    than periodic; the mean of the two adjacent odd-order kernels restores
-    periodicity, keeps the cardinal property on the node grid, and
-    reproduces constants exactly.
-    """
-    if points % 2:
-        return sampling_kernel(psi, points)
-    hi = (points + 1) * sampling_kernel(psi, points + 1)
-    lo = (points - 1) * sampling_kernel(psi, points - 1)
-    return (hi + lo) / (2.0 * points)
-
-
-def reconstruct(samples: SampleSet, u: float) -> float:
-    """Interpolate the sampled pattern at u from its kernel expansion.
-
-    The stored samples describe an even pattern on half the period, so each
-    sample contributes together with its mirror image at -u_m; the node grid
-    underlying the kernel therefore has twice the stored count.
-    """
-    u = float(u)
-    if not math.isfinite(u):
-        raise DomainError(f"reconstruction point must be finite, got {u!r}")
-    points = 2 * samples.total_count
-    total = 0.0
-    for u_m, value in zip(samples.abscissas, samples.values):
-        direct = _interpolation_kernel(math.pi * (u - u_m), points)
-        mirror = _interpolation_kernel(math.pi * (u + u_m), points)
-        total += value * (direct + mirror)
-    return total

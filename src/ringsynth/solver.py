@@ -60,14 +60,6 @@ class DesignMatrix:
                 f"{entries.shape[1]} columns but {len(self.column_labels)} labels"
             )
 
-    @property
-    def row_count(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def column_count(self) -> int:
-        return int(self.entries.shape[1])
-
 
 @dataclass(frozen=True)
 class SolverState:
@@ -118,8 +110,7 @@ def build_design_matrix(geom: RingGeometry, abscissas: Sequence[float]) -> Desig
     return DesignMatrix(entries=entries, column_labels=_column_labels(geom))
 
 
-def _weights_from_vector(x: NDArray[np.float64], labels: tuple[str, ...]) -> Weights:
-    has_center = labels and labels[-1] == "center"
+def _weights_from_vector(x: NDArray[np.float64], has_center: bool) -> Weights:
     if has_center:
         return Weights(center=complex(x[-1]), rings=tuple(complex(v) for v in x[:-1]))
     return Weights(center=0j, rings=tuple(complex(v) for v in x))
@@ -188,7 +179,7 @@ def solve_batch(
             column_label=label,
         )
     x = _back_substitute(info[:, :n], info[:, n])
-    return _weights_from_vector(x, matrix.column_labels), info
+    return _weights_from_vector(x, matrix.column_labels[-1] == "center"), info
 
 
 def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> SolverState:
@@ -219,13 +210,9 @@ def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> So
     r_new = np.linalg.qr(np.vstack((r, a)), mode="r")
 
     has_center = a.shape[0] == len(state.estimate.rings) + 1
-    if has_center:
-        weights = Weights(center=complex(x_new[-1]), rings=tuple(complex(v) for v in x_new[:-1]))
-    else:
-        weights = Weights(center=0j, rings=tuple(complex(v) for v in x_new))
     return replace(
         state,
-        estimate=weights,
+        estimate=_weights_from_vector(x_new, has_center),
         r_factor=r_new,
         samples_absorbed=state.samples_absorbed + 1,
     )
@@ -290,7 +277,7 @@ def synthesize(
     info = _retriangularize(info, matrix.entries[1::2], rhs[1::2])
     r = info[:, :-1]
     x = _back_substitute(r, info[:, -1])
-    weights = _weights_from_vector(x, matrix.column_labels)
+    weights = _weights_from_vector(x, geom.has_center_element)
     state = SolverState(
         estimate=weights,
         r_factor=r,

@@ -1,4 +1,4 @@
-"""Special functions: Bessel J0 and the periodic sampling kernel.
+"""Special function: Bessel J0 of the first kind, order zero.
 
 Everything here is pure and stateless, so the functions are safe to call
 from any number of threads or processes.
@@ -7,14 +7,11 @@ from any number of threads or processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
-
-TWO_PI = 2.0 * math.pi
 
 # Switchover between the power series and the asymptotic form.  Both branches
 # agree to better than 1e-13 in a neighborhood of this point, and the
@@ -68,22 +65,6 @@ _QQ = (
 )
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
 _PIO4 = 7.85398163397448309616e-1
-
-# Below this, sin(psi/2) is treated as a removable singularity of the kernel.
-_KERNEL_SINGULARITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class KernelOrder:
-    """Number of samples behind a periodic sampling kernel."""
-
-    m_points: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.m_points, int) or isinstance(self.m_points, bool):
-            raise DomainError(f"kernel order must be an integer, got {self.m_points!r}")
-        if self.m_points < 1:
-            raise DomainError(f"kernel order must be >= 1, got {self.m_points}")
 
 
 def bessel_j0(x: float) -> float:
@@ -178,20 +159,3 @@ def _j0_hankel(ax: NDArray[np.float64], out: NDArray[np.float64]) -> NDArray[np.
     np.multiply(p, _SQ2OPI, out=p)
     return np.divide(p, np.sqrt(ax, out=den), out=out)
 
-
-def sampling_kernel(psi: float, order: KernelOrder | int) -> float:
-    """Periodic interpolation kernel sin(M*psi/2) / (M*sin(psi/2)).
-
-    The argument is reduced modulo 2*pi first, which makes the function
-    exactly 2*pi-periodic for every order; at psi -> 0 (or any multiple of
-    2*pi) the removable singularity is replaced by its limit 1.
-    """
-    m = order.m_points if isinstance(order, KernelOrder) else KernelOrder(order).m_points
-    psi = float(psi)
-    if not math.isfinite(psi):
-        raise DomainError(f"sampling_kernel requires a finite angle, got {psi!r}")
-    reduced = math.remainder(psi, TWO_PI)
-    half_sin = math.sin(0.5 * reduced)
-    if abs(half_sin) < _KERNEL_SINGULARITY_TOL:
-        return 1.0
-    return math.sin(0.5 * m * reduced) / (m * half_sin)

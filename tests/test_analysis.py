@@ -168,20 +168,13 @@ class TestMeasureMetrics:
 
 
 class TestEvaluateSurface:
-    def test_constant_along_phi(self):
-        rng = np.random.default_rng(3)
-        geom = uniform_half_wavelength_geometry(4)
-        w = Weights(center=rng.standard_normal(), rings=tuple(rng.standard_normal(4)))
-        surface = evaluate_surface(geom, w, theta_points=91, phi_points=36)
-        assert np.max(np.ptp(surface.amplitude_db, axis=1)) == 0.0
-
     def test_boresight_matches_cut(self):
         geom = uniform_half_wavelength_geometry(4)
         w = Weights(center=1, rings=(1, 1, 1, 1))  # peak at u = 0 on both grids
         surface = evaluate_surface(geom, w, theta_points=91, phi_points=8)
         cut = evaluate_cut(geom, w)
         mid = len(cut.u_grid) // 2
-        assert surface.amplitude_db[0, 0] == pytest.approx(
+        assert surface.amplitude_db[0] == pytest.approx(
             cut.amplitude_db[mid], abs=1e-9
         )
 
@@ -190,24 +183,25 @@ class TestEvaluateSurface:
         w = Weights(center=1, rings=(1, 1, 1, 1))
         surface = evaluate_surface(geom, w, theta_points=91, phi_points=8)
         cut = evaluate_cut(geom, w)
-        assert surface.amplitude_db[-1, 0] == pytest.approx(
+        assert surface.amplitude_db[-1] == pytest.approx(
             cut.amplitude_db[-1], abs=1e-9
         )
 
     def test_surface_grid_coerces_sequences(self):
         surface = SurfaceGrid(theta=[0.0, 0.5], phi=[0.0, 1.0, 2.0],
-                              amplitude_db=[[0, 0, 0], [-3, -3, -3]])
+                              amplitude_db=[0, -3])
         assert surface.theta.dtype == float and surface.phi.dtype == float
         assert surface.amplitude_db.dtype == float
-        assert surface.amplitude_db.shape == (2, 3)
+        assert surface.amplitude_db.shape == (2,)
 
     @pytest.mark.parametrize(
         "theta, phi, db",
         [
-            ([0.0, 0.5], [0.0, 1.0], [[0, 0]]),
-            ([[0.0, 0.5]], [0.0, 1.0], [[0, 0], [0, 0]]),
-            ([0.0], [], [[]]),
-            ([0.0, 0.5], [0.0, 1.0], [[0, -1], [0, 0]]),
+            ([0.0, 0.5], [0.0, 1.0], [0]),
+            ([[0.0, 0.5]], [0.0, 1.0], [0, 0]),
+            ([0.0], [], [0]),
+            # a phi-tiled grid: the surface holds one value per theta
+            ([0.0, 0.5], [0.0, 1.0], [[0, 0], [-1, -1]]),
         ],
     )
     def test_surface_grid_rejects_bad_shapes(self, theta, phi, db):
@@ -221,7 +215,7 @@ class TestEvaluateSurface:
             evaluate_surface(geom, w, theta_points=1, phi_points=8)
 
     def test_surface_column_is_pattern_at_sin_theta(self):
-        # any fixed-phi column must be the peak-normalized |F(sin theta)|;
+        # the surface must be the peak-normalized |F(sin theta)|;
         # cross-checked through the scalar evaluation route
         from ringsynth.geometry import array_factor
 
@@ -232,7 +226,7 @@ class TestEvaluateSurface:
         for i, theta in enumerate(surface.theta):
             mag = abs(array_factor(geom, w, float(np.sin(theta)))) / peak
             expected = 20.0 * np.log10(max(mag, 1e-10))
-            assert surface.amplitude_db[i, 2] == pytest.approx(expected, abs=1e-9)
+            assert surface.amplitude_db[i] == pytest.approx(expected, abs=1e-9)
 
 
 def per_cell_cut_text(cut: PatternCut, target=None) -> str:
@@ -253,8 +247,8 @@ def per_cell_surface_text(surface: SurfaceGrid) -> str:
     """Reference surface table: one f-string per cell."""
     rows = ["theta,phi,db"]
     for i, theta in enumerate(surface.theta):
-        for j, phi in enumerate(surface.phi):
-            rows.append(f"{theta:.6f},{phi:.6f},{surface.amplitude_db[i, j]:.6f}")
+        for phi in surface.phi:
+            rows.append(f"{theta:.6f},{phi:.6f},{surface.amplitude_db[i]:.6f}")
     return "\n".join(rows) + "\n"
 
 
@@ -299,8 +293,8 @@ class TestSerialization:
 
         theta = np.concatenate([EDGE_VALUES, [0.5, 123.4567895]])
         phi = -EDGE_VALUES
-        grid = np.tile(np.resize(EDGE_VALUES[::-1], theta.size)[:, None], (1, phi.size))
-        surface = SurfaceGrid(theta=theta, phi=phi, amplitude_db=grid)
+        db_theta = np.resize(EDGE_VALUES[::-1], theta.size)
+        surface = SurfaceGrid(theta=theta, phi=phi, amplitude_db=db_theta)
         assert surface_rows(surface) == per_cell_surface_text(surface)
 
     @pytest.mark.parametrize("name", BUNDLED_EXAMPLES)

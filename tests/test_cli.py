@@ -231,6 +231,14 @@ class TestCliRun:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
+    def test_output_path_is_a_file_exit_code(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        assert main(["run", "example-a-flattop", "--out", str(blocker), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "Traceback" not in err
+        assert blocker.read_text() == "not a directory"
+
     def test_grid_override_below_floor_rejected(self, tmp_path):
         assert main(["run", "example-a-flattop", "--out", str(tmp_path),
                      "--grid", "400"]) == 2

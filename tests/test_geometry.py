@@ -10,7 +10,6 @@ from ringsynth.geometry import (
     RingGeometry,
     Weights,
     array_factor,
-    chord_spacing,
     elements_for_spacing,
     uniform_half_wavelength_geometry,
 )
@@ -36,24 +35,12 @@ class TestElementsForSpacing:
 
 
 class TestChordSpacing:
-    def test_hexagon(self):
-        assert chord_spacing(0.5, 6) == pytest.approx(0.5, abs=1e-15)
-
-    def test_square(self):
-        assert chord_spacing(1.0, 4) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-
-    def test_thirteen_elements(self):
-        assert chord_spacing(1.0, 13) == pytest.approx(0.4786313285751155, abs=1e-12)
-
-    def test_rejects_single_element(self):
-        with pytest.raises(DomainError):
-            chord_spacing(1.0, 1)
-
     def test_round_trip_approaches_target(self):
-        # realized chord converges on the requested spacing for large counts
+        # the realized chord 2*r*sin(pi/N) between adjacent elements
+        # converges on the requested spacing for large counts
         for radius in (2.0, 5.0, 9.0):
             count = elements_for_spacing(radius, 0.5)
-            realized = chord_spacing(radius, count)
+            realized = 2.0 * radius * math.sin(math.pi / count)
             assert abs(realized - 0.5) <= 0.5 / count
 
 

@@ -1,4 +1,4 @@
-"""Sample placement, minimum counts, and kernel reconstruction."""
+"""Sample placement and minimum counts."""
 
 import math
 
@@ -14,9 +14,7 @@ from ringsynth.sampling import (
     midpoint_abscissas,
     min_batch_samples,
     min_total_samples,
-    reconstruct,
 )
-from ringsynth.specialfn import bessel_j0_grid
 from ringsynth.targets import flat_top, from_table
 
 
@@ -72,8 +70,8 @@ class TestBuildSampleSet:
         samples = build_sample_set(geom, constant_target(), total_count=4)
         assert samples.total_count == 4
         assert samples.batch_count == 2
-        assert samples.batch_abscissas == (0.125, 0.625)
-        assert samples.incremental_abscissas == (0.375, 0.875)
+        assert samples.abscissas[0::2] == (0.125, 0.625)
+        assert samples.abscissas[1::2] == (0.375, 0.875)
 
     def test_constant_target_values(self):
         geom = uniform_half_wavelength_geometry(3)
@@ -142,53 +140,6 @@ class TestSampleSetValidation:
     @pytest.mark.parametrize("total", [1, 2, 19, 20, 21])
     def test_batch_count_follows_even_index_split(self, total):
         samples = SampleSet(midpoint_abscissas(total), (1.0,) * total)
-        assert samples.batch_count == len(samples.batch_abscissas)
-        assert samples.batch_count + len(samples.incremental_abscissas) == total
+        assert samples.batch_count == len(samples.abscissas[0::2])
+        assert samples.batch_count + len(samples.abscissas[1::2]) == total
 
-
-class TestReconstruct:
-    def test_cardinality_on_built_grid(self):
-        geom = uniform_half_wavelength_geometry(5)
-        samples = build_sample_set(geom, flat_top(0.4, 0.1))
-        for u, v in zip(samples.abscissas, samples.values):
-            assert reconstruct(samples, u) == pytest.approx(v, abs=1e-9)
-
-    def test_all_zero_values(self):
-        samples = SampleSet(midpoint_abscissas(16), (0.0,) * 16)
-        for u in np.linspace(-1, 1, 50):
-            assert reconstruct(samples, float(u)) == 0.0
-
-    def test_constant_set_midpoints(self):
-        samples = SampleSet(midpoint_abscissas(32), (1.0,) * 32)
-        abscissas = samples.abscissas
-        for a, b in zip(abscissas, abscissas[1:]):
-            assert reconstruct(samples, 0.5 * (a + b)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_bandlimited_pattern_reconstruction(self):
-        # values from an exact pattern of random weights; reconstruction must
-        # track the pattern between samples to within 1% of its peak
-        rng = np.random.default_rng(42)
-        geom = uniform_half_wavelength_geometry(9)
-        weights = rng.standard_normal(10)
-        k = geom.wavenumber
-
-        def pattern(u: np.ndarray) -> np.ndarray:
-            basis = bessel_j0_grid(k * np.outer(u, geom.radii)) * geom.elements_per_ring
-            return basis @ weights[:9] + weights[-1]
-
-        total_count = 2 * min_total_samples(geom)
-        abscissas = midpoint_abscissas(total_count)
-        samples = SampleSet(abscissas, pattern(np.array(abscissas)))
-
-        peak = np.max(np.abs(pattern(np.linspace(0.0, 1.0, 3001))))
-        between = np.linspace(abscissas[0], abscissas[-1], 1501)
-        worst = max(
-            abs(reconstruct(samples, float(u)) - value)
-            for u, value in zip(between, pattern(between))
-        )
-        assert worst <= 0.01 * peak
-
-    def test_rejects_non_finite_point(self):
-        samples = SampleSet(midpoint_abscissas(4), (1.0,) * 4)
-        with pytest.raises(DomainError):
-            reconstruct(samples, math.nan)

@@ -1,23 +1,15 @@
-"""Bessel J0 and sampling-kernel contracts."""
+"""Bessel J0 contracts."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ringsynth.errors import DomainError
-from ringsynth.specialfn import (
-    _BLOCK,
-    KernelOrder,
-    bessel_j0,
-    bessel_j0_grid,
-    sampling_kernel,
-)
-
-TWO_PI = 2.0 * math.pi
+from ringsynth.specialfn import _BLOCK, bessel_j0, bessel_j0_grid
 
 
 def j0_series_oracle(x: float, terms: int = 60) -> float:
@@ -142,48 +134,3 @@ class TestBlockedGrid:
             tracemalloc.stop()
         assert peak <= 3 * x.nbytes
 
-
-class TestSamplingKernel:
-    def test_limit_at_zero(self):
-        assert sampling_kernel(0.0, KernelOrder(16)) == 1.0
-
-    def test_cardinal_zeros_even_order(self):
-        m = 16
-        for j in range(1, m):
-            assert abs(sampling_kernel(TWO_PI * j / m, m)) <= 1e-12
-
-    def test_cardinal_unit_at_period_multiples(self):
-        m = 16
-        for j in (0, m, 2 * m, -m):
-            assert sampling_kernel(TWO_PI * j / m, m) == pytest.approx(1.0, abs=1e-12)
-
-    def test_reference_value(self):
-        # sin(pi/2) / (16 sin(pi/32)), evaluated with 40-digit arithmetic
-        assert sampling_kernel(math.pi / 16, 16) == pytest.approx(
-            0.63764357733614548226, abs=1e-14
-        )
-
-    @given(
-        st.floats(min_value=-20.0, max_value=20.0),
-        st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=200)
-    def test_periodicity(self, psi, m):
-        assert sampling_kernel(psi + TWO_PI, m) == pytest.approx(
-            sampling_kernel(psi, m), abs=1e-12
-        )
-
-    def test_odd_order_cardinality(self):
-        m = 15
-        for j in range(1, m):
-            assert abs(sampling_kernel(TWO_PI * j / m, m)) <= 1e-12
-
-    def test_order_validation(self):
-        with pytest.raises(DomainError):
-            KernelOrder(0)
-        with pytest.raises(DomainError):
-            sampling_kernel(0.1, 0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            sampling_kernel(math.nan, 8)
