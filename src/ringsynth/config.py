@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 from . import targets
 from .errors import ConfigError, DomainError, TableFormatError
@@ -73,7 +73,6 @@ def _get_number(
     problems: list[str],
     default: float | None = None,
     minimum: float | None = None,
-    maximum: float | None = None,
     strict_min: bool = False,
 ) -> float | None:
     if field not in section:
@@ -89,9 +88,6 @@ def _get_number(
     if minimum is not None and (value <= minimum if strict_min else value < minimum):
         op = ">" if strict_min else ">="
         problems.append(f"{prefix}.{field}: must be {op} {minimum:g}, got {value:g}")
-        return None
-    if maximum is not None and value > maximum:
-        problems.append(f"{prefix}.{field}: must be <= {maximum:g}, got {value:g}")
         return None
     return value
 
@@ -116,15 +112,21 @@ def _get_int(
     return value
 
 
+def _reject_unknown(
+    section: Mapping[str, Any], known: Collection[str], prefix: str, problems: list[str]
+) -> None:
+    for key in section:
+        if key not in known:
+            problems.append(f"{prefix}.{key}: unknown field")
+
+
 def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeometry | None:
     section = raw.get("geometry")
     if not isinstance(section, dict):
         problems.append("geometry: section missing or not an object")
         return None
-    known = {"wavelength", "rings", "radii", "counts", "spacing", "center_element"}
-    for key in section:
-        if key not in known:
-            problems.append(f"geometry.{key}: unknown field")
+    known = ("wavelength", "rings", "radii", "counts", "spacing", "center_element")
+    _reject_unknown(section, known, "geometry", problems)
     wavelength = _get_number(section, "wavelength", "geometry", problems, default=1.0,
                              minimum=0.0, strict_min=True)
     center = section.get("center_element", True)
@@ -207,9 +209,7 @@ def _resolve_nulls(
         if not isinstance(entry, dict):
             problems.append(f"target.nulls[{i}]: expected an object")
             return None
-        for key in entry:
-            if key not in ("center", "depth_db", "width"):
-                problems.append(f"target.nulls[{i}].{key}: unknown field")
+        _reject_unknown(entry, ("center", "depth_db", "width"), f"target.nulls[{i}]", problems)
         center = _get_number(entry, "center", f"target.nulls[{i}]", problems)
         depth = _get_number(entry, "depth_db", f"target.nulls[{i}]", problems)
         width = _get_number(entry, "width", f"target.nulls[{i}]", problems,
@@ -231,7 +231,8 @@ def _resolve_target(
     geometry: RingGeometry | None,
     base_dir: Path,
     problems: list[str],
-) -> TargetPattern | None:
+) -> tuple[TargetPattern, dict[str, Any]] | None:
+    """The target and its config echo, built from the values just validated."""
     section = raw.get("target")
     if not isinstance(section, dict):
         problems.append("target: section missing or not an object")
@@ -266,14 +267,16 @@ def _resolve_target(
             return None
         try:
             if has_points:
-                return targets.from_table(points)
-            path = Path(str(section["path"]))
-            if not path.is_absolute():
-                path = base_dir / path
-            return targets.load_table(path)
+                table = targets.from_table(points)
+            else:
+                path = Path(str(section["path"]))
+                if not path.is_absolute():
+                    path = base_dir / path
+                table = targets.load_table(path)
         except (TableFormatError, DomainError) as exc:
             problems.append(f"target: {exc}")
             return None
+        return table, {"kind": kind, "points": [list(p) for p in table.params["points"]]}
 
     nulls = _resolve_nulls(section, problems)
     if nulls is None:
@@ -287,6 +290,7 @@ def _resolve_target(
                 problems.append("target.passband_edge: required for flat_top")
                 return None
             base = targets.flat_top(edge, width if width is not None else 0.0)
+            echo = dict(kind=kind, passband_edge=edge, transition_width=width)
         else:
             sll = _get_number(section, "sll_db", "target", problems)
             if sll is None:
@@ -298,6 +302,7 @@ def _resolve_target(
                 base = targets.equi_ripple(sll, geometry.n_rings)
             else:
                 base = targets.difference(sll, geometry.n_rings)
+            echo = dict(kind=kind, sll_db=sll)
         if nulls:
             base = targets.with_nulls(
                 base,
@@ -305,37 +310,11 @@ def _resolve_target(
                 nulls[0]["depth_db"],
                 nulls[0]["width"],
             )
-        return base
+            echo["nulls"] = nulls
+        return base, echo
     except DomainError as exc:
         problems.append(f"target: {exc}")
         return None
-
-
-def _target_echo(target: TargetPattern) -> dict[str, Any]:
-    if target.kind == targets.TABULATED:
-        return {
-            "kind": "table",
-            "points": [[u, v] for u, v in target.params["points"]],  # type: ignore[index]
-        }
-    echo: dict[str, Any] = {}
-    base_kind = target.params.get("base_kind", target.kind)
-    echo["kind"] = base_kind
-    if base_kind == "flat_top":
-        echo["passband_edge"] = target.params["passband_edge"]
-        echo["transition_width"] = target.params["transition_width"]
-    else:
-        echo["sll_db"] = target.params["sll_db"]
-    centers = target.params.get("null_centers")
-    if centers:
-        echo["nulls"] = [
-            {
-                "center": c,
-                "depth_db": target.params["null_depth_db"],
-                "width": target.params["null_width"],
-            }
-            for c in centers  # type: ignore[union-attr]
-        ]
-    return echo
 
 
 def resolve_config(
@@ -355,7 +334,7 @@ def resolve_config(
             problems.append(f"{key}: unknown section")
 
     geometry = _resolve_geometry(raw, problems)
-    target = _resolve_target(raw, geometry, base_dir, problems)
+    resolved_target = _resolve_target(raw, geometry, base_dir, problems)
 
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
@@ -363,9 +342,7 @@ def resolve_config(
         solver_raw = {}
     oversample = _get_number(solver_raw, "oversample", "solver", problems,
                              default=1.0, minimum=1.0)
-    for key in solver_raw:
-        if key != "oversample":
-            problems.append(f"solver.{key}: unknown field")
+    _reject_unknown(solver_raw, ("oversample",), "solver", problems)
 
     output_raw = raw.get("output", {})
     if not isinstance(output_raw, dict):
@@ -385,12 +362,12 @@ def resolve_config(
     if not isinstance(out_dir, str):
         problems.append(f"output.directory: expected a string, got {out_dir!r}")
         out_dir = "."
-    for key in output_raw:
-        if key not in {"grid_points", "surface", "theta_points", "phi_points", "directory"}:
-            problems.append(f"output.{key}: unknown field")
+    _reject_unknown(output_raw, ("grid_points", "surface", "theta_points", "phi_points",
+                                 "directory"), "output", problems)
 
-    if problems or geometry is None or target is None:
+    if problems or geometry is None or resolved_target is None:
         raise ConfigError(problems or ["config could not be resolved"])
+    target, target_echo = resolved_target
     assert oversample is not None
     assert grid_points is not None and theta_points is not None and phi_points is not None
 
@@ -401,7 +378,7 @@ def resolve_config(
             "counts": list(geometry.elements_per_ring),
             "center_element": geometry.has_center_element,
         },
-        "target": _target_echo(target),
+        "target": target_echo,
         "solver": {"oversample": oversample},
         "output": {
             "grid_points": grid_points,

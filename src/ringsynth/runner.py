@@ -83,29 +83,29 @@ def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> Syn
     )
 
 
+def _weight_table(
+    report: SynthesisReport,
+) -> tuple[list[tuple[int, float, int, complex]], float]:
+    """Center-first (index, radius, count, weight) rows and the peak |weight| (1 if all 0)."""
+    geom = report.config_echo["geometry"]
+    table = list(zip(range(1, len(geom["radii"]) + 1), geom["radii"], geom["counts"],
+                     report.weights.rings))
+    if geom["center_element"]:
+        table.insert(0, (0, 0.0, 1, report.weights.center))
+    peak = max((abs(row[3]) for row in table), default=0.0) or 1.0
+    return table, peak
+
+
 def weights_rows(report: SynthesisReport) -> list[str]:
     """Comma-separated weight table, one row per ring plus the center."""
-    echo_geom = report.config_echo["geometry"]
-    radii = echo_geom["radii"]
-    counts = echo_geom["counts"]
-    w = report.weights
-    magnitudes = [abs(w.center)] + [abs(v) for v in w.rings]
-    peak = max(magnitudes) if magnitudes else 1.0
-    peak = peak if peak > 0.0 else 1.0
-
+    table, peak = _weight_table(report)
     rows = ["ring_index,radius,count,re,im,magnitude,normalized_magnitude"]
-
-    def fmt(index: int, radius: float, count: int, value: complex) -> str:
+    for index, radius, count, value in table:
         mag = abs(value)
-        return (
+        rows.append(
             f"{index},{radius:.9g},{count},{value.real:.12e},{value.imag:.12e},"
             f"{mag:.12e},{mag / peak:.12e}"
         )
-
-    if echo_geom["center_element"]:
-        rows.append(fmt(0, 0.0, 1, w.center))
-    for n, (radius, count, value) in enumerate(zip(radii, counts, w.rings), start=1):
-        rows.append(fmt(n, radius, count, value))
     return rows
 
 
@@ -120,8 +120,8 @@ def report_rows(report: SynthesisReport) -> list[str]:
         "residual_trace = " + ",".join(f"{r:.12e}" for r in state.residual_trace),
     ]
     rows.extend(metrics_rows(report.metrics))
-    values = _weight_list(report)
-    peak = max((abs(v) for v in values), default=1.0) or 1.0
+    table, peak = _weight_table(report)
+    values = [row[3] for row in table]
     rows.append(
         "weights_raw = "
         + ",".join(f"{v.real:.12e}{v.imag:+.12e}j" for v in values)
@@ -135,13 +135,6 @@ def report_rows(report: SynthesisReport) -> list[str]:
     echo = json.dumps(report.config_echo, sort_keys=True, separators=(",", ":"))
     rows.append(f"config = {echo}")
     return rows
-
-
-def _weight_list(report: SynthesisReport) -> list[complex]:
-    values = list(report.weights.rings)
-    if report.config_echo["geometry"]["center_element"]:
-        values = [report.weights.center] + values
-    return values
 
 
 def write_outputs(report: SynthesisReport, out_dir: str | Path) -> list[Path]:

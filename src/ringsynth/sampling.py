@@ -92,8 +92,8 @@ def effective_total_count(geom: RingGeometry, oversample: float = 1.0) -> int:
     The doubled minimum scaled by ``oversample`` (rounded up to even), except
     when that would leave the batch stage square or underdetermined, in which
     case the batch is grown two rows past the weight count.  Both
-    :func:`build_sample_set` and the solver's regrowth of an undersized set
-    size through here.
+    :func:`build_sample_set` and :func:`~ringsynth.solver.synthesize` called
+    without a sample set size through here.
     """
     if not (math.isfinite(oversample) and oversample >= 1.0):
         raise DomainError(f"oversample factor must be >= 1, got {oversample!r}")

@@ -257,14 +257,13 @@ def synthesize(
     holds the seed's residual and the final one over the whole sample set.
 
     Without ``samples`` the set is sized by
-    :func:`~ringsynth.sampling.effective_total_count` with ``oversample``; a
-    caller's set whose batch half is not strictly overdetermined is rebuilt
-    the same way.
+    :func:`~ringsynth.sampling.effective_total_count` with ``oversample``.  A
+    caller's set is used as given: a batch half exactly as tall as the weight
+    count is solved exactly, and a shorter one raises :class:`DomainError`
+    from :func:`solve_batch`.
     """
     n_columns = geom.column_count
-    if samples is None or samples.batch_count <= n_columns:
-        # A square (or smaller) batch system has no residual to average out,
-        # so an undersized caller set is rebuilt by the one sizing rule.
+    if samples is None:
         samples = build_sample_set(
             geom, target, total_count=effective_total_count(geom, oversample)
         )

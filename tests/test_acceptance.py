@@ -67,8 +67,7 @@ def manufactured_target(geom: RingGeometry, x: np.ndarray) -> TargetPattern:
     return TargetPattern(
         kind="manufactured",
         params={"peak": peak},
-        evaluator=lambda u: np.abs(signed(u)),
-        signed_evaluator=signed,
+        evaluator=signed,
     )
 
 

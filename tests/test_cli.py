@@ -24,6 +24,41 @@ def minimal_config(**overrides):
     return cfg
 
 
+# One config per way the echo is built; "table_path" reads the shape.csv
+# that echo_case writes beside the config.
+ECHO_CASES = {
+    "flat_top": load_config_file(bundled_config_path("example-a-flattop")),
+    "flat_top_nulls": minimal_config(
+        geometry={"wavelength": 1.0, "rings": 10},
+        target={"kind": "flat_top", "passband_edge": 0.3, "transition_width": 0.1,
+                "nulls": [{"center": 0.6, "depth_db": -40, "width": 0.05},
+                          {"center": -0.75, "depth_db": -40, "width": 0.05}]},
+    ),
+    "difference_nulls_no_center": minimal_config(
+        geometry={"wavelength": 1.0, "rings": 12, "center_element": False},
+        target={"kind": "difference", "sll_db": -25,
+                "nulls": [{"center": 0.55, "depth_db": -45, "width": 0.04}]},
+        solver={"oversample": 1.7},
+    ),
+    "equi_ripple": minimal_config(
+        geometry={"wavelength": 1.0, "rings": 8},
+        target={"kind": "equi_ripple", "sll_db": -25},
+    ),
+    "table_points": minimal_config(
+        target={"kind": "table", "points": [[-1.0, 0.0], [-0.3, 1.0], [0.0, 0.8],
+                                            [0.3, 1.0], [1.0, 0.0]]},
+    ),
+    "table_path": minimal_config(target={"kind": "table", "path": "shape.csv"}),
+}
+
+
+def echo_case(tmp_path, name):
+    (tmp_path / "shape.csv").write_text(
+        "u,amplitude\n-1.0,0.0\n-0.2,1.0\n0.2,1.0\n1.0,0.0\n", encoding="utf-8"
+    )
+    return write_config(tmp_path, ECHO_CASES[name])
+
+
 class TestConfigResolution:
     def test_rule_form_geometry(self):
         cfg, _ = resolve_config(minimal_config())
@@ -143,9 +178,12 @@ class TestConfigResolution:
         assert warnings
         assert any("resolution" in w for w in warnings)
 
-    def test_echo_is_resolvable(self):
-        cfg, _ = resolve_config(minimal_config())
+    @pytest.mark.parametrize("case", ECHO_CASES)
+    def test_echo_is_resolvable(self, tmp_path, case):
+        path = echo_case(tmp_path, case)
+        cfg, _ = resolve_config(load_config_file(path), base_dir=tmp_path)
         again, _ = resolve_config(cfg.echo)
+        assert again.echo == cfg.echo
         assert again.geometry == cfg.geometry
         assert again.grid_points == cfg.grid_points
 
@@ -186,9 +224,11 @@ class TestCliRun:
         for name in ("weights.csv", "cut.csv", "surface.csv", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_round_trip_from_echo(self, tmp_path):
+    @pytest.mark.parametrize("case", ECHO_CASES)
+    def test_round_trip_from_echo(self, tmp_path, case):
         first = tmp_path / "first"
-        assert main(["run", "example-a-flattop", "--out", str(first), "--quiet"]) == 0
+        config = str(echo_case(tmp_path, case))
+        assert main(["run", config, "--out", str(first), "--quiet"]) == 0
         report = (first / "report.txt").read_text(encoding="utf-8")
         echo_line = next(l for l in report.splitlines() if l.startswith("config = "))
         echo_path = tmp_path / "echo.json"

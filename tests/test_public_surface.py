@@ -1,9 +1,10 @@
 """The package exports what the pipeline runs, and nothing it retired."""
 
 import ringsynth
-from ringsynth import geometry, sampling, specialfn
+from ringsynth import config, geometry, sampling, specialfn, targets
 from ringsynth.sampling import SampleSet
 from ringsynth.solver import DesignMatrix
+from ringsynth.targets import TargetPattern
 
 RETIRED = [
     (specialfn, "sampling_kernel"),
@@ -19,6 +20,9 @@ RETIRED = [
     (SampleSet, "incremental_values"),
     (DesignMatrix, "row_count"),
     (DesignMatrix, "column_count"),
+    (TargetPattern, "signed_evaluator"),
+    (targets, "_chebyshev_design"),
+    (config, "_target_echo"),
 ]
 
 

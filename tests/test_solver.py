@@ -318,8 +318,7 @@ def manufactured_target(geom, weights_vec) -> TargetPattern:
     return TargetPattern(
         kind="manufactured",
         params={"peak": peak},
-        evaluator=lambda u: np.abs(signed(u)),
-        signed_evaluator=signed,
+        evaluator=signed,
     )
 
 
@@ -400,6 +399,26 @@ class TestSynthesize:
         _, state = synthesize(geom, target, samples=samples)
         assert state.passes_completed == 1
         assert state.samples_absorbed == samples.total_count == total
+
+    def test_square_hand_built_batch_is_used_as_given(self):
+        # 3 rings and a center: a 4-row batch half is square and solved exactly
+        geom = uniform_half_wavelength_geometry(3)
+        target = flat_top(0.5, 0.2)
+        abscissas = midpoint_abscissas(8)
+        samples = SampleSet(abscissas, target.sample_value(np.array(abscissas)))
+        w, state = synthesize(geom, target, samples=samples)
+        assert state.samples_absorbed == 8
+        matrix = build_design_matrix(geom, abscissas)
+        want = np.linalg.lstsq(matrix.entries, np.array(samples.values), rcond=None)[0]
+        assert np.linalg.norm(weights_vector(w) - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_underdetermined_hand_built_batch_raises(self):
+        geom = uniform_half_wavelength_geometry(3)
+        target = flat_top(0.5, 0.2)
+        abscissas = midpoint_abscissas(6)
+        samples = SampleSet(abscissas, target.sample_value(np.array(abscissas)))
+        with pytest.raises(DomainError, match="underdetermined"):
+            synthesize(geom, target, samples=samples)
 
     @pytest.mark.parametrize("rings", [200, 500])
     @pytest.mark.parametrize("kind", ["flat_top", "equi_ripple"])

@@ -7,6 +7,7 @@ import pytest
 
 from ringsynth.errors import DomainError, TableFormatError
 from ringsynth.targets import (
+    TargetPattern,
     _chebyshev,
     difference,
     equi_ripple,
@@ -17,6 +18,16 @@ from ringsynth.targets import (
 )
 
 SCAN = np.linspace(-1.0, 1.0, 10001)
+
+# Every target kind, notches over a signed and over a non-negative base.
+BUILDS = {
+    "flat_top": lambda: flat_top(0.4, 0.12),
+    "equi_ripple": lambda: equi_ripple(-30.0, 10),
+    "difference": lambda: difference(-25.0, 11),
+    "with_nulls": lambda: with_nulls(equi_ripple(-16.0, 14), [0.35, 0.65], -40.0, 0.1),
+    "flat_top_with_nulls": lambda: with_nulls(flat_top(0.3, 0.1), [0.6], -40.0, 0.05),
+    "tabulated": lambda: from_table([(-1.0, -4.0), (-0.2, 0.5), (0.0, 2.0), (1.0, -4.0)]),
+}
 
 
 def scan_peak(target) -> float:
@@ -274,22 +285,31 @@ class TestArrayEvaluation:
         want = np.polynomial.chebyshev.chebval(x, coef)
         np.testing.assert_allclose(_chebyshev(order, x), want, rtol=1e-12, atol=1e-13)
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: flat_top(0.4, 0.12),
-            lambda: equi_ripple(-30.0, 10),
-            lambda: difference(-25.0, 11),
-            lambda: with_nulls(equi_ripple(-16.0, 14), [0.35, 0.65], -40.0, 0.1),
-            lambda: from_table([(-1.0, -4.0), (-0.2, 0.5), (0.0, 2.0), (1.0, -4.0)]),
-        ],
-        ids=["flat_top", "equi_ripple", "difference", "with_nulls", "tabulated"],
-    )
-    def test_grid_call_matches_per_point_calls(self, build):
-        t = build()
+    @pytest.mark.parametrize("kind", BUILDS)
+    def test_grid_call_matches_per_point_calls(self, kind):
+        t = BUILDS[kind]()
         grid = np.linspace(-1.0, 1.0, 2001)
         for method in (t.amplitude, t.sample_value):
             per_point = np.array([method(float(u)) for u in grid])
             assert np.array_equal(method(grid), per_point)
             assert method(grid.reshape(3, 667)).shape == (3, 667)
             assert isinstance(method(0.3), float)
+
+    @pytest.mark.parametrize("kind", BUILDS)
+    def test_amplitude_is_magnitude_of_sample_value(self, kind):
+        t = BUILDS[kind]()
+        grid = np.linspace(-1.0, 1.0, 2001)
+        assert np.array_equal(t.amplitude(grid), np.abs(t.sample_value(grid)))
+        if kind.endswith("with_nulls"):
+            assert np.all(t.sample_value(grid) >= 0.0)
+
+    def test_amplitude_does_not_call_sample_value(self, monkeypatch):
+        # the benchmark tracer counts each method: one amplitude call must
+        # stay one evaluation
+        def fail(self, u):
+            raise AssertionError("amplitude went through sample_value")
+
+        monkeypatch.setattr(TargetPattern, "sample_value", fail)
+        t = equi_ripple(-25.0, 6)
+        assert t.amplitude(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(t.amplitude(SCAN) >= 0.0)
