@@ -25,7 +25,6 @@ from .errors import (
 from .geometry import (
     RingGeometry,
     Weights,
-    array_factor,
     elements_for_spacing,
     uniform_half_wavelength_geometry,
 )
@@ -44,7 +43,6 @@ from .solver import (
     solve_batch,
     synthesize,
 )
-from .specialfn import bessel_j0
 from .targets import (
     TargetPattern,
     difference,
@@ -75,8 +73,6 @@ __all__ = [
     "TableFormatError",
     "TargetPattern",
     "Weights",
-    "array_factor",
-    "bessel_j0",
     "build_design_matrix",
     "build_sample_set",
     "difference",

@@ -10,6 +10,8 @@ from numpy.typing import NDArray
 
 from .errors import DegeneratePatternError, DomainError
 from .geometry import RingGeometry, Weights
+from .solver import build_design_matrix
+# unused here; kept while perfbench/tracing.py wraps J0 under this module's name
 from .specialfn import bessel_j0_grid
 from .targets import TargetPattern
 
@@ -95,16 +97,16 @@ def _symmetric_grid(n: int) -> NDArray[np.float64]:
 def pattern_on_grid(
     geom: RingGeometry, w: Weights, u: NDArray[np.float64]
 ) -> NDArray[np.complex128]:
-    """Array factor evaluated over a whole u grid at once."""
+    """Array factor evaluated over a whole u grid at once.
+
+    The ring columns come from the solver's design matrix; the center
+    weight is added after the ring products.
+    """
     if not w.matches(geom):
         raise DomainError(
             f"weights carry {len(w.rings)} rings but geometry has {geom.n_rings}"
         )
-    u = np.asarray(u, dtype=float)
-    counts = np.asarray(geom.elements_per_ring, dtype=float)
-    radii = np.asarray(geom.radii, dtype=float)
-    basis = bessel_j0_grid(geom.wavenumber * np.outer(u, radii))
-    basis *= counts
+    basis = build_design_matrix(geom, u).entries[:, : geom.n_rings]
     rings = np.asarray(w.rings, dtype=complex)
     # two real products: no complex copy of the basis
     total = basis @ rings.real + 1j * (basis @ rings.imag)

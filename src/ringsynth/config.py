@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any, Collection, Mapping
 
 from . import targets
+from .analysis import _MIN_GRID
 from .errors import ConfigError, DomainError, TableFormatError
 from .geometry import RingGeometry, elements_for_spacing
 from .targets import TargetPattern
@@ -28,7 +29,6 @@ _TARGET_FIELDS = {
     "table": ("path", "points"),
 }
 _DEFAULT_GRID = 2001
-_MIN_GRID = 801
 
 
 @dataclass(frozen=True)
@@ -138,48 +138,46 @@ def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeomet
     has_radii = "radii" in section
     if has_rings == has_radii:
         problems.append("geometry: give exactly one of 'rings' or 'radii'")
-        return None
-    if wavelength is None:
-        return None
-
     spacing = _get_number(section, "spacing", "geometry", problems,
-                          default=wavelength / 2.0, minimum=0.0, strict_min=True)
-    if spacing is None:
-        return None
+                          default=None if wavelength is None else wavelength / 2.0,
+                          minimum=0.0, strict_min=True)
 
+    # each field is checked on its own, so one bad field hides no other
+    radii: tuple[float, ...] | None = None
     if has_rings:
         n_rings = _get_int(section, "rings", "geometry", problems, minimum=1)
-        if n_rings is None:
-            return None
-        radii = tuple(n * wavelength / 2.0 for n in range(1, n_rings + 1))
-        counts = tuple(elements_for_spacing(r, spacing) for r in radii)
-    else:
+        if n_rings is not None and wavelength is not None:
+            radii = tuple(n * wavelength / 2.0 for n in range(1, n_rings + 1))
+    if has_radii:
         raw_radii = section["radii"]
         if not isinstance(raw_radii, list) or not all(map(_is_number, raw_radii)):
             problems.append("geometry.radii: expected a list of numbers")
-            return None
-        radii = tuple(float(r) for r in raw_radii)
-        if "counts" in section:
-            raw_counts = section["counts"]
-            if (
-                not isinstance(raw_counts, list)
-                or len(raw_counts) != len(radii)
-                or not all(isinstance(c, int) and not isinstance(c, bool) for c in raw_counts)
-            ):
-                problems.append(
-                    "geometry.counts: expected a list of integers matching radii"
-                )
-                return None
-            counts = tuple(int(c) for c in raw_counts)
-            if "spacing" in section:
-                problems.append("geometry.spacing: not used when counts are given")
-        else:
-            try:
-                counts = tuple(elements_for_spacing(r, spacing) for r in radii)
-            except DomainError as exc:
-                problems.append(f"geometry.radii: {exc}")
-                return None
+        elif not has_rings:
+            radii = tuple(float(r) for r in raw_radii)
 
+    counts: tuple[int, ...] | None = None
+    if "counts" in section:
+        raw_counts = section["counts"]
+        if not has_radii:
+            problems.append("geometry.counts: only used with 'radii'")
+        elif (
+            not isinstance(raw_counts, list)
+            or (radii is not None and len(raw_counts) != len(radii))
+            or not all(isinstance(c, int) and not isinstance(c, bool) for c in raw_counts)
+        ):
+            problems.append("geometry.counts: expected a list of integers matching radii")
+        else:
+            counts = tuple(int(c) for c in raw_counts)
+        if has_radii and "spacing" in section:
+            problems.append("geometry.spacing: not used when counts are given")
+    elif radii is not None and spacing is not None:
+        try:
+            counts = tuple(elements_for_spacing(r, spacing) for r in radii)
+        except DomainError as exc:
+            problems.append(f"geometry.radii: {exc}")
+
+    if wavelength is None or radii is None or counts is None or has_rings == has_radii:
+        return None
     if len(radii) == 0 and not center:
         problems.append("geometry: needs at least one ring or a center element")
         return None
@@ -296,12 +294,13 @@ def _resolve_target(
             if sll is None:
                 problems.append("target.sll_db: required for this target kind")
                 return None
-            if geometry is None:
-                return None
+            # the ring count only shapes the beam: without a valid geometry the
+            # target is still built, for one ring, so its own fields are checked
+            rings = 1 if geometry is None else geometry.n_rings
             if kind == "equi_ripple":
-                base = targets.equi_ripple(sll, geometry.n_rings)
+                base = targets.equi_ripple(sll, rings)
             else:
-                base = targets.difference(sll, geometry.n_rings)
+                base = targets.difference(sll, rings)
             echo = dict(kind=kind, sll_db=sll)
         if nulls:
             base = targets.with_nulls(

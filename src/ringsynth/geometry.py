@@ -1,4 +1,4 @@
-"""Concentric ring array geometry and forward pattern evaluation.
+"""Concentric ring array geometry and excitation weights.
 
 A ring array is described by its wavelength, the ring radii, the number of
 elements on each ring, and an optional center element.  All elements of a
@@ -7,7 +7,10 @@ the direction cosine u = sin(theta) reduces to
 
     F(u) = I0 + sum_n I_n * N_n * J0(k * r_n * u),      k = 2*pi / wavelength
 
-which is azimuth independent and even in u.
+which is azimuth independent and even in u.  This module only describes the
+array; :func:`ringsynth.solver.build_design_matrix` evaluates the ring terms
+N_n * J0(k * r_n * u), for the fit and for every pattern the analysis
+stage draws.
 """
 
 from __future__ import annotations
@@ -15,10 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .specialfn import bessel_j0_grid
 
 
 @dataclass(frozen=True)
@@ -96,22 +96,6 @@ def elements_for_spacing(radius: float, target_spacing: float) -> int:
         raise DomainError(f"target spacing must be positive, got {target_spacing!r}")
     count = int(math.floor(2.0 * math.pi * radius / target_spacing + 0.5))
     return max(count, 1)
-
-
-def array_factor(geom: RingGeometry, w: Weights, u: float) -> complex:
-    """Far-field array factor at direction cosine u in [-1, 1]."""
-    if not w.matches(geom):
-        raise DomainError(
-            f"weights carry {len(w.rings)} rings but geometry has {geom.n_rings}"
-        )
-    u = float(u)
-    if not math.isfinite(u) or abs(u) > 1.0:
-        raise DomainError(f"u must lie in [-1, 1], got {u!r}")
-    j0 = bessel_j0_grid(geom.wavenumber * np.asarray(geom.radii) * u)
-    total = w.center if geom.has_center_element else 0j
-    for value, count, weight in zip(j0, geom.elements_per_ring, w.rings):
-        total += weight * count * float(value)
-    return total
 
 
 def uniform_half_wavelength_geometry(n_rings: int, wavelength: float = 1.0) -> RingGeometry:

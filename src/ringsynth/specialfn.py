@@ -6,8 +6,6 @@ from any number of threads or processes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
@@ -65,18 +63,6 @@ _QQ = (
 )
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
 _PIO4 = 7.85398163397448309616e-1
-
-
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero, at one finite point.
-
-    A 0-d call of :func:`bessel_j0_grid`, so the scalar and array forms
-    share one implementation and agree bit for bit.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"bessel_j0 requires a finite argument, got {x!r}")
-    return float(bessel_j0_grid(x))
 
 
 def bessel_j0_grid(x: ArrayLike) -> NDArray[np.float64]:

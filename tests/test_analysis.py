@@ -214,19 +214,15 @@ class TestEvaluateSurface:
         with pytest.raises(DomainError):
             evaluate_surface(geom, w, theta_points=1, phi_points=8)
 
-    def test_surface_column_is_pattern_at_sin_theta(self):
-        # the surface must be the peak-normalized |F(sin theta)|;
-        # cross-checked through the scalar evaluation route
-        from ringsynth.geometry import array_factor
-
+    def test_surface_column_is_pattern_at_sin_theta(self, pattern_oracle):
+        # the surface must be the peak-normalized |F(sin theta)|,
+        # cross-checked against the mpmath oracle
         geom = uniform_half_wavelength_geometry(4)
         w = Weights(center=1, rings=(1, 1, 1, 1))  # peak at theta = 0
         surface = evaluate_surface(geom, w, theta_points=121, phi_points=5)
-        peak = abs(array_factor(geom, w, 0.0))
-        for i, theta in enumerate(surface.theta):
-            mag = abs(array_factor(geom, w, float(np.sin(theta)))) / peak
-            expected = 20.0 * np.log10(max(mag, 1e-10))
-            assert surface.amplitude_db[i] == pytest.approx(expected, abs=1e-9)
+        mag = np.abs(pattern_oracle(geom, w, np.sin(surface.theta)))
+        expected = 20.0 * np.log10(np.maximum(mag / mag[0], 1e-10))
+        assert surface.amplitude_db == pytest.approx(expected, abs=1e-9)
 
 
 def per_cell_cut_text(cut: PatternCut, target=None) -> str:

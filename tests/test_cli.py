@@ -135,6 +135,30 @@ class TestConfigResolution:
             resolve_config(raw)
         assert len(err.value.problems) >= 2
 
+    @pytest.mark.parametrize(
+        "geometry, target, expected",
+        [
+            ({"wavelength": 0, "radii": [0.5, "a"], "counts": [6, 1.5]},
+             {"kind": "flat_top", "passband_edge": 0.4},
+             ["geometry.wavelength", "geometry.radii", "geometry.counts"]),
+            ({"rings": 3, "radii": [0.5], "spacing": -1.0},
+             {"kind": "flat_top", "passband_edge": 0.4},
+             ["exactly one", "geometry.spacing"]),
+            ({"rings": 0},
+             {"kind": "difference", "sll_db": -30,
+              "nulls": [{"center": 0.5, "depth_db": -20, "width": 0.05}]},
+             ["geometry.rings", "null depth -20 dB must be below"]),
+            ({"rings": 3, "counts": [6, 13, 19]},
+             {"kind": "flat_top", "passband_edge": 0.4},
+             ["geometry.counts: only used with 'radii'"]),
+        ],
+    )
+    def test_each_field_reports_its_own_problem(self, geometry, target, expected):
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"geometry": geometry, "target": target})
+        for text in expected:
+            assert any(text in p for p in err.value.problems), (text, err.value.problems)
+
     def test_table_target_inline_points(self):
         raw = minimal_config(
             target={"kind": "table", "points": [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]}
@@ -375,16 +399,19 @@ class TestCliValidate:
             assert time.perf_counter() - started < 10.0
 
     def test_validate_reports_problem_fields(self, tmp_path, capsys):
+        # a bad wavelength hides neither the spacing nor the target's problem
         path = write_config(
             tmp_path,
             {
-                "geometry": {"wavelength": -2.0, "rings": 3},
-                "target": {"kind": "flat_top", "passband_edge": 0.4},
+                "geometry": {"wavelength": -1.0, "rings": 3, "spacing": "x"},
+                "target": {"kind": "equi_ripple", "sll_db": -200},
             },
         )
         assert main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "geometry.wavelength" in err
+        assert "geometry.wavelength: must be > 0" in err
+        assert "geometry.spacing: expected a number" in err
+        assert "sidelobe level must lie in" in err
 
     def test_spacing_with_explicit_counts_rejected(self, tmp_path, capsys):
         geometry = {"wavelength": 1.0, "radii": [0.5, 1.0], "counts": [6, 13], "spacing": 0.4}

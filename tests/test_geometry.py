@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from ringsynth.analysis import pattern_on_grid
 from ringsynth.errors import DomainError
 from ringsynth.geometry import (
     RingGeometry,
     Weights,
-    array_factor,
     elements_for_spacing,
     uniform_half_wavelength_geometry,
 )
@@ -95,28 +95,36 @@ class TestRingGeometryValidation:
 
 
 class TestArrayFactor:
+    """The module docstring's F(u), as the analysis stage evaluates it.
+
+    ``pattern_on_grid`` is checked against an mpmath oracle that shares no
+    code with the package's J0 or basis builder.
+    """
+
+    U = np.linspace(-1.0, 1.0, 41)
+
     def test_all_zero_weights(self):
         geom = uniform_half_wavelength_geometry(3)
         w = Weights(center=0, rings=(0, 0, 0))
-        assert array_factor(geom, w, 0.3) == 0
+        assert np.all(pattern_on_grid(geom, w, self.U) == 0)
 
     def test_center_only_constant(self):
         geom = RingGeometry(1.0, (0.5,), (6,), has_center_element=True)
         w = Weights(center=1, rings=(0,))
-        for u in (-1.0, -0.2, 0.0, 0.7, 1.0):
-            assert array_factor(geom, w, u) == 1
+        assert np.all(pattern_on_grid(geom, w, self.U) == 1)
 
-    def test_single_ring_at_boresight(self):
+    def test_single_ring_at_boresight(self, pattern_oracle):
         geom = RingGeometry(1.0, (0.5,), (6,), has_center_element=True)
         w = Weights(center=1, rings=(1,))
-        assert array_factor(geom, w, 0.0) == pytest.approx(7.0, abs=1e-12)
+        assert pattern_on_grid(geom, w, [0.0])[0] == pytest.approx(7.0, abs=1e-12)
+        assert pattern_oracle(geom, w, 0.0)[0] == 7.0
 
     def test_even_in_u_exact(self):
         rng = np.random.default_rng(3)
         geom = uniform_half_wavelength_geometry(5)
         w = Weights(center=rng.standard_normal(), rings=tuple(rng.standard_normal(5)))
-        for u in rng.uniform(0, 1, 20):
-            assert array_factor(geom, w, float(u)) == array_factor(geom, w, -float(u))
+        u = rng.uniform(0, 1, 20)
+        assert np.array_equal(pattern_on_grid(geom, w, u), pattern_on_grid(geom, w, -u))
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(11)
@@ -128,25 +136,31 @@ class TestArrayFactor:
             center=alpha * w1.center + beta * w2.center,
             rings=tuple(alpha * a + beta * b for a, b in zip(w1.rings, w2.rings)),
         )
-        for u in rng.uniform(-1, 1, 20):
-            direct = array_factor(geom, combined, float(u))
-            parts = alpha * array_factor(geom, w1, float(u)) + beta * array_factor(
-                geom, w2, float(u)
-            )
-            assert direct == pytest.approx(parts, rel=1e-12, abs=1e-12)
+        u = rng.uniform(-1, 1, 20)
+        direct = pattern_on_grid(geom, combined, u)
+        parts = alpha * pattern_on_grid(geom, w1, u) + beta * pattern_on_grid(geom, w2, u)
+        assert direct == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
-    def test_rejects_out_of_range_u(self):
-        geom = uniform_half_wavelength_geometry(2)
-        w = Weights(center=1, rings=(1, 1))
-        with pytest.raises(DomainError):
-            array_factor(geom, w, 1.5)
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    @pytest.mark.parametrize("center", [False, True])
+    def test_matches_mpmath_oracle(self, pattern_oracle, complex_weights, center):
+        rng = np.random.default_rng(13)
+        radii = (0.5, 1.25, 2.0, 3.5, 6.0)
+        geom = RingGeometry(0.8, radii, (6, 14, 19, 30, 47), has_center_element=center)
+        rings = rng.standard_normal(5) + (1j * rng.standard_normal(5) if complex_weights else 0)
+        w = Weights(center=rng.standard_normal() + 0.5j, rings=tuple(rings))
+        u = np.concatenate([self.U, rng.uniform(-1, 1, 40)])
+        scale = sum(abs(r) * n for r, n in zip(w.rings, geom.elements_per_ring))
+        error = np.abs(pattern_on_grid(geom, w, u) - pattern_oracle(geom, w, u))
+        assert error.max() <= 1e-13 * scale
 
     def test_rejects_mismatched_weights(self):
         geom = uniform_half_wavelength_geometry(2)
         with pytest.raises(DomainError):
-            array_factor(geom, Weights(center=1, rings=(1,)), 0.0)
+            pattern_on_grid(geom, Weights(center=1, rings=(1,)), self.U)
 
-    def test_center_flag_respected(self):
+    def test_center_flag_respected(self, pattern_oracle):
         geom = RingGeometry(1.0, (0.5,), (6,), has_center_element=False)
         w = Weights(center=123.0, rings=(0,))
-        assert array_factor(geom, w, 0.2) == 0
+        assert np.all(pattern_on_grid(geom, w, self.U) == 0)
+        assert np.all(pattern_oracle(geom, w, self.U) == 0)

@@ -11,9 +11,11 @@ RETIRED = [
     (specialfn, "KernelOrder"),
     (specialfn, "TWO_PI"),
     (specialfn, "_KERNEL_SINGULARITY_TOL"),
+    (specialfn, "bessel_j0"),
     (sampling, "_interpolation_kernel"),
     (sampling, "reconstruct"),
     (geometry, "chord_spacing"),
+    (geometry, "array_factor"),
     (SampleSet, "batch_abscissas"),
     (SampleSet, "batch_values"),
     (SampleSet, "incremental_abscissas"),
