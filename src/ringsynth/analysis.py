@@ -10,7 +10,7 @@ from numpy.typing import NDArray
 
 from .errors import DegeneratePatternError, DomainError
 from .geometry import RingGeometry, Weights
-from .solver import build_design_matrix
+from .solver import _ring_block
 # unused here; kept while perfbench/tracing.py wraps J0 under this module's name
 from .specialfn import bessel_j0_grid
 from .targets import TargetPattern
@@ -99,14 +99,15 @@ def pattern_on_grid(
 ) -> NDArray[np.complex128]:
     """Array factor evaluated over a whole u grid at once.
 
-    The ring columns come from the solver's design matrix; the center
-    weight is added after the ring products.
+    The ring columns are the solver's ring block, without the center
+    column the fit appends; the center weight is added after the ring
+    products.
     """
     if not w.matches(geom):
         raise DomainError(
             f"weights carry {len(w.rings)} rings but geometry has {geom.n_rings}"
         )
-    basis = build_design_matrix(geom, u).entries[:, : geom.n_rings]
+    basis = _ring_block(geom, u)
     rings = np.asarray(w.rings, dtype=complex)
     # two real products: no complex copy of the basis
     total = basis @ rings.real + 1j * (basis @ rings.imag)

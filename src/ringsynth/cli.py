@@ -96,10 +96,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         report = run_synthesis(cfg, warnings=warnings)
-    except SingularSystemError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DegeneratePatternError as exc:
+    except (SingularSystemError, DegeneratePatternError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -152,6 +152,10 @@ def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeomet
         raw_radii = section["radii"]
         if not isinstance(raw_radii, list) or not all(map(_is_number, raw_radii)):
             problems.append("geometry.radii: expected a list of numbers")
+        elif not all(math.isfinite(b) and b > a for a, b in zip([0.0] + raw_radii, raw_radii)):
+            problems.append(
+                f"geometry.radii: must be strictly increasing and positive, got {raw_radii}"
+            )
         elif not has_rings:
             radii = tuple(float(r) for r in raw_radii)
 

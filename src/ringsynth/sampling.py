@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import DomainError
 from .geometry import RingGeometry
@@ -27,28 +28,28 @@ from .targets import TargetPattern
 class SampleSet:
     """Ordered target samples split into batch and incremental portions.
 
-    The split is fixed: even indices (counted from zero) form the batch,
-    odd indices the incremental portion.
+    Abscissas and values are read-only 1-D float arrays of one length.  The
+    split is fixed: even indices (counted from zero) form the batch, odd
+    indices the incremental portion.
     """
 
-    abscissas: tuple[float, ...]
-    values: tuple[float, ...]
+    abscissas: NDArray[np.float64]
+    values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "abscissas", tuple(float(u) for u in self.abscissas))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.abscissas) != len(self.values):
+        u = np.array(self.abscissas, dtype=float)
+        v = np.array(self.values, dtype=float)
+        if u.ndim != 1 or u.shape != v.shape:
             raise DomainError(
-                f"{len(self.abscissas)} abscissas but {len(self.values)} values"
+                f"abscissas {u.shape} and values {v.shape} must be 1-D and of one length"
             )
-        prev = -math.inf
-        for u in self.abscissas:
-            if not math.isfinite(u) or u <= prev:
-                raise DomainError("abscissas must be finite and strictly increasing")
-            prev = u
-        for v in self.values:
-            if not math.isfinite(v):
-                raise DomainError("sample values must be finite")
+        if not (np.all(np.isfinite(u)) and np.all(u[1:] > u[:-1])):
+            raise DomainError("abscissas must be finite and strictly increasing")
+        if not np.all(np.isfinite(v)):
+            raise DomainError("sample values must be finite")
+        u.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "abscissas", u)
+        object.__setattr__(self, "values", v)
 
     @property
     def total_count(self) -> int:
@@ -79,11 +80,11 @@ def min_total_samples(geom: RingGeometry) -> int:
     return 2 * min_batch_samples(geom)
 
 
-def midpoint_abscissas(count: int) -> tuple[float, ...]:
+def midpoint_abscissas(count: int) -> NDArray[np.float64]:
     """Midpoint grid u_m = (m - 1/2) / count for m = 1..count."""
     if count < 1:
         raise DomainError(f"need at least one sample, got {count}")
-    return tuple((m + 0.5) / count for m in range(count))
+    return (np.arange(count) + 0.5) / count
 
 
 def effective_total_count(geom: RingGeometry, oversample: float = 1.0) -> int:
@@ -93,7 +94,7 @@ def effective_total_count(geom: RingGeometry, oversample: float = 1.0) -> int:
     when that would leave the batch stage square or underdetermined, in which
     case the batch is grown two rows past the weight count.  Both
     :func:`build_sample_set` and :func:`~ringsynth.solver.synthesize` called
-    without a sample set size through here.
+    without a sample set size through here, at ``oversample`` 1.
     """
     if not (math.isfinite(oversample) and oversample >= 1.0):
         raise DomainError(f"oversample factor must be >= 1, got {oversample!r}")
@@ -118,5 +119,5 @@ def build_sample_set(
     if total < 2 or total % 2:
         raise DomainError(f"total_count must be even and >= 2, got {total_count}")
     abscissas = midpoint_abscissas(total)
-    return SampleSet(abscissas=abscissas, values=target.sample_value(np.array(abscissas)))
+    return SampleSet(abscissas=abscissas, values=target.sample_value(abscissas))
 

@@ -2,22 +2,25 @@
 
 The pattern model is linear in the weights, so sampling the target at M0
 points yields an overdetermined system A I = B, built once as one design
-matrix.  The solver works in square-root information form (Bierman, 1977):
-its state is the upper-triangular factor R, with R^T R the Gramian A^T A of
-the rows absorbed so far, and z = Q^T B, so the estimate solves R I = z.
-The batch stage triangularizes the augmented even-indexed rows [A B] (the
-batch half of the sample set) by orthogonal factorization; the recursive
-stage absorbs the odd-indexed rows by re-triangularizing [R z; A B] block by
-block, each block at most as tall as the weight count, and back-substitutes
-once.  Neither stage forms Q or the inverse Gramian P = (A^T A)^{-1}.  The
-rank-one gain update K = P a / (a^T P a + 1) of :func:`rls_absorb` is kept as
-the reference form.  Absorbing a row set either way is algebraically
-identical to batch least squares over the same rows, which is the
-correctness property the test suite leans on.
+matrix.  Its ring columns N_n J0(k r_n u) are the same block that the
+analysis stage multiplies by the weights; the fit alone appends the center
+element's all-ones column.  The solver works in square-root information form
+(Bierman, 1977): its state is the upper-triangular factor R, with R^T R the
+Gramian A^T A of the rows absorbed so far, and z = Q^T B, so the estimate
+solves R I = z.  The batch stage triangularizes the augmented even-indexed
+rows [A B] (the batch half of the sample set) by orthogonal factorization;
+the recursive stage absorbs the odd-indexed rows by re-triangularizing
+[R z; A B] block by block, each block at most as tall as the weight count,
+and back-substitutes once.  Neither stage forms Q or the inverse Gramian
+P = (A^T A)^{-1}.  The rank-one gain update K = P a / (a^T P a + 1) of
+:func:`rls_absorb` is kept as the reference form.  Absorbing a row set
+either way is algebraically identical to batch least squares over the same
+rows, which is the correctness property the test suite leans on.
 
 Targets here are real valued and the basis is real, so the solver works in
-real arithmetic and rejects a complex estimate; weights stay complex-capable
-at the boundary for forward pattern evaluation.
+real arithmetic on plain arrays and builds :class:`Weights` once, when it
+returns; weights stay complex-capable at the boundary for forward pattern
+evaluation, and :func:`rls_absorb` rejects a complex estimate.
 """
 
 from __future__ import annotations
@@ -41,24 +44,20 @@ _BACK_SUBSTITUTION_BLOCK = 64
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Dense sample-by-weight coefficient matrix with labeled columns.
+    """Dense sample-by-weight coefficient matrix.
 
-    Ring columns hold N_n * J0(k * r_n * u_m); a trailing all-ones column
-    represents the center element when the geometry has one.
+    Ring columns hold N_n * J0(k * r_n * u_m); with ``has_center`` a
+    trailing all-ones column represents the center element.
     """
 
     entries: NDArray[np.float64]
-    column_labels: tuple[str, ...]
+    has_center: bool
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2:
             raise DomainError(f"design matrix must be 2-D, got shape {entries.shape}")
-        if entries.shape[1] != len(self.column_labels):
-            raise DomainError(
-                f"{entries.shape[1]} columns but {len(self.column_labels)} labels"
-            )
 
 
 @dataclass(frozen=True)
@@ -78,36 +77,28 @@ class SolverState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "r_factor", np.asarray(self.r_factor, dtype=float))
 
-    @property
-    def inv_gramian(self) -> NDArray[np.float64]:
-        """P = (A^T A)^{-1} = R^{-1} R^{-T}, formed on each access."""
-        r_inv = _back_substitute(self.r_factor, np.eye(self.r_factor.shape[0]))
-        return r_inv @ r_inv.T
 
-
-def _column_labels(geom: RingGeometry) -> tuple[str, ...]:
-    labels = tuple(f"ring {n}" for n in range(1, geom.n_rings + 1))
-    if geom.has_center_element:
-        labels += ("center",)
-    return labels
-
-
-def build_design_matrix(geom: RingGeometry, abscissas: Sequence[float]) -> DesignMatrix:
-    """Coefficient matrix for the given sample directions."""
+def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.float64]:
+    """Ring columns N_n * J0(k * r_n * u_m), one row per abscissa, scaled in place."""
     if len(abscissas) == 0:
         raise DomainError("design matrix needs at least one sample abscissa")
     u = np.asarray(abscissas, dtype=float)
     if not np.all(np.isfinite(u)):
         raise DomainError("sample abscissas must be finite")
-    counts = np.asarray(geom.elements_per_ring, dtype=float)
-    radii = np.asarray(geom.radii, dtype=float)
-    ring_block = bessel_j0_grid(geom.wavenumber * np.outer(u, radii))
-    if geom.has_center_element:
-        entries = np.ones((len(u), geom.column_count))
-        np.multiply(ring_block, counts, out=entries[:, :-1])
-    else:
-        entries = np.multiply(ring_block, counts, out=ring_block)
-    return DesignMatrix(entries=entries, column_labels=_column_labels(geom))
+    block = bessel_j0_grid(geom.wavenumber * np.outer(u, geom.radii))
+    return np.multiply(block, np.asarray(geom.elements_per_ring, dtype=float), out=block)
+
+
+def build_design_matrix(geom: RingGeometry, abscissas: Sequence[float]) -> DesignMatrix:
+    """Coefficient matrix for the given sample directions."""
+    block = _ring_block(geom, abscissas)
+    if not geom.has_center_element:
+        return DesignMatrix(entries=block, has_center=False)
+    # the ones come after J0: allocated first, they sit beside J0's temporaries
+    # and raise the peak
+    entries = np.ones((block.shape[0], geom.column_count))
+    entries[:, :-1] = block
+    return DesignMatrix(entries=entries, has_center=True)
 
 
 def _weights_from_vector(x: NDArray[np.float64], has_center: bool) -> Weights:
@@ -147,12 +138,12 @@ def _back_substitute(r: NDArray[np.float64], z: NDArray[np.float64]) -> NDArray[
 
 def solve_batch(
     matrix: DesignMatrix, rhs: Sequence[float]
-) -> tuple[Weights, NDArray[np.float64]]:
-    """Least-squares weights and square-root information array for a block.
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Least-squares solution and square-root information array for a block.
 
     Triangularizes the augmented rows [A b] by QR without forming Q and
-    returns the weights with the n-by-(n+1) array [R z]: R is upper
-    triangular with R^T R = A^T A, z = Q^T b, and the weights solve R x = z.
+    returns the solution x with the n-by-(n+1) array [R z]: R is upper
+    triangular with R^T R = A^T A, z = Q^T b, and x solves R x = z.
     A condition estimate from diag(R) above 1e12 raises
     :class:`SingularSystemError` naming the offending column.
     """
@@ -172,14 +163,13 @@ def solve_batch(
     diag = np.abs(np.diag(info))
     worst = int(np.argmin(diag))
     if diag[worst] == 0.0 or diag.max() / diag[worst] > _CONDITION_LIMIT:
-        label = matrix.column_labels[worst]
+        label = "center" if matrix.has_center and worst == n - 1 else f"ring {worst + 1}"
         raise SingularSystemError(
             f"design matrix is numerically rank deficient at column {worst} ({label})",
             column_index=worst,
             column_label=label,
         )
-    x = _back_substitute(info[:, :n], info[:, n])
-    return _weights_from_vector(x, matrix.column_labels[-1] == "center"), info
+    return _back_substitute(info[:, :n], info[:, n]), info
 
 
 def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> SolverState:
@@ -241,10 +231,7 @@ def _retriangularize(
 
 
 def synthesize(
-    geom: RingGeometry,
-    target: TargetPattern,
-    oversample: float = 1.0,
-    samples: SampleSet | None = None,
+    geom: RingGeometry, target: TargetPattern, samples: SampleSet | None = None
 ) -> tuple[Weights, SolverState]:
     """Run the two-stage synthesis pipeline for a geometry and target.
 
@@ -252,27 +239,24 @@ def synthesize(
     [R z]; one pass then absorbs the incremental half by re-triangularizing
     [R z; A b] in blocks of at most the weight count, and one back
     substitution gives the weights, which in exact arithmetic are the full
-    least-squares solution.  ``passes_completed`` is that one pass (0 without
+    least-squares solution.  The solve stays in arrays until the weights
+    are returned.  ``passes_completed`` is that one pass (0 without
     incremental rows), every sample is absorbed once, and ``residual_trace``
     holds the seed's residual and the final one over the whole sample set.
 
     Without ``samples`` the set is sized by
-    :func:`~ringsynth.sampling.effective_total_count` with ``oversample``.  A
-    caller's set is used as given: a batch half exactly as tall as the weight
-    count is solved exactly, and a shorter one raises :class:`DomainError`
-    from :func:`solve_batch`.
+    :func:`~ringsynth.sampling.effective_total_count`.  A caller's set is
+    used as given: a batch half exactly as tall as the weight count is solved
+    exactly, and a shorter one raises :class:`DomainError` from
+    :func:`solve_batch`.
     """
-    n_columns = geom.column_count
     if samples is None:
-        samples = build_sample_set(
-            geom, target, total_count=effective_total_count(geom, oversample)
-        )
+        samples = build_sample_set(geom, target, total_count=effective_total_count(geom))
 
     matrix = build_design_matrix(geom, samples.abscissas)
-    rhs = np.asarray(samples.values, dtype=float)
-    batch = DesignMatrix(entries=matrix.entries[0::2], column_labels=matrix.column_labels)
-    batch_weights, info = solve_batch(batch, rhs[0::2])
-    x_seed = _vector_from_weights(batch_weights, n_columns)
+    rhs = samples.values
+    batch = DesignMatrix(entries=matrix.entries[0::2], has_center=matrix.has_center)
+    x_seed, info = solve_batch(batch, rhs[0::2])
     info = _retriangularize(info, matrix.entries[1::2], rhs[1::2])
     r = info[:, :-1]
     x = _back_substitute(r, info[:, -1])

@@ -25,3 +25,20 @@ def pattern_oracle():
         return np.array(values)
 
     return evaluate
+
+
+@pytest.fixture(scope="session")
+def inv_gramian():
+    """Reference inverse Gramian P = (A^T A)^{-1} = R^{-1} R^{-T} of a solver state.
+
+    The solver never forms P; tests that check its symmetry, definiteness
+    or contraction form it here from the state's R.
+    """
+    from ringsynth.solver import _back_substitute
+
+    def form(state):
+        r = state.r_factor
+        r_inv = _back_substitute(r, np.eye(r.shape[0]))
+        return r_inv @ r_inv.T
+
+    return form

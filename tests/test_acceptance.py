@@ -20,6 +20,7 @@ from ringsynth.runner import run_synthesis
 from ringsynth.sampling import build_sample_set, min_batch_samples, min_total_samples
 from ringsynth.solver import (
     SolverState,
+    _weights_from_vector,
     build_design_matrix,
     rls_absorb,
     solve_batch,
@@ -94,18 +95,18 @@ def test_criterion_1_rls_matches_batch_over_full_system():
             continue
 
         batch = build_design_matrix(geom, samples.abscissas[0::2])
-        w, info = solve_batch(batch, samples.values[0::2])
+        x_seed, info = solve_batch(batch, samples.values[0::2])
         state = SolverState(
-            estimate=w, r_factor=info[:, :-1], samples_absorbed=samples.batch_count,
+            estimate=_weights_from_vector(x_seed, True), r_factor=info[:, :-1],
+            samples_absorbed=samples.batch_count,
             passes_completed=0, residual_trace=(0.0,),
         )
         inc = build_design_matrix(geom, samples.abscissas[1::2])
         for row, value in zip(inc.entries, samples.values[1::2]):
             state = rls_absorb(state, row, value)
 
-        w_full, _ = solve_batch(full, samples.values)
+        want, _ = solve_batch(full, samples.values)
         got = weights_vector(state.estimate)
-        want = weights_vector(w_full)
         rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
         worst = max(worst, rel)
         assert rel <= 1e-8, f"case {cases}: relative error {rel:.3e}"
@@ -189,7 +190,7 @@ def test_criterion_6_round_trip_recovery():
            f"(worst rel err {worst:.2e})")
 
 
-def test_criterion_7_invariant_suites():
+def test_criterion_7_invariant_suites(inv_gramian):
     """Compact re-run of the named invariants."""
     # J0 against a 60-term series oracle on [0, 12]
     def series(x: float) -> float:
@@ -215,16 +216,18 @@ def test_criterion_7_invariant_suites():
     target = from_table([(-1.0, 0.2), (0.0, 1.0), (1.0, 0.2)])
     samples = build_sample_set(geom, target)
     batch = build_design_matrix(geom, samples.abscissas[0::2])
-    west, info = solve_batch(batch, samples.values[0::2])
+    x_seed, info = solve_batch(batch, samples.values[0::2])
     state = SolverState(
-        estimate=west, r_factor=info[:, :-1], samples_absorbed=samples.batch_count,
+        estimate=_weights_from_vector(x_seed, True), r_factor=info[:, :-1],
+        samples_absorbed=samples.batch_count,
         passes_completed=0, residual_trace=(0.0,),
     )
     inc = build_design_matrix(geom, samples.abscissas[1::2])
     for row, value in zip(inc.entries, samples.values[1::2]):
         state = rls_absorb(state, row, value)
-        assert np.max(np.abs(state.inv_gramian - state.inv_gramian.T)) <= 1e-10
-        np.linalg.cholesky(state.inv_gramian)
+        p = inv_gramian(state)
+        assert np.max(np.abs(p - p.T)) <= 1e-10
+        np.linalg.cholesky(p)
 
     # residual monotonicity from the batch seed to the final estimate, all bundled examples
     for name in BUNDLED_EXAMPLES:

@@ -413,6 +413,25 @@ class TestCliValidate:
         assert "geometry.spacing: expected a number" in err
         assert "sidelobe level must lie in" in err
 
+    def test_validate_reports_bad_radii_beside_bad_wavelength(self, tmp_path, capsys):
+        # radii order and sign are checked on their own, not only once the
+        # rest of the geometry is valid
+        path = write_config(
+            tmp_path, minimal_config(geometry={"wavelength": -1.0, "radii": [1.0, 0.5]})
+        )
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "geometry.wavelength: must be > 0" in err
+        assert "geometry.radii: must be strictly increasing and positive" in err
+
+    @pytest.mark.parametrize("radii", [[0.5, 0.5], [-0.5, 1.0], [0.0, 1.0]])
+    def test_radii_order_and_sign_checked_with_valid_fields(self, radii):
+        with pytest.raises(ConfigError) as err:
+            resolve_config(minimal_config(geometry={"wavelength": 1.0, "radii": radii}))
+        assert err.value.problems == [
+            f"geometry.radii: must be strictly increasing and positive, got {radii}"
+        ]
+
     def test_spacing_with_explicit_counts_rejected(self, tmp_path, capsys):
         geometry = {"wavelength": 1.0, "radii": [0.5, 1.0], "counts": [6, 13], "spacing": 0.4}
         path = write_config(tmp_path, minimal_config(geometry=geometry))

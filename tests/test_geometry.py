@@ -1,6 +1,7 @@
 """Ring geometry construction and forward pattern evaluation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ringsynth.geometry import (
     elements_for_spacing,
     uniform_half_wavelength_geometry,
 )
+from ringsynth.solver import build_design_matrix
 
 
 class TestElementsForSpacing:
@@ -153,6 +155,24 @@ class TestArrayFactor:
         scale = sum(abs(r) * n for r, n in zip(w.rings, geom.elements_per_ring))
         error = np.abs(pattern_on_grid(geom, w, u) - pattern_oracle(geom, w, u))
         assert error.max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("n_rings", [1, 20, 500])
+    def test_matches_design_matrix_columns_bit_for_bit(self, n_rings, center, complex_weights):
+        # the pattern's basis is the fit's ring columns, without the center column
+        rng = np.random.default_rng(n_rings)
+        geom = replace(uniform_half_wavelength_geometry(n_rings), has_center_element=center)
+        rings = rng.standard_normal(n_rings) + (
+            1j * rng.standard_normal(n_rings) if complex_weights else 0
+        )
+        w = Weights(center=0.3 - 0.2j, rings=tuple(rings))
+        u = np.linspace(-1.0, 1.0, 1001)
+        basis = build_design_matrix(geom, u).entries[:, :n_rings]
+        want = basis @ rings.real + 1j * (basis @ rings.imag)
+        if center:
+            want = want + w.center
+        assert np.array_equal(pattern_on_grid(geom, w, u), want)
 
     def test_rejects_mismatched_weights(self):
         geom = uniform_half_wavelength_geometry(2)

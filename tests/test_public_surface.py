@@ -1,9 +1,11 @@
 """The package exports what the pipeline runs, and nothing it retired."""
 
+import inspect
+
 import ringsynth
-from ringsynth import config, geometry, sampling, specialfn, targets
+from ringsynth import config, geometry, sampling, solver, specialfn, targets
 from ringsynth.sampling import SampleSet
-from ringsynth.solver import DesignMatrix
+from ringsynth.solver import DesignMatrix, SolverState
 from ringsynth.targets import TargetPattern
 
 RETIRED = [
@@ -22,6 +24,8 @@ RETIRED = [
     (SampleSet, "incremental_values"),
     (DesignMatrix, "row_count"),
     (DesignMatrix, "column_count"),
+    (SolverState, "inv_gramian"),
+    (solver, "_column_labels"),
     (TargetPattern, "signed_evaluator"),
     (targets, "_chebyshev_design"),
     (config, "_target_echo"),
@@ -36,3 +40,11 @@ def test_public_surface():
         assert not hasattr(ringsynth, name), name
         assert not hasattr(home, name), f"{home.__name__}.{name}"
 
+
+
+def test_retired_fields_and_parameters():
+    # a dataclass field without a default is no class attribute, so only an
+    # instance shows that the labels are gone
+    matrix = solver.build_design_matrix(geometry.uniform_half_wavelength_geometry(2), [0.5])
+    assert not hasattr(matrix, "column_labels")
+    assert "oversample" not in inspect.signature(solver.synthesize).parameters

@@ -63,15 +63,19 @@ class TestMinimumCounts:
 
 class TestBuildSampleSet:
     def test_midpoint_formula(self):
-        assert midpoint_abscissas(4) == (0.125, 0.375, 0.625, 0.875)
+        assert midpoint_abscissas(4).tolist() == [0.125, 0.375, 0.625, 0.875]
+
+    def test_midpoints_match_scalar_formula_bit_for_bit(self):
+        for n in range(1, 2001):
+            assert midpoint_abscissas(n).tolist() == [(m + 0.5) / n for m in range(n)], n
 
     def test_batch_takes_odd_numbered_midpoints(self):
         geom = uniform_half_wavelength_geometry(1)
         samples = build_sample_set(geom, constant_target(), total_count=4)
         assert samples.total_count == 4
         assert samples.batch_count == 2
-        assert samples.abscissas[0::2] == (0.125, 0.625)
-        assert samples.abscissas[1::2] == (0.375, 0.875)
+        assert samples.abscissas[0::2].tolist() == [0.125, 0.625]
+        assert samples.abscissas[1::2].tolist() == [0.375, 0.875]
 
     def test_constant_target_values(self):
         geom = uniform_half_wavelength_geometry(3)
@@ -136,6 +140,32 @@ class TestSampleSetValidation:
     def test_rejects_non_finite_value(self):
         with pytest.raises(DomainError):
             SampleSet((0.1, 0.2), (1.0, math.inf))
+
+    @pytest.mark.parametrize(
+        "abscissas, values",
+        [
+            ([[0.1, 0.2], [0.3, 0.4]], [[1.0, 1.0], [1.0, 1.0]]),
+            ((0.1, 0.2, 0.3), [[1.0, 1.0, 1.0]]),
+            ((0.1, math.nan, 0.3), (1.0, 1.0, 1.0)),
+            ((0.1, 0.2, 0.3), (1.0, math.nan, 1.0)),
+            ((0.1, 0.2, 0.2), (1.0, 1.0, 1.0)),
+            ((0.1, 0.3, 0.2), (1.0, 1.0, 1.0)),
+        ],
+        ids=["2-d", "shape-mismatch", "nan-abscissa", "nan-value", "repeated", "decreasing"],
+    )
+    def test_rejects_malformed_arrays(self, abscissas, values):
+        with pytest.raises(DomainError):
+            SampleSet(abscissas, values)
+
+    def test_holds_read_only_float_arrays(self):
+        given = np.array([0.25, 0.75])
+        samples = SampleSet(given, [1, 2])
+        assert samples.values.dtype == np.float64
+        for array in (samples.abscissas, samples.values):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        given[0] = 0.5
+        assert samples.abscissas[0] == 0.25
 
     @pytest.mark.parametrize("total", [1, 2, 19, 20, 21])
     def test_batch_count_follows_even_index_split(self, total):

@@ -21,6 +21,7 @@ from ringsynth.solver import (
     SolverState,
     _back_substitute,
     _retriangularize,
+    _weights_from_vector,
     build_design_matrix,
     rls_absorb,
     solve_batch,
@@ -37,19 +38,18 @@ def weights_vector(w: Weights, has_center: bool = True) -> np.ndarray:
     return np.array(parts)
 
 
-def batch_state(w: Weights, info: np.ndarray, absorbed: int = 0) -> SolverState:
-    """Recursive state seeded from ``solve_batch``'s weights and [R z]."""
+def batch_state(x: np.ndarray, info: np.ndarray, absorbed: int = 0) -> SolverState:
+    """Recursive state seeded from ``solve_batch``'s solution (center last) and [R z]."""
     return SolverState(
-        estimate=w, r_factor=info[:, :-1], samples_absorbed=absorbed,
-        passes_completed=0, residual_trace=(0.0,),
+        estimate=_weights_from_vector(x, True), r_factor=info[:, :-1],
+        samples_absorbed=absorbed, passes_completed=0, residual_trace=(0.0,),
     )
 
 
-def random_seed(rng, n: int) -> tuple[Weights, np.ndarray]:
+def random_seed(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     a = rng.standard_normal((3 * n, n))
     x = rng.standard_normal(n)
-    matrix = DesignMatrix(a, tuple(f"ring {i}" for i in range(1, n)) + ("center",))
-    return solve_batch(matrix, a @ x + 0.01 * rng.standard_normal(3 * n))
+    return solve_batch(DesignMatrix(a, True), a @ x + 0.01 * rng.standard_normal(3 * n))
 
 
 def random_state(rng, n: int) -> SolverState:
@@ -66,7 +66,7 @@ class TestBuildDesignMatrix:
         geom = uniform_half_wavelength_geometry(9)
         matrix = build_design_matrix(geom, midpoint_abscissas(16))
         assert matrix.entries.shape == (16, 10)
-        assert matrix.column_labels[-1] == "center"
+        assert matrix.has_center
 
     def test_boresight_row(self):
         geom = uniform_half_wavelength_geometry(9)
@@ -89,7 +89,7 @@ class TestBuildDesignMatrix:
         geom = RingGeometry(1.0, (0.5, 1.0), (6, 13), has_center_element=False)
         matrix = build_design_matrix(geom, (0.3, 0.6, 0.9))
         assert matrix.entries.shape == (3, 2)
-        assert "center" not in matrix.column_labels
+        assert not matrix.has_center
 
     def test_rejects_empty(self):
         geom = uniform_half_wavelength_geometry(2)
@@ -98,23 +98,21 @@ class TestBuildDesignMatrix:
 
 
 class TestSolveBatch:
-    def test_ones_column_returns_mean(self):
-        matrix = DesignMatrix(np.ones((5, 1)), ("center",))
-        w, info = solve_batch(matrix, [3.0] * 5)
-        assert w.center == pytest.approx(3.0, abs=1e-14)
-        assert w.rings == ()
-        assert batch_state(w, info).inv_gramian[0, 0] == pytest.approx(0.2, abs=1e-14)
+    def test_ones_column_returns_mean(self, inv_gramian):
+        matrix = DesignMatrix(np.ones((5, 1)), True)
+        x, info = solve_batch(matrix, [3.0] * 5)
+        assert x == pytest.approx([3.0], abs=1e-14)
+        assert x.shape == (1,)
+        assert inv_gramian(batch_state(x, info))[0, 0] == pytest.approx(0.2, abs=1e-14)
 
     def test_recovers_consistent_system(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((20, 8))
         x_true = rng.standard_normal(8)
-        labels = tuple(f"ring {i}" for i in range(1, 8)) + ("center",)
-        w, _ = solve_batch(DesignMatrix(a, labels), a @ x_true)
-        got = weights_vector(w)
+        got, _ = solve_batch(DesignMatrix(a, True), a @ x_true)
         assert np.linalg.norm(got - x_true) <= 1e-10 * np.linalg.norm(x_true)
 
-    def test_matches_normal_equations_oracle(self):
+    def test_matches_normal_equations_oracle(self, inv_gramian):
         # extended-precision normal equations as an independent route
         rng = np.random.default_rng(2)
         a = rng.standard_normal((20, 8))
@@ -122,16 +120,14 @@ class TestSolveBatch:
         al = a.astype(np.longdouble)
         bl = b.astype(np.longdouble)
         x_oracle = np.linalg.solve((al.T @ al).astype(float), (al.T @ bl).astype(float))
-        labels = tuple(f"ring {i}" for i in range(1, 8)) + ("center",)
-        w, info = solve_batch(DesignMatrix(a, labels), b)
-        got = weights_vector(w)
+        got, info = solve_batch(DesignMatrix(a, True), b)
         assert np.linalg.norm(got - x_oracle) <= 1e-8 * np.linalg.norm(x_oracle)
-        p = batch_state(w, info).inv_gramian
+        p = inv_gramian(batch_state(got, info))
         p_oracle = np.linalg.inv(a.T @ a)
         assert np.max(np.abs(p - p_oracle)) <= 1e-8 * np.max(np.abs(p_oracle))
 
     def test_rejects_underdetermined(self):
-        matrix = DesignMatrix(np.ones((2, 3)), ("ring 1", "ring 2", "center"))
+        matrix = DesignMatrix(np.ones((2, 3)), True)
         with pytest.raises(DomainError):
             solve_batch(matrix, [1.0, 2.0])
 
@@ -144,11 +140,34 @@ class TestSolveBatch:
             solve_batch(matrix, [1.0] * 12)
         assert err.value.column_label.startswith("ring")
 
-    def test_inverse_gramian_symmetric_positive_definite(self):
+    @pytest.mark.parametrize("has_center, label", [(True, "center"), (False, "ring 4")])
+    def test_singular_last_column_label(self, has_center, label):
+        # the last column repeats the first, so it is the rank-deficient one
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((10, 4))
+        a[:, 3] = a[:, 0]
+        with pytest.raises(SingularSystemError) as err:
+            solve_batch(DesignMatrix(a, has_center), rng.standard_normal(10))
+        assert err.value.column_index == 3
+        assert err.value.column_label == label
+        assert str(err.value) == (
+            f"design matrix is numerically rank deficient at column 3 ({label})"
+        )
+
+    def test_singular_ring_column_beside_a_center(self):
+        # only the last column is the center; a repeated ring is named as a ring
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((10, 3))
+        a[:, 1] = a[:, 0]
+        a[:, 2] = 1.0
+        with pytest.raises(SingularSystemError) as err:
+            solve_batch(DesignMatrix(a, True), rng.standard_normal(10))
+        assert (err.value.column_index, err.value.column_label) == (1, "ring 2")
+
+    def test_inverse_gramian_symmetric_positive_definite(self, inv_gramian):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((15, 4))
-        labels = tuple(f"ring {i}" for i in range(1, 4)) + ("center",)
-        p = batch_state(*solve_batch(DesignMatrix(a, labels), rng.standard_normal(15))).inv_gramian
+        p = inv_gramian(batch_state(*solve_batch(DesignMatrix(a, True), rng.standard_normal(15))))
         assert np.max(np.abs(p - p.T)) <= 1e-10
         np.linalg.cholesky(p)
 
@@ -158,18 +177,17 @@ class TestSolveBatch:
         rng = np.random.default_rng(14)
         a = rng.standard_normal((15, 4))
         b = rng.standard_normal(15)
-        labels = tuple(f"ring {i}" for i in range(1, 4)) + ("center",)
-        w, info = solve_batch(DesignMatrix(a, labels), b)
+        x, info = solve_batch(DesignMatrix(a, True), b)
         r, z = info[:, :-1], info[:, -1]
         assert info.shape == (4, 5)
         assert np.array_equal(r, np.triu(r))
         assert np.max(np.abs(r.T @ r - a.T @ a)) <= 1e-13 * np.max(np.abs(a.T @ a))
-        residual = b - a @ weights_vector(w)
+        residual = b - a @ x
         assert z @ z + residual @ residual == pytest.approx(b @ b, rel=1e-13)
 
 
 class TestRlsAbsorb:
-    def test_consistent_row_leaves_estimate(self):
+    def test_consistent_row_leaves_estimate(self, inv_gramian):
         rng = np.random.default_rng(4)
         state = random_state(rng, 5)
         row = rng.standard_normal(5)
@@ -178,16 +196,16 @@ class TestRlsAbsorb:
         updated = rls_absorb(state, row, value)
         assert weights_vector(updated.estimate) == pytest.approx(x, abs=1e-15)
         # P still contracts on consistent data
-        assert np.trace(updated.inv_gramian) < np.trace(state.inv_gramian)
+        assert np.trace(inv_gramian(updated)) < np.trace(inv_gramian(state))
 
-    def test_zero_row_changes_nothing(self):
+    def test_zero_row_changes_nothing(self, inv_gramian):
         rng = np.random.default_rng(5)
         state = random_state(rng, 4)
         updated = rls_absorb(state, np.zeros(4), 7.7)
         assert weights_vector(updated.estimate) == pytest.approx(
             weights_vector(state.estimate), abs=0
         )
-        assert np.array_equal(updated.inv_gramian, state.inv_gramian)
+        assert np.array_equal(inv_gramian(updated), inv_gramian(state))
 
     def test_absorbing_all_rows_matches_full_batch(self):
         # interleaved batch seed (as the pipeline splits), incremental rows
@@ -198,15 +216,14 @@ class TestRlsAbsorb:
         matrix = build_design_matrix(geom, abscissas)
         b = rng.standard_normal(40)
 
-        head = DesignMatrix(matrix.entries[0::2], matrix.column_labels)
+        head = DesignMatrix(matrix.entries[0::2], matrix.has_center)
         state = batch_state(*solve_batch(head, b[0::2]), absorbed=20)
         order = rng.permutation(np.arange(1, 40, 2))
         for idx in order:
             state = rls_absorb(state, matrix.entries[idx], b[idx])
 
-        w_full, _ = solve_batch(matrix, b)
+        want, _ = solve_batch(matrix, b)
         got = weights_vector(state.estimate)
-        want = weights_vector(w_full)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_duplicate_consistent_row_no_drift(self):
@@ -222,13 +239,13 @@ class TestRlsAbsorb:
         )
         assert drift <= 1e-12
 
-    def test_symmetry_and_definiteness_after_every_step(self):
+    def test_symmetry_and_definiteness_after_every_step(self, inv_gramian):
         rng = np.random.default_rng(8)
         state = random_state(rng, 6)
         for _ in range(30):
             row = rng.standard_normal(6)
             state = rls_absorb(state, row, float(rng.standard_normal()))
-            p = state.inv_gramian
+            p = inv_gramian(state)
             assert np.max(np.abs(p - p.T)) <= 1e-10
             np.linalg.cholesky(p)
 
@@ -258,21 +275,21 @@ class TestRlsAbsorb:
 
 class TestRetriangularize:
     @pytest.mark.parametrize("k", [1, 4, 19])
-    def test_blocks_match_successive_rank_one_updates(self, k):
+    def test_blocks_match_successive_rank_one_updates(self, k, inv_gramian):
         # 6 columns, so blocks of 6: one row, a partial block, and three full
         # blocks plus a partial one
         rng = np.random.default_rng(13)
-        w, info = random_seed(rng, 6)
-        state = batch_state(w, info)
+        x_seed, info = random_seed(rng, 6)
+        state = batch_state(x_seed, info)
         rows = rng.standard_normal((k, 6))
         rhs = rng.standard_normal(k)
         absorbed = _retriangularize(info, rows, rhs)
         x = _back_substitute(absorbed[:, :-1], absorbed[:, -1])
-        p = batch_state(w, absorbed).inv_gramian
+        p = inv_gramian(batch_state(x_seed, absorbed))
         for row, value in zip(rows, rhs):
             state = rls_absorb(state, row, value)
         want_x = weights_vector(state.estimate)
-        want_p = state.inv_gramian
+        want_p = inv_gramian(state)
         assert np.linalg.norm(x - want_x) <= 1e-12 * np.linalg.norm(want_x)
         assert np.linalg.norm(p - want_p) <= 1e-12 * np.linalg.norm(want_p)
         assert np.array_equal(p, p.T)
@@ -347,12 +364,12 @@ class TestSynthesize:
         samples = build_sample_set(geom, target)
         w, state = synthesize(geom, target, samples=samples)
         full = build_design_matrix(geom, samples.abscissas)
-        w_seed, _ = solve_batch(
+        x_seed, _ = solve_batch(
             build_design_matrix(geom, samples.abscissas[0::2]), samples.values[0::2]
         )
-        b = np.asarray(samples.values)
+        b = samples.values
         assert state.residual_trace == (
-            np.linalg.norm(full.entries @ weights_vector(w_seed) - b),
+            np.linalg.norm(full.entries @ x_seed - b),
             np.linalg.norm(full.entries @ weights_vector(w) - b),
         )
 
