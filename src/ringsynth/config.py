@@ -21,14 +21,48 @@ from .errors import ConfigError, DomainError, TableFormatError
 from .geometry import RingGeometry, elements_for_spacing
 from .targets import TargetPattern
 
-# The fields each target kind reads besides ``kind``; any other is rejected.
-_TARGET_FIELDS = {
-    "flat_top": ("passband_edge", "transition_width", "nulls"),
-    "equi_ripple": ("sll_db", "nulls"),
-    "difference": ("sll_db", "nulls"),
-    "table": ("path", "points"),
+# The JSON types each field kind accepts, and how a wrong type is named.
+_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "true/false"),
+    str: (str, "a string"),
 }
-_DEFAULT_GRID = 2001
+_REQUIRED = object()  # the default of a field that must be given
+
+# Each section's fields, once: a field's name and the rest of its _read
+# arguments (kind, default, minimum, strict_min).  A ``list`` field is only
+# named here; the section's own code checks it.
+_GEOMETRY_FIELDS = {
+    "wavelength": (float, 1.0, 0.0, True),
+    "rings": (int, None, 1),
+    "radii": (list,),
+    "counts": (list,),
+    "spacing": (float, None, 0.0, True),  # absent: half the wavelength
+    "center_element": (bool, True),
+}
+_TARGET_FIELDS = {
+    "flat_top": {"passband_edge": (float, _REQUIRED), "transition_width": (float, 0.0),
+                 "nulls": (list,)},
+    "equi_ripple": {"sll_db": (float, _REQUIRED), "nulls": (list,)},
+    "difference": {"sll_db": (float, _REQUIRED), "nulls": (list,)},
+    "table": {"path": (str,), "points": (list,)},
+}
+_NULL_FIELDS = {
+    "center": (float, _REQUIRED),
+    "depth_db": (float, _REQUIRED),
+    "width": (float, _REQUIRED, 0.0, True),
+}
+_OPTIONAL_SECTIONS = {
+    "solver": {"oversample": (float, 1.0, 1.0)},
+    "output": {
+        "grid_points": (int, 2001, _MIN_GRID),
+        "surface": (bool, False),
+        "theta_points": (int, 181, 2),
+        "phi_points": (int, 73, 2),
+        "directory": (str, "."),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -66,49 +100,43 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _get_number(
+def _read(
     section: Mapping[str, Any],
     field: str,
     prefix: str,
     problems: list[str],
-    default: float | None = None,
+    kind: type,
+    default: Any = None,
     minimum: float | None = None,
     strict_min: bool = False,
-) -> float | None:
+) -> Any:
+    """One scalar field, checked against its kind and lower bound.
+
+    An absent field reads as ``default``, and an absent ``_REQUIRED`` one is a
+    problem.  An invalid value is noted in ``problems`` and also reads as the
+    default (None for a required field), so the checks that use it go on.
+    """
+    fallback = None if default is _REQUIRED else default
     if field not in section:
-        return default
+        if default is _REQUIRED:
+            problems.append(f"{prefix}.{field}: required")
+        return fallback
     value = section[field]
-    if not _is_number(value):
-        problems.append(f"{prefix}.{field}: expected a number, got {value!r}")
-        return None
-    value = float(value)
-    if not math.isfinite(value):
+    types, expected = _KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        problems.append(f"{prefix}.{field}: expected {expected}, got {value!r}")
+        return fallback
+    try:
+        value = kind(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        value = math.inf
+    if kind is float and not math.isfinite(value):
         problems.append(f"{prefix}.{field}: must be finite")
-        return None
+        return fallback
     if minimum is not None and (value <= minimum if strict_min else value < minimum):
-        op = ">" if strict_min else ">="
-        problems.append(f"{prefix}.{field}: must be {op} {minimum:g}, got {value:g}")
-        return None
-    return value
-
-
-def _get_int(
-    section: Mapping[str, Any],
-    field: str,
-    prefix: str,
-    problems: list[str],
-    default: int | None = None,
-    minimum: int | None = None,
-) -> int | None:
-    if field not in section:
-        return default
-    value = section[field]
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{prefix}.{field}: expected an integer, got {value!r}")
-        return None
-    if minimum is not None and value < minimum:
-        problems.append(f"{prefix}.{field}: must be >= {minimum}, got {value}")
-        return None
+        op, fmt = (">" if strict_min else ">="), ("g" if kind is float else "")
+        problems.append(f"{prefix}.{field}: must be {op} {minimum:{fmt}}, got {value:{fmt}}")
+        return fallback
     return value
 
 
@@ -120,34 +148,32 @@ def _reject_unknown(
             problems.append(f"{prefix}.{key}: unknown field")
 
 
+def _read_fields(
+    section: Mapping[str, Any], fields: Mapping[str, tuple], prefix: str, problems: list[str]
+) -> dict[str, Any]:
+    """Every scalar field a table names, read by :func:`_read`."""
+    return {name: _read(section, name, prefix, problems, *spec)
+            for name, spec in fields.items() if spec[0] is not list}
+
+
 def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeometry | None:
     section = raw.get("geometry")
     if not isinstance(section, dict):
         problems.append("geometry: section missing or not an object")
         return None
-    known = ("wavelength", "rings", "radii", "counts", "spacing", "center_element")
-    _reject_unknown(section, known, "geometry", problems)
-    wavelength = _get_number(section, "wavelength", "geometry", problems, default=1.0,
-                             minimum=0.0, strict_min=True)
-    center = section.get("center_element", True)
-    if not isinstance(center, bool):
-        problems.append(f"geometry.center_element: expected true/false, got {center!r}")
-        center = True
-
+    _reject_unknown(section, _GEOMETRY_FIELDS, "geometry", problems)
+    values = _read_fields(section, _GEOMETRY_FIELDS, "geometry", problems)
+    wavelength = values["wavelength"]
+    spacing = values["spacing"] if "spacing" in section else wavelength / 2.0
     has_rings = "rings" in section
     has_radii = "radii" in section
     if has_rings == has_radii:
         problems.append("geometry: give exactly one of 'rings' or 'radii'")
-    spacing = _get_number(section, "spacing", "geometry", problems,
-                          default=None if wavelength is None else wavelength / 2.0,
-                          minimum=0.0, strict_min=True)
 
     # each field is checked on its own, so one bad field hides no other
     radii: tuple[float, ...] | None = None
-    if has_rings:
-        n_rings = _get_int(section, "rings", "geometry", problems, minimum=1)
-        if n_rings is not None and wavelength is not None:
-            radii = tuple(n * wavelength / 2.0 for n in range(1, n_rings + 1))
+    if values["rings"] is not None:
+        radii = tuple(n * wavelength / 2.0 for n in range(1, values["rings"] + 1))
     if has_radii:
         raw_radii = section["radii"]
         if not isinstance(raw_radii, list) or not all(map(_is_number, raw_radii)):
@@ -170,8 +196,12 @@ def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeomet
             or not all(isinstance(c, int) and not isinstance(c, bool) for c in raw_counts)
         ):
             problems.append("geometry.counts: expected a list of integers matching radii")
+        elif not all(c >= 1 for c in raw_counts):
+            problems.append(
+                f"geometry.counts: each ring needs at least one element, got {raw_counts}"
+            )
         else:
-            counts = tuple(int(c) for c in raw_counts)
+            counts = tuple(raw_counts)
         if has_radii and "spacing" in section:
             problems.append("geometry.spacing: not used when counts are given")
     elif radii is not None and spacing is not None:
@@ -180,18 +210,13 @@ def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeomet
         except DomainError as exc:
             problems.append(f"geometry.radii: {exc}")
 
-    if wavelength is None or radii is None or counts is None or has_rings == has_radii:
+    if radii is None or counts is None or has_rings == has_radii:
         return None
-    if len(radii) == 0 and not center:
+    if len(radii) == 0 and not values["center_element"]:
         problems.append("geometry: needs at least one ring or a center element")
         return None
     try:
-        return RingGeometry(
-            wavelength=wavelength,
-            radii=radii,
-            elements_per_ring=counts,
-            has_center_element=center,
-        )
+        return RingGeometry(wavelength, radii, counts, values["center_element"])
     except DomainError as exc:
         problems.append(f"geometry: {exc}")
         return None
@@ -208,21 +233,15 @@ def _resolve_nulls(
         return None
     nulls = []
     for i, entry in enumerate(raw_nulls):
-        if not isinstance(entry, dict):
-            problems.append(f"target.nulls[{i}]: expected an object")
-            return None
-        _reject_unknown(entry, ("center", "depth_db", "width"), f"target.nulls[{i}]", problems)
-        center = _get_number(entry, "center", f"target.nulls[{i}]", problems)
-        depth = _get_number(entry, "depth_db", f"target.nulls[{i}]", problems)
-        width = _get_number(entry, "width", f"target.nulls[{i}]", problems,
-                            minimum=0.0, strict_min=True)
-        if center is None or depth is None or width is None:
-            problems.append(f"target.nulls[{i}]: needs center, depth_db and width")
-            return None
-        nulls.append({"center": center, "depth_db": depth, "width": width})
-    depths = {n["depth_db"] for n in nulls}
-    widths = {n["width"] for n in nulls}
-    if len(depths) > 1 or len(widths) > 1:
+        prefix = f"target.nulls[{i}]"
+        if isinstance(entry, dict):
+            _reject_unknown(entry, _NULL_FIELDS, prefix, problems)
+            nulls.append(_read_fields(entry, _NULL_FIELDS, prefix, problems))
+        else:
+            problems.append(f"{prefix}: expected an object")
+    if len(nulls) < len(raw_nulls) or any(None in null.values() for null in nulls):
+        return None
+    if len({(n["depth_db"], n["width"]) for n in nulls}) > 1:
         problems.append("target.nulls: all notches must share one depth_db and one width")
         return None
     return nulls
@@ -241,83 +260,61 @@ def _resolve_target(
         return None
     kind = section.get("kind")
     fields = _TARGET_FIELDS.get(kind) if isinstance(kind, str) else None
-    known = {field for kind_fields in _TARGET_FIELDS.values() for field in kind_fields}
     for key in section:
-        if key == "kind":
-            continue
-        if key not in known:
+        if key != "kind" and not any(key in known for known in _TARGET_FIELDS.values()):
             problems.append(f"target.{key}: unknown field")
-        elif fields is not None and key not in fields:
+        elif key != "kind" and fields is not None and key not in fields:
             problems.append(f"target.{key}: not used by a {kind} target")
     if fields is None:
         problems.append(f"target.kind: expected one of {tuple(_TARGET_FIELDS)}, got {kind!r}")
         return None
+    values = _read_fields(section, fields, "target", problems)
 
     if kind == "table":
-        has_path = "path" in section
-        has_points = "points" in section
-        if has_path == has_points:
+        if ("path" in section) == ("points" in section):
             problems.append("target: a table needs exactly one of 'path' or 'points'")
             return None
-        points = section.get("points")
-        if has_points and not (
+        path, points = values["path"], section.get("points")
+        if "points" in section and not (
             isinstance(points, list)
             and all(isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
                     for p in points)
         ):
             problems.append("target.points: expected a list of [u, value] number pairs")
             return None
+        if path is None and points is None:
+            return None  # a path that is not a string, already noted
         try:
-            if has_points:
-                table = targets.from_table(points)
-            else:
-                path = Path(str(section["path"]))
-                if not path.is_absolute():
-                    path = base_dir / path
-                table = targets.load_table(path)
+            table = targets.from_table(points) if path is None else targets.load_table(
+                base_dir / path
+            )
         except (TableFormatError, DomainError) as exc:
             problems.append(f"target: {exc}")
             return None
         return table, {"kind": kind, "points": [list(p) for p in table.params["points"]]}
 
     nulls = _resolve_nulls(section, problems)
-    if nulls is None:
+    if nulls is None or None in values.values():
         return None
-
     try:
         if kind == "flat_top":
-            edge = _get_number(section, "passband_edge", "target", problems)
-            width = _get_number(section, "transition_width", "target", problems, default=0.0)
-            if edge is None:
-                problems.append("target.passband_edge: required for flat_top")
-                return None
-            base = targets.flat_top(edge, width if width is not None else 0.0)
-            echo = dict(kind=kind, passband_edge=edge, transition_width=width)
+            target = targets.flat_top(values["passband_edge"], values["transition_width"])
         else:
-            sll = _get_number(section, "sll_db", "target", problems)
-            if sll is None:
-                problems.append("target.sll_db: required for this target kind")
-                return None
             # the ring count only shapes the beam: without a valid geometry the
             # target is still built, for one ring, so its own fields are checked
             rings = 1 if geometry is None else geometry.n_rings
-            if kind == "equi_ripple":
-                base = targets.equi_ripple(sll, rings)
-            else:
-                base = targets.difference(sll, rings)
-            echo = dict(kind=kind, sll_db=sll)
+            build = targets.equi_ripple if kind == "equi_ripple" else targets.difference
+            target = build(values["sll_db"], rings)
         if nulls:
-            base = targets.with_nulls(
-                base,
-                [n["center"] for n in nulls],
-                nulls[0]["depth_db"],
-                nulls[0]["width"],
-            )
-            echo["nulls"] = nulls
-        return base, echo
+            centers = [null["center"] for null in nulls]
+            target = targets.with_nulls(target, centers, nulls[0]["depth_db"], nulls[0]["width"])
     except DomainError as exc:
         problems.append(f"target: {exc}")
         return None
+    echo = {"kind": kind, **values}
+    if nulls:
+        echo["nulls"] = nulls
+    return target, echo
 
 
 def resolve_config(
@@ -329,51 +326,25 @@ def resolve_config(
     the resolved config plus non-fatal feasibility warnings otherwise.
     """
     problems: list[str] = []
-    base_dir = Path(base_dir)
-
-    known = {"geometry", "target", "solver", "output"}
     for key in raw:
-        if key not in known:
+        if key not in ("geometry", "target", *_OPTIONAL_SECTIONS):
             problems.append(f"{key}: unknown section")
 
     geometry = _resolve_geometry(raw, problems)
-    resolved_target = _resolve_target(raw, geometry, base_dir, problems)
-
-    solver_raw = raw.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        problems.append("solver: section must be an object")
-        solver_raw = {}
-    oversample = _get_number(solver_raw, "oversample", "solver", problems,
-                             default=1.0, minimum=1.0)
-    _reject_unknown(solver_raw, ("oversample",), "solver", problems)
-
-    output_raw = raw.get("output", {})
-    if not isinstance(output_raw, dict):
-        problems.append("output: section must be an object")
-        output_raw = {}
-    grid_points = _get_int(output_raw, "grid_points", "output", problems,
-                           default=_DEFAULT_GRID, minimum=_MIN_GRID)
-    surface = output_raw.get("surface", False)
-    if not isinstance(surface, bool):
-        problems.append(f"output.surface: expected true/false, got {surface!r}")
-        surface = False
-    theta_points = _get_int(output_raw, "theta_points", "output", problems,
-                            default=181, minimum=2)
-    phi_points = _get_int(output_raw, "phi_points", "output", problems,
-                          default=73, minimum=2)
-    out_dir = output_raw.get("directory", ".")
-    if not isinstance(out_dir, str):
-        problems.append(f"output.directory: expected a string, got {out_dir!r}")
-        out_dir = "."
-    _reject_unknown(output_raw, ("grid_points", "surface", "theta_points", "phi_points",
-                                 "directory"), "output", problems)
+    resolved_target = _resolve_target(raw, geometry, Path(base_dir), problems)
+    settings = {}
+    for name, fields in _OPTIONAL_SECTIONS.items():
+        section = raw.get(name, {})
+        if not isinstance(section, dict):
+            problems.append(f"{name}: section must be an object")
+            section = {}
+        _reject_unknown(section, fields, name, problems)
+        settings[name] = _read_fields(section, fields, name, problems)
 
     if problems or geometry is None or resolved_target is None:
         raise ConfigError(problems or ["config could not be resolved"])
     target, target_echo = resolved_target
-    assert oversample is not None
-    assert grid_points is not None and theta_points is not None and phi_points is not None
-
+    out_dir = settings["output"].pop("directory")  # the run's location, not its settings
     echo = {
         "geometry": {
             "wavelength": geometry.wavelength,
@@ -382,25 +353,10 @@ def resolve_config(
             "center_element": geometry.has_center_element,
         },
         "target": target_echo,
-        "solver": {"oversample": oversample},
-        "output": {
-            "grid_points": grid_points,
-            "surface": surface,
-            "theta_points": theta_points,
-            "phi_points": phi_points,
-        },
+        **settings,
     }
-
     resolved = ResolvedConfig(
-        geometry=geometry,
-        target=target,
-        oversample=oversample,
-        grid_points=grid_points,
-        surface=surface,
-        theta_points=theta_points,
-        phi_points=phi_points,
-        out_dir=out_dir,
-        echo=echo,
+        geometry, target, **settings["solver"], **settings["output"], out_dir=out_dir, echo=echo
     )
     return resolved, feasibility_warnings(resolved)
 
@@ -417,31 +373,30 @@ def feasibility_warnings(cfg: ResolvedConfig) -> list[str]:
     if geom.n_rings == 0:
         return ["geometry has no rings; only a constant pattern is representable"]
     resolution = geom.wavelength / (2.0 * geom.radii[-1])
-    params = cfg.target.params
+    target = cfg.echo["target"]
 
-    edge = params.get("passband_edge")
+    edge = target.get("passband_edge")
     if edge is not None:
-        width = float(params.get("transition_width", 0.0))  # type: ignore[arg-type]
-        if float(edge) < resolution:  # type: ignore[arg-type]
+        if edge < resolution:
             warnings.append(
-                f"passband half-width {float(edge):g} is below the aperture "
+                f"passband half-width {edge:g} is below the aperture "
                 f"resolution {resolution:g}; expect a poor fit"
             )
-        stop_margin = 1.0 - (float(edge) + width)  # type: ignore[arg-type]
+        stop_margin = 1.0 - (edge + target["transition_width"])
         if stop_margin < resolution:
             warnings.append(
                 f"stopband span {stop_margin:g} beyond the transition is below the "
                 f"aperture resolution {resolution:g}; expect a poor fit"
             )
-    centers = params.get("null_centers")
-    if centers:
-        null_width = float(params.get("null_width", 0.0))  # type: ignore[arg-type]
+    nulls = target.get("nulls", [])
+    if nulls:
+        null_width = nulls[0]["width"]
         if null_width < resolution / 2.0:
             warnings.append(
                 f"null half-width {null_width:g} is below half the aperture "
                 f"resolution {resolution:g}; nulls may not reach depth"
             )
-        for c in centers:  # type: ignore[union-attr]
-            if abs(float(c)) + null_width > 1.0:
-                warnings.append(f"null at u={float(c):g} extends beyond visible space")
+        for null in nulls:
+            if abs(null["center"]) + null_width > 1.0:
+                warnings.append(f"null at u={null['center']:g} extends beyond visible space")
     return warnings

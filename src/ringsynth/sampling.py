@@ -64,10 +64,14 @@ def min_batch_samples(geom: RingGeometry) -> int:
     """Smallest first-stage sample count for a geometry.
 
     ceil(4 * (N_r - 1) * max adjacent ring spacing / wavelength), floored at
-    N_r + 1 so the linear system cannot be underdetermined.  Single-ring
-    layouts have no ring spacing and use the floor alone.
+    N_r + 1 so the linear system cannot be underdetermined, and at the
+    aperture's Nyquist count ceil(2 * r_max / wavelength) + 1: F(u) is
+    bandlimited to k * r_max, so samples on [0, 1] must sit at most
+    wavelength / (2 * r_max) apart.  Single-ring layouts have no ring spacing
+    and use the floors alone.
     """
-    floor = geom.n_rings + 1
+    r_max = geom.radii[-1] if geom.radii else 0.0
+    floor = max(geom.n_rings, math.ceil(2.0 * r_max / geom.wavelength)) + 1
     if geom.n_rings < 2:
         return floor
     spacing = max(b - a for a, b in zip(geom.radii, geom.radii[1:]))

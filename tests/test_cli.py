@@ -151,6 +151,11 @@ class TestConfigResolution:
             ({"rings": 3, "counts": [6, 13, 19]},
              {"kind": "flat_top", "passband_edge": 0.4},
              ["geometry.counts: only used with 'radii'"]),
+            ({"rings": 3},
+             {"kind": "flat_top", "passband_edge": "x",
+              "nulls": [3, {"center": "a", "depth_db": -40, "width": 0.05}]},
+             ["target.passband_edge: expected a number", "target.nulls[0]: expected an object",
+              "target.nulls[1].center: expected a number"]),
         ],
     )
     def test_each_field_reports_its_own_problem(self, geometry, target, expected):
@@ -211,6 +216,13 @@ class TestConfigResolution:
         assert again.geometry == cfg.geometry
         assert again.grid_points == cfg.grid_points
 
+    def test_nulls_null_means_no_nulls(self):
+        cfg, _ = resolve_config(minimal_config(
+            target={"kind": "flat_top", "passband_edge": 0.4, "nulls": None}
+        ))
+        assert "nulls" not in cfg.echo["target"]
+        assert "null_centers" not in cfg.target.params
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config_file(tmp_path / "missing.json")
@@ -220,6 +232,104 @@ class TestConfigResolution:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_config_file(path)
+
+
+EQUI_RIPPLE_WITH_NULL = {"kind": "equi_ripple", "sll_db": -25,
+                         "nulls": [{"center": 0.5, "depth_db": -40, "width": 0.05}]}
+
+# Every scalar field of every config section: where it sits, the target it
+# needs (None for the minimal flat-top), its JSON kind, its default (None when
+# it has none) and a value below its lower bound with the text that value
+# gives (None when the config states no bound).
+SCALAR_FIELDS = [
+    ("geometry", "wavelength", None, "number", 1.0, (-1, "must be > 0, got -1")),
+    ("geometry", "rings", None, "integer", None, (0, "must be >= 1, got 0")),
+    ("geometry", "spacing", None, "number", 0.5, (-1, "must be > 0, got -1")),
+    ("geometry", "center_element", None, "bool", True, None),
+    ("target", "passband_edge", None, "number", None, None),
+    ("target", "transition_width", None, "number", 0.0, None),
+    ("target", "sll_db", EQUI_RIPPLE_WITH_NULL, "number", None, None),
+    ("target", "path", {"kind": "table", "path": "shape.csv"}, "string", None, None),
+    ("target.nulls[0]", "center", EQUI_RIPPLE_WITH_NULL, "number", None, None),
+    ("target.nulls[0]", "depth_db", EQUI_RIPPLE_WITH_NULL, "number", None, None),
+    ("target.nulls[0]", "width", EQUI_RIPPLE_WITH_NULL, "number", None,
+     (-1, "must be > 0, got -1")),
+    ("solver", "oversample", None, "number", 1.0, (0.5, "must be >= 1, got 0.5")),
+    ("output", "grid_points", None, "integer", 2001, (800, "must be >= 801, got 800")),
+    ("output", "surface", None, "bool", False, None),
+    ("output", "theta_points", None, "integer", 181, (1, "must be >= 2, got 1")),
+    ("output", "phi_points", None, "integer", 73, (1, "must be >= 2, got 1")),
+    ("output", "directory", None, "string", ".", None),
+]
+EXPECTED = {"number": "a number", "integer": "an integer", "bool": "true/false",
+            "string": "a string"}
+WRONG_TYPES = {"number": ["0.5", True, None, [1.0]], "integer": [2.0, 1.5, True, "3"],
+               "bool": [1, "yes", None], "string": [3, True, None]}
+ABSENT = object()
+
+
+def field_config(prefix, target, field, value):
+    """The minimal config with one field set to value, or removed if ABSENT."""
+    raw = json.loads(json.dumps(minimal_config(target=target) if target else minimal_config()))
+    section = (raw["target"]["nulls"][0] if prefix == "target.nulls[0]"
+               else raw.setdefault(prefix, {}))
+    section.pop(field, None)
+    if value is not ABSENT:
+        section[field] = value
+    return raw
+
+
+def field_problems(prefix, target, field, value):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(field_config(prefix, target, field, value))
+    return err.value.problems
+
+
+def case_id(case):
+    return f"{case[0]}.{case[1]}"
+
+
+class TestFieldReader:
+    @pytest.mark.parametrize("case", SCALAR_FIELDS, ids=case_id)
+    def test_wrong_type_is_named(self, case):
+        prefix, field, target, kind, _, _ = case
+        for value in WRONG_TYPES[kind]:
+            problems = field_problems(prefix, target, field, value)
+            assert f"{prefix}.{field}: expected {EXPECTED[kind]}, got {value!r}" in problems
+
+    @pytest.mark.parametrize(
+        "case", [c for c in SCALAR_FIELDS if c[3] == "number"], ids=case_id
+    )
+    def test_non_finite_number_rejected(self, case):
+        prefix, field, target, _, _, _ = case
+        for value in (float("nan"), float("inf"), -10**400):
+            assert f"{prefix}.{field}: must be finite" in field_problems(
+                prefix, target, field, value
+            )
+
+    @pytest.mark.parametrize("case", [c for c in SCALAR_FIELDS if c[5]], ids=case_id)
+    def test_value_below_bound_rejected(self, case):
+        prefix, field, target, _, _, (value, text) = case
+        assert f"{prefix}.{field}: {text}" in field_problems(prefix, target, field, value)
+
+    @pytest.mark.parametrize(
+        "case", [c for c in SCALAR_FIELDS if c[4] is not None], ids=case_id
+    )
+    def test_absent_field_takes_its_default(self, case):
+        prefix, field, target, _, default, _ = case
+        absent, _ = resolve_config(field_config(prefix, target, field, ABSENT))
+        explicit, _ = resolve_config(field_config(prefix, target, field, default))
+        assert absent.echo == explicit.echo
+        if field in absent.echo.get(prefix, {}):
+            assert absent.echo[prefix][field] == default
+        if field == "directory":
+            assert absent.out_dir == default
+
+    @pytest.mark.parametrize("field", ["passband_edge", "sll_db"])
+    def test_required_target_field(self, field):
+        target = {"kind": "flat_top" if field == "passband_edge" else "difference"}
+        problems = field_problems("target", target, field, ABSENT)
+        assert any(p.startswith(f"target.{field}: required") for p in problems), problems
 
 
 class TestCliRun:
@@ -423,6 +533,24 @@ class TestCliValidate:
         err = capsys.readouterr().err
         assert "geometry.wavelength: must be > 0" in err
         assert "geometry.radii: must be strictly increasing and positive" in err
+
+    def test_validate_reports_bad_counts_beside_bad_wavelength(self, tmp_path, capsys):
+        # counts are checked on their own and reported under their own name
+        geometry = {"wavelength": -1.0, "radii": [0.5, 1.0], "counts": [0, 6]}
+        path = write_config(tmp_path, minimal_config(geometry=geometry))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "geometry.wavelength: must be > 0" in err
+        assert "geometry.counts: each ring needs at least one element, got [0, 6]" in err
+
+    @pytest.mark.parametrize("counts", [[0, 6], [6, -1]])
+    def test_counts_must_be_positive(self, counts):
+        geometry = {"wavelength": 1.0, "radii": [0.5, 1.0], "counts": counts}
+        with pytest.raises(ConfigError) as err:
+            resolve_config(minimal_config(geometry=geometry))
+        assert err.value.problems == [
+            f"geometry.counts: each ring needs at least one element, got {counts}"
+        ]
 
     @pytest.mark.parametrize("radii", [[0.5, 0.5], [-0.5, 1.0], [0.0, 1.0]])
     def test_radii_order_and_sign_checked_with_valid_fields(self, radii):

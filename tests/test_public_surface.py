@@ -29,6 +29,9 @@ RETIRED = [
     (TargetPattern, "signed_evaluator"),
     (targets, "_chebyshev_design"),
     (config, "_target_echo"),
+    (config, "_get_number"),
+    (config, "_get_int"),
+    (config, "_DEFAULT_GRID"),
 ]
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ringsynth.config import resolve_config
 from ringsynth.errors import DomainError
 from ringsynth.geometry import RingGeometry, uniform_half_wavelength_geometry
 from ringsynth.sampling import (
@@ -15,6 +16,7 @@ from ringsynth.sampling import (
     min_batch_samples,
     min_total_samples,
 )
+from ringsynth.runner import run_synthesis
 from ringsynth.targets import flat_top, from_table
 
 
@@ -173,3 +175,34 @@ class TestSampleSetValidation:
         assert samples.batch_count == len(samples.abscissas[0::2])
         assert samples.batch_count + len(samples.abscissas[1::2]) == total
 
+
+
+class TestApertureFloor:
+    """Two close rings on a wide aperture: the ring-spacing rule alone sizes
+    the batch by the 0.1-wavelength gap and undersamples a pattern whose
+    detail is set by the 10.1-wavelength outer radius."""
+
+    RAW = {
+        "geometry": {"wavelength": 1.0, "radii": [10.0, 10.1], "counts": [63, 63]},
+        "target": {"kind": "flat_top", "passband_edge": 0.3, "transition_width": 0.1},
+    }
+
+    def run(self, oversample):
+        raw = {**self.RAW, "solver": {"oversample": oversample}}
+        cfg, _ = resolve_config(raw)
+        report = run_synthesis(cfg)
+        weights = np.array([report.weights.center, *report.weights.rings])
+        return report, weights
+
+    def test_batch_floor_resolves_the_aperture(self):
+        geom = RingGeometry(1.0, (10.0, 10.1), (63, 63))
+        assert min_batch_samples(geom) >= 22  # ceil(2 * 10.1 / 1) + 1
+
+    def test_default_sampling_matches_oversampled_fit(self):
+        report, weights = self.run(1.0)
+        fine, fine_weights = self.run(8.0)
+        assert report.samples.batch_count >= 22
+        assert report.metrics.rms_error_vs_target_db == pytest.approx(
+            fine.metrics.rms_error_vs_target_db, abs=0.01
+        )
+        assert np.max(np.abs(weights - fine_weights)) < 1e-3
