@@ -109,8 +109,12 @@ def pattern_on_grid(
         )
     basis = _ring_block(geom, u)
     rings = np.asarray(w.rings, dtype=complex)
-    # two real products: no complex copy of the basis
-    total = basis @ rings.real + 1j * (basis @ rings.imag)
+    # two real products, no complex copy of the basis; einsum sums each row
+    # the same way wherever it sits, where BLAS gemv rounds its tail rows
+    # differently, so equal rows (the +/-u pairs of a cut) give equal values.
+    # Its order follows the operands' strides, hence the contiguous parts.
+    real, imag = np.ascontiguousarray(rings.real), np.ascontiguousarray(rings.imag)
+    total = np.einsum("ij,j->i", basis, real) + 1j * np.einsum("ij,j->i", basis, imag)
     if geom.has_center_element:
         total = total + w.center
     return total

@@ -100,6 +100,14 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _to_float(value: int | float) -> float:
+    """A JSON number as a float; an integer beyond the float range reads as inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _read(
     section: Mapping[str, Any],
     field: str,
@@ -126,10 +134,7 @@ def _read(
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
         problems.append(f"{prefix}.{field}: expected {expected}, got {value!r}")
         return fallback
-    try:
-        value = kind(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        value = math.inf
+    value = _to_float(value) if kind is float else kind(value)
     if kind is float and not math.isfinite(value):
         problems.append(f"{prefix}.{field}: must be finite")
         return fallback
@@ -178,7 +183,9 @@ def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeomet
         raw_radii = section["radii"]
         if not isinstance(raw_radii, list) or not all(map(_is_number, raw_radii)):
             problems.append("geometry.radii: expected a list of numbers")
-        elif not all(math.isfinite(b) and b > a for a, b in zip([0.0] + raw_radii, raw_radii)):
+        elif not all(map(math.isfinite, map(_to_float, raw_radii))):
+            problems.append("geometry.radii: must be finite")
+        elif not all(b > a for a, b in zip([0.0] + raw_radii, raw_radii)):
             problems.append(
                 f"geometry.radii: must be strictly increasing and positive, got {raw_radii}"
             )
@@ -196,6 +203,8 @@ def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeomet
             or not all(isinstance(c, int) and not isinstance(c, bool) for c in raw_counts)
         ):
             problems.append("geometry.counts: expected a list of integers matching radii")
+        elif not all(map(math.isfinite, map(_to_float, raw_counts))):
+            problems.append("geometry.counts: must be finite")
         elif not all(c >= 1 for c in raw_counts):
             problems.append(
                 f"geometry.counts: each ring needs at least one element, got {raw_counts}"

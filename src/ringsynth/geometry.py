@@ -94,7 +94,12 @@ def elements_for_spacing(radius: float, target_spacing: float) -> int:
         raise DomainError(f"radius must be positive, got {radius!r}")
     if not (math.isfinite(target_spacing) and target_spacing > 0):
         raise DomainError(f"target spacing must be positive, got {target_spacing!r}")
-    count = int(math.floor(2.0 * math.pi * radius / target_spacing + 0.5))
+    ratio = 2.0 * math.pi * radius / target_spacing
+    if not math.isfinite(ratio):
+        raise DomainError(
+            f"radius {radius!r} over spacing {target_spacing!r} is beyond the float range"
+        )
+    count = int(math.floor(ratio + 0.5))
     return max(count, 1)
 
 

@@ -279,7 +279,10 @@ def from_table(samples: Sequence[tuple[float, float]]) -> TargetPattern:
     at their boundary values and the whole table is normalized by its largest
     magnitude.
     """
-    points = [(float(u), float(v)) for u, v in samples]
+    try:
+        points = [(float(u), float(v)) for u, v in samples]
+    except OverflowError:
+        raise TableFormatError("table entry beyond the float range") from None
     if len(points) < 2:
         raise TableFormatError(f"need at least 2 table points, got {len(points)}")
     us = [p[0] for p in points]

@@ -1,5 +1,6 @@
 """Shared test fixtures."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,8 +12,6 @@ def pattern_oracle():
     Independent of the package's J0: every term comes from ``mpmath.besselj``
     at 30 digits, and the sum is rounded to a complex double once.
     """
-    mpmath = pytest.importorskip("mpmath")
-
     def evaluate(geom, w, u):
         values = []
         with mpmath.workdps(30):

@@ -560,6 +560,28 @@ class TestCliValidate:
             f"geometry.radii: must be strictly increasing and positive, got {radii}"
         ]
 
+    @pytest.mark.parametrize(
+        "overrides, problem",
+        [
+            ({"geometry": {"wavelength": 1.0, "radii": [10**400]}},
+             "geometry.radii: must be finite"),
+            ({"target": {"kind": "table", "points": [[-1.0, 1.0], [10**400, 1.0]]}},
+             "target: table entry beyond the float range"),
+            ({"geometry": {"wavelength": 1.0, "radii": [1e300], "spacing": 1e-300}},
+             "geometry.radii: radius 1e+300 over spacing 1e-300 is beyond the float range"),
+            ({"geometry": {"wavelength": 1.0, "radii": [0.5], "counts": [10**400]}},
+             "geometry.counts: must be finite"),
+        ],
+        ids=["huge_integer_radius", "huge_integer_table_point", "element_count_overflow",
+             "huge_integer_count"],
+    )
+    def test_number_beyond_float_range_is_a_field_problem(
+        self, tmp_path, capsys, overrides, problem
+    ):
+        path = write_config(tmp_path, minimal_config(**overrides))
+        assert main(["validate", str(path)]) == 2
+        assert problem in capsys.readouterr().err
+
     def test_spacing_with_explicit_counts_rejected(self, tmp_path, capsys):
         geometry = {"wavelength": 1.0, "radii": [0.5, 1.0], "counts": [6, 13], "spacing": 0.4}
         path = write_config(tmp_path, minimal_config(geometry=geometry))

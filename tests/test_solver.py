@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -453,7 +454,6 @@ class TestSynthesize:
     def test_bundled_weights_within_cond_eps_of_exact(self, name):
         # the exact least-squares solution of the sampled float64 system, by
         # 40-digit QR; a backward-stable solve lands within cond(A) * eps
-        mpmath = pytest.importorskip("mpmath")
         path = bundled_config_path(name)
         cfg, _ = resolve_config(load_config_file(path), base_dir=path.parent)
         geom = cfg.geometry

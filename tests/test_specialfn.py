@@ -3,13 +3,29 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ringsynth.errors import DomainError
-from ringsynth.specialfn import _BLOCK, bessel_j0_grid
+from ringsynth.specialfn import (
+    _BLOCK,
+    _HANKEL_G,
+    _HANKEL_M,
+    _SERIES_R,
+    _j0_hankel,
+    _j0_series,
+    _polevl,
+    bessel_j0_grid,
+)
+
+
+def j0_mpmath(xs) -> np.ndarray:
+    """J0 at each point, from 30-digit mpmath rounded once to double."""
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.besselj(0, mpmath.mpf(float(x)))) for x in xs])
 
 
 def j0_series_oracle(x: float, terms: int = 60) -> float:
@@ -49,12 +65,17 @@ class TestBesselJ0:
         assert np.max(np.abs(bessel_j0_grid(xs) - oracle)) <= 1e-10
 
     def test_large_argument_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
+        # the 500-ring large-array design reaches k * r_max ~ 1571
         rng = np.random.default_rng(7)
-        xs = np.concatenate([np.linspace(0.1, 500.0, 200), rng.uniform(0, 500, 100)])
-        with mpmath.workdps(30):
-            ref = np.array([float(mpmath.besselj(0, mpmath.mpf(float(x)))) for x in xs])
-        assert np.max(np.abs(bessel_j0_grid(xs) - ref)) <= 1e-10
+        xs = np.concatenate([np.linspace(0.1, 2000.0, 400), rng.uniform(-2000, 2000, 200)])
+        assert np.max(np.abs(bessel_j0_grid(xs) - j0_mpmath(xs))) <= 1e-14
+
+    def test_seam_against_mpmath(self):
+        xs = np.array([np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0)])
+        values = bessel_j0_grid(xs)
+        assert np.max(np.abs(values - j0_mpmath(xs))) <= 1e-15
+        # one ulp of x moves J0 by ~4e-16 here; the branches meet without a step
+        assert np.max(np.abs(np.diff(values))) <= 1e-15
 
     def test_branch_switchover_consistency(self):
         xs = np.linspace(7.9, 8.1, 41)
@@ -75,6 +96,48 @@ class TestBesselJ0:
     def test_grid_rejects_non_finite(self):
         with pytest.raises(DomainError):
             bessel_j0_grid(np.array([1.0, math.nan]))
+
+
+class TestKernelCoefficients:
+    """Each branch and each fitted table against mpmath over its own interval."""
+
+    # Chebyshev nodes on t in (-1, 1): dense at both ends, x = infinity excluded
+    T = np.cos(np.pi * (np.arange(600) + 0.5) / 600)
+
+    def test_series_branch(self):
+        xs = np.linspace(0.0, 8.0, 2001)[:-1]
+        assert np.max(np.abs(_j0_series(xs, np.empty_like(xs)) - j0_mpmath(xs))) <= 1e-15
+
+    def test_hankel_branch_near_cutoff(self):
+        # above x ~ 64 the rounding of the cosine's argument dominates; the
+        # whole-range test covers it
+        xs = np.linspace(8.0, 64.0, 2001)
+        assert np.max(np.abs(_j0_hankel(xs, np.empty_like(xs)) - j0_mpmath(xs))) <= 1e-15
+
+    def test_series_table(self):
+        with mpmath.workdps(30):
+            ref = []
+            for t in self.T.tolist():
+                xx = 32 * (mpmath.mpf(t) + 1)
+                ref.append(float((1 - mpmath.besselj(0, mpmath.sqrt(xx))) / xx))
+        fit = _polevl(self.T, _SERIES_R, np.empty_like(self.T))
+        assert np.max(np.abs(fit - ref)) <= 6e-17
+
+    def test_hankel_tables(self):
+        # m = sqrt(x) M0 and g = x (theta0 - x + pi/4), with J0 = M0 cos(theta0)
+        ref = []
+        with mpmath.workdps(30):
+            for t in self.T.tolist():
+                x = mpmath.sqrt(128 / (mpmath.mpf(t) + 1))
+                j, y = mpmath.besselj(0, x), mpmath.bessely(0, x)
+                theta = mpmath.atan2(y, j)
+                theta += 2 * mpmath.pi * mpmath.nint((x - mpmath.pi / 4 - theta) / (2 * mpmath.pi))
+                ref.append((float(mpmath.sqrt(x * (j * j + y * y))),
+                            float(x * (theta - x + mpmath.pi / 4))))
+        m_ref, g_ref = np.array(ref).T
+        assert np.max(np.abs(_polevl(self.T, _HANKEL_M, np.empty_like(self.T)) - m_ref)) <= 2.5e-16
+        # a phase error of g's size over x >= 8 stays below 2e-16
+        assert np.max(np.abs(_polevl(self.T, _HANKEL_G, np.empty_like(self.T)) - g_ref)) <= 1.5e-15
 
 
 class TestBlockedGrid:
