@@ -96,27 +96,24 @@ def _symmetric_grid(n: int) -> NDArray[np.float64]:
 
 def pattern_on_grid(
     geom: RingGeometry, w: Weights, u: NDArray[np.float64]
-) -> NDArray[np.complex128]:
+) -> NDArray[np.float64]:
     """Array factor evaluated over a whole u grid at once.
 
     The ring columns are the solver's ring block, without the center
     column the fit appends; the center weight is added after the ring
-    products.
+    product.
     """
     if not w.matches(geom):
         raise DomainError(
             f"weights carry {len(w.rings)} rings but geometry has {geom.n_rings}"
         )
-    basis = _ring_block(geom, u)
-    rings = np.asarray(w.rings, dtype=complex)
-    # two real products, no complex copy of the basis; einsum sums each row
-    # the same way wherever it sits, where BLAS gemv rounds its tail rows
-    # differently, so equal rows (the +/-u pairs of a cut) give equal values.
-    # Its order follows the operands' strides, hence the contiguous parts.
-    real, imag = np.ascontiguousarray(rings.real), np.ascontiguousarray(rings.imag)
-    total = np.einsum("ij,j->i", basis, real) + 1j * np.einsum("ij,j->i", basis, imag)
+    # einsum sums each row the same way wherever it sits, where BLAS gemv
+    # rounds its tail rows differently, so equal rows (the +/-u pairs of a
+    # cut) give equal values.  Its order follows the operands' strides, hence
+    # the contiguous weight vector.
+    total = np.einsum("ij,j->i", _ring_block(geom, u), np.array(w.rings))
     if geom.has_center_element:
-        total = total + w.center
+        total += w.center
     return total
 
 

@@ -18,7 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
+
+
+def _require_real(values: object, what: str) -> None:
+    """Raise :class:`DomainError` for complex input, which a float cast would truncate."""
+    if np.iscomplexobj(values):
+        raise DomainError(f"{what} must be real, got complex values")
 
 
 @dataclass(frozen=True)
@@ -71,14 +79,15 @@ class RingGeometry:
 
 @dataclass(frozen=True)
 class Weights:
-    """Per-ring excitation coefficients plus the center-element coefficient."""
+    """Real excitation weights, per ring and for the center; complex ones raise DomainError."""
 
-    center: complex
-    rings: tuple[complex, ...]
+    center: float
+    rings: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "rings", tuple(complex(w) for w in self.rings))
+        _require_real((self.center, *self.rings), "excitation weights")
+        object.__setattr__(self, "center", float(self.center))
+        object.__setattr__(self, "rings", tuple(float(w) for w in self.rings))
 
     def matches(self, geom: RingGeometry) -> bool:
         return len(self.rings) == geom.n_rings

@@ -34,6 +34,7 @@ WEIGHTS_FILE = "weights.csv"
 CUT_FILE = "cut.csv"
 SURFACE_FILE = "surface.csv"
 REPORT_FILE = "report.txt"
+_ZERO_IM = "0.000000000000e+00"  # weights are real; the zero im field keeps the format
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> Syn
 
 def _weight_table(
     report: SynthesisReport,
-) -> tuple[list[tuple[int, float, int, complex]], float]:
+) -> tuple[list[tuple[int, float, int, float]], float]:
     """Center-first (index, radius, count, weight) rows and the peak |weight| (1 if all 0)."""
     geom = report.config_echo["geometry"]
     table = list(zip(range(1, len(geom["radii"]) + 1), geom["radii"], geom["counts"],
@@ -103,7 +104,7 @@ def weights_rows(report: SynthesisReport) -> list[str]:
     for index, radius, count, value in table:
         mag = abs(value)
         rows.append(
-            f"{index},{radius:.9g},{count},{value.real:.12e},{value.imag:.12e},"
+            f"{index},{radius:.9g},{count},{value:.12e},{_ZERO_IM},"
             f"{mag:.12e},{mag / peak:.12e}"
         )
     return rows
@@ -124,7 +125,7 @@ def report_rows(report: SynthesisReport) -> list[str]:
     values = [row[3] for row in table]
     rows.append(
         "weights_raw = "
-        + ",".join(f"{v.real:.12e}{v.imag:+.12e}j" for v in values)
+        + ",".join(f"{v:.12e}+{_ZERO_IM}j" for v in values)
     )
     rows.append(
         "weights_normalized_magnitude = "

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError
-from .geometry import RingGeometry
+from .geometry import RingGeometry, _require_real
 from .targets import TargetPattern
 
 
@@ -28,15 +28,18 @@ from .targets import TargetPattern
 class SampleSet:
     """Ordered target samples split into batch and incremental portions.
 
-    Abscissas and values are read-only 1-D float arrays of one length.  The
-    split is fixed: even indices (counted from zero) form the batch, odd
-    indices the incremental portion.
+    Abscissas and values are read-only 1-D float arrays of one length;
+    complex input raises :class:`DomainError`.  The split is fixed: even
+    indices (counted from zero) form the batch, odd indices the incremental
+    portion.
     """
 
     abscissas: NDArray[np.float64]
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
+        _require_real(self.abscissas, "abscissas")
+        _require_real(self.values, "sample values")
         u = np.array(self.abscissas, dtype=float)
         v = np.array(self.values, dtype=float)
         if u.ndim != 1 or u.shape != v.shape:

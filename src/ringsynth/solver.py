@@ -18,9 +18,9 @@ either way is algebraically identical to batch least squares over the same
 rows, which is the correctness property the test suite leans on.
 
 Targets here are real valued and the basis is real, so the solver works in
-real arithmetic on plain arrays and builds :class:`Weights` once, when it
-returns; weights stay complex-capable at the boundary for forward pattern
-evaluation, and :func:`rls_absorb` rejects a complex estimate.
+real arithmetic on plain arrays and builds the real :class:`Weights` once,
+when it returns.  Complex abscissas, values, matrix entries or weights raise
+:class:`DomainError` rather than losing their imaginary part to a float cast.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError, SingularSystemError
-from .geometry import RingGeometry, Weights
+from .geometry import RingGeometry, Weights, _require_real
 from .sampling import SampleSet, build_sample_set, effective_total_count
 from .specialfn import bessel_j0_grid
 from .targets import TargetPattern
@@ -54,6 +54,7 @@ class DesignMatrix:
     has_center: bool
 
     def __post_init__(self) -> None:
+        _require_real(self.entries, "design matrix entries")
         entries = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2:
@@ -82,6 +83,7 @@ def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.fl
     """Ring columns N_n * J0(k * r_n * u_m), one row per abscissa, scaled in place."""
     if len(abscissas) == 0:
         raise DomainError("design matrix needs at least one sample abscissa")
+    _require_real(abscissas, "sample abscissas")
     u = np.asarray(abscissas, dtype=float)
     if not np.all(np.isfinite(u)):
         raise DomainError("sample abscissas must be finite")
@@ -102,23 +104,18 @@ def build_design_matrix(geom: RingGeometry, abscissas: Sequence[float]) -> Desig
 
 
 def _weights_from_vector(x: NDArray[np.float64], has_center: bool) -> Weights:
+    values = x.tolist()
     if has_center:
-        return Weights(center=complex(x[-1]), rings=tuple(complex(v) for v in x[:-1]))
-    return Weights(center=0j, rings=tuple(complex(v) for v in x))
+        return Weights(center=values[-1], rings=tuple(values[:-1]))
+    return Weights(center=0.0, rings=tuple(values))
 
 
 def _vector_from_weights(w: Weights, n_columns: int) -> NDArray[np.float64]:
-    if n_columns == len(w.rings) + 1:
-        parts = list(w.rings) + [w.center]
-    elif n_columns == len(w.rings):
-        parts = list(w.rings)
-    else:
+    if n_columns not in (len(w.rings), len(w.rings) + 1):
         raise DomainError(
             f"row of length {n_columns} does not fit weights with {len(w.rings)} rings"
         )
-    if any(p.imag != 0.0 for p in parts):
-        raise DomainError("the real-valued solver cannot take a complex estimate")
-    return np.array([float(p.real) for p in parts])
+    return np.array(w.rings + (w.center,))[:n_columns]
 
 
 def _back_substitute(r: NDArray[np.float64], z: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -148,6 +145,7 @@ def solve_batch(
     :class:`SingularSystemError` naming the offending column.
     """
     a = matrix.entries
+    _require_real(rhs, "rhs")
     b = np.asarray(rhs, dtype=float)
     if a.shape[0] < a.shape[1]:
         raise DomainError(

@@ -35,7 +35,7 @@ def report(line: str) -> None:
 
 
 def weights_vector(w: Weights) -> np.ndarray:
-    return np.array([v.real for v in w.rings] + [w.center.real])
+    return np.array(w.rings + (w.center,))
 
 
 def random_geometry(rng) -> RingGeometry:

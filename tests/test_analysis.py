@@ -57,11 +57,11 @@ class TestEvaluateCut:
         b = evaluate_cut(geom, scaled)
         assert np.array_equal(a.amplitude_db, b.amplitude_db)
 
-    def test_scale_invariance_complex_scalar(self):
+    def test_scale_invariance_negative_scalar(self):
         rng = np.random.default_rng(2)
         geom = uniform_half_wavelength_geometry(5)
         w = Weights(center=rng.standard_normal(), rings=tuple(rng.standard_normal(5)))
-        c = 0.7 + 0.2j
+        c = -0.7
         scaled = Weights(center=c * w.center, rings=tuple(c * r for r in w.rings))
         a = evaluate_cut(geom, w)
         b = evaluate_cut(geom, scaled)
@@ -91,12 +91,10 @@ class TestEvaluateCut:
         assert np.all(cut.amplitude_db >= DB_FLOOR)
 
     @pytest.mark.parametrize("points", [801, 2000, 2001])
-    @pytest.mark.parametrize("complex_weights", [False, True])
-    def test_half_grid_matches_full_grid(self, points, complex_weights):
+    def test_half_grid_matches_full_grid(self, points):
         rng = np.random.default_rng(points)
         geom = uniform_half_wavelength_geometry(30)
-        rings = rng.standard_normal(30) + (1j * rng.standard_normal(30) if complex_weights else 0)
-        w = Weights(center=rng.standard_normal(), rings=tuple(rings))
+        w = Weights(center=rng.standard_normal(), rings=tuple(rng.standard_normal(30)))
         cut = evaluate_cut(geom, w, grid_points=points)
         magnitude = np.abs(pattern_on_grid(geom, w, cut.u_grid))
         floor = 10.0 ** (DB_FLOOR / 20.0)

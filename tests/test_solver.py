@@ -33,10 +33,7 @@ from ringsynth.targets import TargetPattern, equi_ripple, flat_top
 
 
 def weights_vector(w: Weights, has_center: bool = True) -> np.ndarray:
-    parts = [v.real for v in w.rings]
-    if has_center:
-        parts.append(w.center.real)
-    return np.array(parts)
+    return np.array(w.rings + ((w.center,) if has_center else ()))
 
 
 def batch_state(x: np.ndarray, info: np.ndarray, absorbed: int = 0) -> SolverState:
@@ -97,6 +94,12 @@ class TestBuildDesignMatrix:
         with pytest.raises(DomainError):
             build_design_matrix(geom, [])
 
+    def test_rejects_complex_abscissas(self):
+        # a float cast would build the rows at the real parts of u
+        geom = uniform_half_wavelength_geometry(2)
+        with pytest.raises(DomainError):
+            build_design_matrix(geom, np.array([0.1 + 0.5j, 0.2]))
+
 
 class TestSolveBatch:
     def test_ones_column_returns_mean(self, inv_gramian):
@@ -126,6 +129,13 @@ class TestSolveBatch:
         p = inv_gramian(batch_state(got, info))
         p_oracle = np.linalg.inv(a.T @ a)
         assert np.max(np.abs(p - p_oracle)) <= 1e-8 * np.max(np.abs(p_oracle))
+
+    def test_rejects_complex_input(self):
+        # a float cast would solve for the real parts of rhs or matrix
+        with pytest.raises(DomainError):
+            solve_batch(DesignMatrix(np.ones((4, 1)), True), np.array([1 + 1j, 1, 1, 1]))
+        with pytest.raises(DomainError):
+            DesignMatrix(np.ones((4, 1)) + 1j, True)
 
     def test_rejects_underdetermined(self):
         matrix = DesignMatrix(np.ones((2, 3)), True)
@@ -265,13 +275,16 @@ class TestRlsAbsorb:
             rls_absorb(state, np.ones(5), 1.0)
 
     def test_rejects_complex_estimate(self):
+        # no complex estimate can be built, Python or numpy; float() would
+        # keep a numpy complex scalar's real part with only a warning
         rng = np.random.default_rng(12)
-        state = random_state(rng, 3)
-        rings = state.estimate.rings
-        estimate = replace(state.estimate, rings=(rings[0] + 1e-3j,) + rings[1:])
-        complex_state = replace(state, estimate=estimate)
-        with pytest.raises(DomainError):
-            rls_absorb(complex_state, np.ones(3), 1.0)
+        estimate = random_state(rng, 3).estimate
+        rings = estimate.rings
+        for value in (rings[0] + 1e-3j, np.complex128(1 + 1j), np.complex64(rings[0])):
+            with pytest.raises(DomainError):
+                replace(estimate, rings=(value,) + rings[1:])
+            with pytest.raises(DomainError):
+                replace(estimate, center=value)
 
 
 class TestRetriangularize:

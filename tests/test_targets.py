@@ -133,6 +133,15 @@ class TestDifference:
         values = t.amplitude(np.linspace(edge, 1.0, 10000))
         assert 20.0 * math.log10(values.max()) <= -25.0 + 1e-6
 
+    @pytest.mark.parametrize("rings", [3, 5, 11, 200, 2000])
+    def test_fixed_margin_meets_bound_across_sll_range(self, rings):
+        # at 3 rings the sidelobe region starts beyond |u| = 1
+        for sll_db in np.arange(-80.0, -2.5, 1.0):
+            t = difference(sll_db, rings)
+            edge = min(float(t.params["main_lobe_edge"]), 1.0)
+            worst = np.abs(t.sample_value(np.linspace(edge, 1.0, 4001))).max()
+            assert worst <= 10.0 ** (sll_db / 20.0), (sll_db, worst)
+
     def test_magnitude_is_even(self):
         t = difference(-20.0, 9)
         for u in np.linspace(0, 1, 300):
