@@ -286,22 +286,86 @@ def evaluate_surface(
     return SurfaceGrid(theta=theta, phi=phi, amplitude_db=db)
 
 
+def _digit_tables() -> tuple[NDArray[np.uint32], ...]:
+    """Little-endian ASCII words for 0..999: the lead, ``.ddd`` and ``ddd`` tables.
+
+    A lead word is a free sign byte, then the number without leading zeros
+    (pad bytes 0 in their place); a ``ddd`` word leaves its last byte free
+    for the separator.
+    """
+    d = np.arange(1000, dtype=np.uint32)
+    zero = ord("0")
+    a, b, c = d // 100 + zero, d // 10 % 10 + zero, d % 10 + zero
+    lead = (np.where(d >= 100, a, 0) << 8) | (np.where(d >= 10, b, 0) << 16) | (c << 24)
+    dot = ord(".") | (a << 8) | (b << 16) | (c << 24)
+    return tuple(t.astype("<u4") for t in (lead, dot, a | (b << 8) | (c << 16)))
+
+
+_LEAD, _DOT, _TAIL = _digit_tables()
+
+
+def _fixed6_digits(v: NDArray[np.float64]) -> tuple[NDArray[np.uint32], ...] | None:
+    """|v| to six decimals as (integer part, decimals 1-3, decimals 4-6), or None.
+
+    None when a cell is not safe: it must round below 1000 and v * 1e6 must
+    not lie too near a rounding tie (see :func:`cut_rows`).
+    """
+    p = v * 1e6
+    k = np.rint(p)
+    with np.errstate(invalid="ignore"):
+        margin = np.abs(np.abs(p - k) - 0.5) > np.abs(p) * 2.0**-50
+        if not ((np.abs(k) < 1e9) & margin).all():
+            return None
+    whole, frac = np.divmod(np.abs(k).astype(np.uint32), np.uint32(10**6))
+    return (whole, *np.divmod(frac, np.uint32(1000)))
+
+
+def _fixed6_table(v: NDArray[np.float64]) -> str | None:
+    """One row of comma-joined ``%.6f`` cells per row of v, or None when a cell is not safe.
+
+    Every cell is three 4-byte words looked up from the digit tables, and the
+    pad bytes are dropped at the end.
+    """
+    digits = _fixed6_digits(v)
+    if digits is None:
+        return None
+    words = np.empty(v.shape + (3,), dtype="<u4")
+    for i, (table, index) in enumerate(zip((_LEAD, _DOT, _TAIL), digits)):
+        np.take(table, index, out=words[..., i])
+    del digits  # freed before the pad mask, which keeps the peak below the % path's
+    words[..., 0] |= np.signbit(v) * np.uint32(ord("-"))
+    words[:, :-1, 2] |= np.uint32(ord(",") << 24)
+    words[:, -1, 2] |= np.uint32(ord("\n") << 24)
+    raw = words.view(np.uint8).ravel()
+    return raw[raw != 0].tobytes().decode("ascii")
+
+
 def cut_rows(cut: PatternCut, target: TargetPattern | None = None) -> str:
     """The cut table's text: a header, then one (u, dB) row per grid point.
 
-    With a target, each row also carries the target in dB.  The columns are
-    stacked once and every cell is formatted by one ``%`` call; ``%.6f``
-    and an f-string's ``:.6f`` share CPython's float formatter, so the text
-    matches a per-cell f-string byte for byte.
+    With a target, each row also carries the target in dB.  Every cell is
+    ``%.6f`` text, byte for byte: ``%`` prints the exact binary value rounded
+    half-even to six decimals, and so does ``rint(v * 1e6)`` wherever the
+    product's rounding error (at most |p| * 2**-53 for p = v * 1e6) cannot
+    carry it across a half-integer.  So the table goes through one
+    vectorised kernel when every rint(p) is below 1e9 in magnitude (an
+    integer part of at most three digits) and every p lies more than
+    |p| * 2**-50 from a half-integer.  Exact ties (such as 0.0078125), NaN,
+    inf and larger values fail that test, and then the whole table is
+    formatted by one ``%`` call instead.  u, dB and target dB all lie in
+    [-200, 1], so a cut falls back only if one of its values is such a tie.
     """
     header = "u,db"
     columns = [cut.u_grid, cut.amplitude_db]
     if target is not None:
         columns.append(20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), _FLOOR_LIN)))
         header += ",target_db"
-    row = ",".join(["%.6f"] * len(columns)) + "\n"
-    values = np.column_stack(columns).ravel().tolist()
-    return header + "\n" + (row * cut.u_grid.size) % tuple(values)
+    values = np.column_stack(columns)
+    text = _fixed6_table(values)
+    if text is None:
+        row = ",".join(["%.6f"] * len(columns)) + "\n"
+        text = (row * cut.u_grid.size) % tuple(values.ravel().tolist())
+    return header + "\n" + text
 
 
 def surface_rows(surface: SurfaceGrid) -> str:

@@ -19,6 +19,7 @@ from . import targets
 from .analysis import _MIN_GRID
 from .errors import ConfigError, DomainError, TableFormatError
 from .geometry import RingGeometry, elements_for_spacing
+from .sampling import effective_total_count
 from .targets import TargetPattern
 
 # The JSON types each field kind accepts, and how a wrong type is named.
@@ -29,6 +30,10 @@ _KINDS = {
     str: (str, "a string"),
 }
 _REQUIRED = object()  # the default of a field that must be given
+# Most design-matrix cells (samples x weights) a run may sample: 256 MiB of
+# float64, far beyond any layout the solver is meant for, so a mistyped radius
+# exits 2 instead of allocating gigabytes.
+_MAX_DESIGN_CELLS = 2**25
 
 # Each section's fields, once: a field's name and the rest of its _read
 # arguments (kind, default, minimum, strict_min).  A ``list`` field is only
@@ -326,6 +331,20 @@ def _resolve_target(
     return target, echo
 
 
+def _check_problem_size(geometry: RingGeometry, oversample: float, problems: list[str]) -> None:
+    """Note a problem when the fit would sample more than ``_MAX_DESIGN_CELLS`` cells."""
+    try:
+        total = float(effective_total_count(geometry, oversample))
+    except OverflowError:  # a sample count beyond the float range
+        total = math.inf
+    if total * geometry.column_count > _MAX_DESIGN_CELLS:
+        problems.append(
+            f"geometry: the fit would take {total:.4g} samples x {geometry.column_count} "
+            f"weights, over the {_MAX_DESIGN_CELLS} design-cell limit; check radii, "
+            f"wavelength and solver.oversample"
+        )
+
+
 def resolve_config(
     raw: Mapping[str, Any], base_dir: str | Path = "."
 ) -> tuple[ResolvedConfig, list[str]]:
@@ -350,6 +369,8 @@ def resolve_config(
         _reject_unknown(section, fields, name, problems)
         settings[name] = _read_fields(section, fields, name, problems)
 
+    if geometry is not None:
+        _check_problem_size(geometry, settings["solver"]["oversample"], problems)
     if problems or geometry is None or resolved_target is None:
         raise ConfigError(problems or ["config could not be resolved"])
     target, target_echo = resolved_target

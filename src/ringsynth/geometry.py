@@ -44,6 +44,8 @@ class RingGeometry:
     has_center_element: bool = True
 
     def __post_init__(self) -> None:
+        _require_real(self.wavelength, "wavelength")
+        _require_real(self.radii, "radii")
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         object.__setattr__(
             self, "elements_per_ring", tuple(int(n) for n in self.elements_per_ring)

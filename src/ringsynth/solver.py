@@ -87,7 +87,10 @@ def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.fl
     u = np.asarray(abscissas, dtype=float)
     if not np.all(np.isfinite(u)):
         raise DomainError("sample abscissas must be finite")
-    block = bessel_j0_grid(geom.wavenumber * np.outer(u, geom.radii))
+    # J0 overwrites its own argument, so the block is the only basis-sized array
+    block = np.multiply.outer(u, np.asarray(geom.radii, dtype=float))
+    np.multiply(block, geom.wavenumber, out=block)
+    bessel_j0_grid(block, out=block)
     return np.multiply(block, np.asarray(geom.elements_per_ring, dtype=float), out=block)
 
 

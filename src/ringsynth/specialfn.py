@@ -77,7 +77,9 @@ _HANKEL_G = (
 _PIO4 = 7.853981633974483e-1
 
 
-def bessel_j0_grid(x: ArrayLike) -> NDArray[np.float64]:
+def bessel_j0_grid(
+    x: ArrayLike, out: NDArray[np.float64] | None = None
+) -> NDArray[np.float64]:
     """Bessel J0 over an array of finite values, returned in the input's shape.
 
     Evaluates on |x|, so the even symmetry J0(x) == J0(-x) holds exactly:
@@ -93,15 +95,23 @@ def bessel_j0_grid(x: ArrayLike) -> NDArray[np.float64]:
     that lies wholly in one branch skips the mask gather and scatter.  Every
     element sees the same operations in the same order as in an unblocked
     evaluation, so the result does not depend on the blocking.
+
+    ``out``, a C-contiguous float64 array of x's shape, receives the result;
+    it may be x itself, since each block is read (as |x|) before it is
+    written.  A non-finite argument then raises with x partly overwritten.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    out = np.empty(flat.shape)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DomainError("out must be a C-contiguous float64 array of the argument's shape")
+    dest_flat = out.reshape(-1)
     for lo in range(0, flat.size, _BLOCK):
         ax = np.abs(flat[lo : lo + _BLOCK])
         if not np.isfinite(ax).all():
             raise DomainError("bessel_j0_grid requires finite arguments")
-        dest = out[lo : lo + _BLOCK]
+        dest = dest_flat[lo : lo + _BLOCK]
         small = ax < _SERIES_CUTOFF
         if small.all():
             _j0_series(ax, dest)
@@ -112,7 +122,7 @@ def bessel_j0_grid(x: ArrayLike) -> NDArray[np.float64]:
             near, far = ax[small], ax[big]
             dest[small] = _j0_series(near, np.empty_like(near))
             dest[big] = _j0_hankel(far, np.empty_like(far))
-    return out.reshape(x.shape)
+    return out
 
 
 def _polevl(

@@ -24,6 +24,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError, TableFormatError
+from .geometry import _require_real
 
 FLAT_TOP = "flat_top"
 EQUI_RIPPLE = "equi_ripple"
@@ -38,6 +39,7 @@ Evaluator = Callable[[NDArray[np.float64]], NDArray[np.float64]]
 
 def _evaluate(fn: Evaluator, u: ArrayLike) -> NDArray[np.float64] | np.float64:
     """Run an evaluator on u flattened to 1-D; a scalar u gives a scalar back."""
+    _require_real(u, "target abscissas")
     u = np.asarray(u, dtype=float)
     return fn(u.ravel()).reshape(u.shape)[()]
 

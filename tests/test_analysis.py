@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringsynth.analysis import (
     DB_FLOOR,
     PatternCut,
     SurfaceGrid,
+    _fixed6_table,
     cut_rows,
     evaluate_cut,
     evaluate_surface,
@@ -114,6 +117,19 @@ class TestEvaluateCut:
             tracemalloc.stop()
         # full-grid evaluation with full-size J0 temporaries peaks near 89 MB
         assert peak < 30e6
+
+    def test_ring_block_is_the_only_basis_sized_array(self):
+        # J0 runs in place over k * u * r, so the 1001 x 500 half-grid block
+        # (4.0 MB) is not joined by a second one; two such arrays peaked at 9.9 MB
+        geom = uniform_half_wavelength_geometry(500)
+        w = Weights(center=1.0, rings=(1.0,) * 500)
+        tracemalloc.start()
+        try:
+            evaluate_cut(geom, w, grid_points=2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1001 * 500 * 8
 
 
 class TestMeasureMetrics:
@@ -309,3 +325,87 @@ class TestSerialization:
         rows = metrics_rows(metrics)
         assert any(row.startswith("sll_db = ") for row in rows)
         assert any(row.startswith("null_depth_db[0.5") for row in rows)
+
+    def test_fast_path_takes_real_cuts(self):
+        geom = uniform_half_wavelength_geometry(20)
+        cut = evaluate_cut(geom, Weights(center=1, rings=(1,) * 20), grid_points=4001)
+        target = flat_top(0.4, 0.1)
+        target_db = 20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), 1e-10))
+        text = _fixed6_table(np.column_stack([cut.u_grid, cut.amplitude_db, target_db]))
+        assert text is not None
+        assert "u,db,target_db\n" + text == per_cell_cut_text(cut, target)
+
+
+def percent_text(values) -> str:
+    """Reference rows: one ``%.6f`` per cell, comma-joined."""
+    return "".join(",".join("%.6f" % x for x in row) + "\n" for row in values.tolist())
+
+
+def cut_holding(values, db=None) -> PatternCut:
+    """A minimum-size cut whose u column repeats ``values`` (dB peak at 0)."""
+    u = np.resize(np.asarray(values, dtype=float), 801)
+    if db is None:
+        db = -np.abs(u)
+        db[0] = 0.0
+    return PatternCut(u_grid=u, amplitude_db=np.resize(np.asarray(db, dtype=float), 801))
+
+
+FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+class TestFixedPointKernel:
+    @given(st.lists(FINITE, min_size=1, max_size=40))
+    def test_cut_rows_match_per_cell_reference(self, values):
+        cut = cut_holding(values)
+        table = from_table([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.25)])
+        for target in (None, table):
+            assert cut_rows(cut, target) == per_cell_cut_text(cut, target)
+
+    @given(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=1, max_size=40))
+    def test_mixed_sign_columns_match_or_fall_back(self, rows):
+        values = np.array(rows)
+        text = _fixed6_table(values)
+        assert text is None or text == percent_text(values)
+
+    def test_dyadic_ties_fall_back_and_match(self):
+        ties = (np.arange(-128, 129) / 128.0)[:, None]
+        assert _fixed6_table(ties) is None
+        assert _fixed6_table(ties[::2]) == percent_text(ties[::2])
+        cut = cut_holding(ties.ravel())
+        assert cut_rows(cut) == per_cell_cut_text(cut)
+        assert "0.007812," in cut_rows(cut)  # 0.0078125 rounds half to even
+
+    @pytest.mark.parametrize("value", [-0.0, -1e-9])
+    def test_negative_zero_keeps_its_sign(self, value):
+        assert _fixed6_table(np.array([[value]])) == "-0.000000\n"
+
+    def test_values_at_the_range_edge(self):
+        # 999.9999995 sits a hair below the tie in binary; its product rounds
+        # onto the tie, so the kernel declines it
+        for value in (999.9999995, -999.9999995):
+            assert _fixed6_table(np.array([[value]])) is None
+            cut = cut_holding([value, 0.0])
+            assert cut_rows(cut) == per_cell_cut_text(cut)
+        assert _fixed6_table(np.array([[999.9999994]])) == "999.999999\n"
+        # below 1000, but its six-decimal text needs four integer digits
+        assert _fixed6_table(np.array([[999.9999999999999]])) is None
+        assert _fixed6_table(np.array([[1000.0]])) is None
+
+    def test_db_floor(self):
+        column = np.array([DB_FLOOR, -DB_FLOOR, 0.0])
+        assert _fixed6_table(np.column_stack([column, column])) == (
+            "-200.000000,-200.000000\n200.000000,200.000000\n0.000000,0.000000\n"
+        )
+
+    def test_out_of_range_cell_falls_back_for_the_whole_table(self):
+        db = np.full(801, -3.0)
+        db[0], db[400] = 0.0, -1234.5
+        cut = cut_holding(np.linspace(-1.0, 1.0, 801), db)
+        assert _fixed6_table(np.column_stack([cut.u_grid, cut.amplitude_db])) is None
+        text = cut_rows(cut)
+        assert text == per_cell_cut_text(cut)
+        assert "-1234.500000" in text
+
+    def test_nan_and_inf_fall_back(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            assert _fixed6_table(np.array([[0.5, bad]])) is None

@@ -98,6 +98,20 @@ class TestConfigResolution:
             resolve_config(raw)
         assert any("geometry.wavelength" in p for p in err.value.problems)
 
+    def test_sampled_problem_size_is_bounded(self):
+        # a last radius of 1e6 wavelengths would need about 152M samples x 21 weights
+        radii = [0.5 * n for n in range(1, 20)] + [1e6]
+        raw = minimal_config(geometry={"wavelength": 1.0, "radii": radii})
+        with pytest.raises(ConfigError) as err:
+            resolve_config(raw)
+        assert any(p.startswith("geometry: the fit would take") and "design-cell limit" in p
+                   for p in err.value.problems)
+
+    def test_largest_supported_layouts_resolve(self):
+        # 2000 uniform rings sample 16.0M design cells, under the limit
+        cfg, _ = resolve_config(minimal_config(geometry={"wavelength": 1.0, "rings": 2000}))
+        assert cfg.geometry.n_rings == 2000
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError) as err:
             resolve_config(minimal_config(extras={}))
@@ -581,6 +595,13 @@ class TestCliValidate:
         path = write_config(tmp_path, minimal_config(**overrides))
         assert main(["validate", str(path)]) == 2
         assert problem in capsys.readouterr().err
+
+    def test_sample_count_beyond_float_range_exits_2(self, tmp_path, capsys):
+        geometry = {"wavelength": 0.01, "radii": [1e308], "counts": [6]}
+        path = write_config(tmp_path, minimal_config(geometry=geometry))
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            assert main(command) == 2
+            assert "design-cell limit" in capsys.readouterr().err
 
     def test_spacing_with_explicit_counts_rejected(self, tmp_path, capsys):
         geometry = {"wavelength": 1.0, "radii": [0.5, 1.0], "counts": [6, 13], "spacing": 0.4}
