@@ -10,7 +10,7 @@ from numpy.typing import NDArray
 
 from .errors import DegeneratePatternError, DomainError
 from .geometry import RingGeometry, Weights
-from .solver import _ring_block
+from .solver import _ring_block, _vector_from_weights
 # unused here; kept while perfbench/tracing.py wraps J0 under this module's name
 from .specialfn import bessel_j0_grid
 from .targets import TargetPattern
@@ -99,9 +99,8 @@ def pattern_on_grid(
 ) -> NDArray[np.float64]:
     """Array factor evaluated over a whole u grid at once.
 
-    The ring columns are the solver's ring block, without the center
-    column the fit appends; the center weight is added after the ring
-    product.
+    The basis is the solver's ring block, the fit's whole design matrix,
+    center column included, times the full weight vector.
     """
     if not w.matches(geom):
         raise DomainError(
@@ -111,10 +110,9 @@ def pattern_on_grid(
     # rounds its tail rows differently, so equal rows (the +/-u pairs of a
     # cut) give equal values.  Its order follows the operands' strides, hence
     # the contiguous weight vector.
-    total = np.einsum("ij,j->i", _ring_block(geom, u), np.array(w.rings))
-    if geom.has_center_element:
-        total += w.center
-    return total
+    return np.einsum(
+        "ij,j->i", _ring_block(geom, u), _vector_from_weights(w, geom.column_count)
+    )
 
 
 def _to_db(magnitude: NDArray[np.float64]) -> NDArray[np.float64]:

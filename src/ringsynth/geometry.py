@@ -7,10 +7,11 @@ the direction cosine u = sin(theta) reduces to
 
     F(u) = I0 + sum_n I_n * N_n * J0(k * r_n * u),      k = 2*pi / wavelength
 
-which is azimuth independent and even in u.  This module only describes the
-array; :func:`ringsynth.solver.build_design_matrix` evaluates the ring terms
-N_n * J0(k * r_n * u), for the fit and for every pattern the analysis
-stage draws.
+which is azimuth independent and even in u.  Because J0(0) = 1, the center
+term I0 is a ring of radius 0 with one element.  This module only describes
+the array; ``ringsynth.solver._ring_block`` evaluates every term
+N_n * J0(k * r_n * u), the center as the ring (0, 1), for the fit and for
+every pattern the analysis stage draws.
 """
 
 from __future__ import annotations

@@ -2,20 +2,20 @@
 
 The pattern model is linear in the weights, so sampling the target at M0
 points yields an overdetermined system A I = B, built once as one design
-matrix.  Its ring columns N_n J0(k r_n u) are the same block that the
-analysis stage multiplies by the weights; the fit alone appends the center
-element's all-ones column.  The solver works in square-root information form
-(Bierman, 1977): its state is the upper-triangular factor R, with R^T R the
-Gramian A^T A of the rows absorbed so far, and z = Q^T B, so the estimate
-solves R I = z.  The batch stage triangularizes the augmented even-indexed
-rows [A B] (the batch half of the sample set) by orthogonal factorization;
-the recursive stage absorbs the odd-indexed rows by re-triangularizing
-[R z; A B] block by block, each block at most as tall as the weight count,
-and back-substitutes once.  Neither stage forms Q or the inverse Gramian
-P = (A^T A)^{-1}.  The rank-one gain update K = P a / (a^T P a + 1) of
-:func:`rls_absorb` is kept as the reference form.  Absorbing a row set
-either way is algebraically identical to batch least squares over the same
-rows, which is the correctness property the test suite leans on.
+matrix.  Its columns N_n J0(k r_n u), the center element last as the ring
+(0, 1), are the block that the analysis stage multiplies by the weights.  The
+solver works in square-root information form (Bierman, 1977): its state is
+the upper-triangular factor R, with R^T R the Gramian A^T A of the rows
+absorbed so far, and z = Q^T B, so the estimate solves R I = z.  The batch
+stage triangularizes the augmented even-indexed rows [A B] (the batch half of
+the sample set) by orthogonal factorization; the recursive stage absorbs the
+odd-indexed rows by re-triangularizing [R z; A B] block by block, each block
+at most as tall as the weight count, and back-substitutes once.  Neither
+stage forms Q or the inverse Gramian P = (A^T A)^{-1}.  The rank-one gain
+update K = P a / (a^T P a + 1) of :func:`rls_absorb` is kept as the reference
+form.  Absorbing a row set either way is algebraically identical to batch
+least squares over the same rows, which is the correctness property the test
+suite leans on.
 
 Targets here are real valued and the basis is real, so the solver works in
 real arithmetic on plain arrays and builds the real :class:`Weights` once,
@@ -46,8 +46,9 @@ _BACK_SUBSTITUTION_BLOCK = 64
 class DesignMatrix:
     """Dense sample-by-weight coefficient matrix.
 
-    Ring columns hold N_n * J0(k * r_n * u_m); with ``has_center`` a
-    trailing all-ones column represents the center element.
+    Columns hold N_n * J0(k * r_n * u_m), the center element last as the
+    ring (0, 1).  ``has_center`` only names that column in
+    :class:`SingularSystemError`.
     """
 
     entries: NDArray[np.float64]
@@ -80,37 +81,36 @@ class SolverState:
 
 
 def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.float64]:
-    """Ring columns N_n * J0(k * r_n * u_m), one row per abscissa, scaled in place."""
+    """Design columns N_n * J0(k * r_n * u_m), one row per abscissa, scaled in place.
+
+    The center element is the ring (0.0, 1), appended last, so the block is
+    the whole design matrix.
+    """
     if len(abscissas) == 0:
         raise DomainError("design matrix needs at least one sample abscissa")
     _require_real(abscissas, "sample abscissas")
     u = np.asarray(abscissas, dtype=float)
     if not np.all(np.isfinite(u)):
         raise DomainError("sample abscissas must be finite")
+    radii, counts = geom.radii, geom.elements_per_ring
+    if geom.has_center_element:
+        radii, counts = radii + (0.0,), counts + (1,)
     # J0 overwrites its own argument, so the block is the only basis-sized array
-    block = np.multiply.outer(u, np.asarray(geom.radii, dtype=float))
+    block = np.multiply.outer(u, np.asarray(radii, dtype=float))
     np.multiply(block, geom.wavenumber, out=block)
     bessel_j0_grid(block, out=block)
-    return np.multiply(block, np.asarray(geom.elements_per_ring, dtype=float), out=block)
+    return np.multiply(block, np.asarray(counts, dtype=float), out=block)
 
 
 def build_design_matrix(geom: RingGeometry, abscissas: Sequence[float]) -> DesignMatrix:
     """Coefficient matrix for the given sample directions."""
-    block = _ring_block(geom, abscissas)
-    if not geom.has_center_element:
-        return DesignMatrix(entries=block, has_center=False)
-    # the ones come after J0: allocated first, they sit beside J0's temporaries
-    # and raise the peak
-    entries = np.ones((block.shape[0], geom.column_count))
-    entries[:, :-1] = block
-    return DesignMatrix(entries=entries, has_center=True)
+    return DesignMatrix(entries=_ring_block(geom, abscissas), has_center=geom.has_center_element)
 
 
-def _weights_from_vector(x: NDArray[np.float64], has_center: bool) -> Weights:
-    values = x.tolist()
-    if has_center:
-        return Weights(center=values[-1], rings=tuple(values[:-1]))
-    return Weights(center=0.0, rings=tuple(values))
+def _weights_from_vector(x: NDArray[np.float64], n_rings: int) -> Weights:
+    """Weights from a column vector, the center at index ``n_rings`` (0.0 when absent)."""
+    values = x.tolist() + [0.0]
+    return Weights(center=values[n_rings], rings=tuple(values[:n_rings]))
 
 
 def _vector_from_weights(w: Weights, n_columns: int) -> NDArray[np.float64]:
@@ -200,10 +200,9 @@ def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> So
     x_new = x + gain * innovation
     r_new = np.linalg.qr(np.vstack((r, a)), mode="r")
 
-    has_center = a.shape[0] == len(state.estimate.rings) + 1
     return replace(
         state,
-        estimate=_weights_from_vector(x_new, has_center),
+        estimate=_weights_from_vector(x_new, len(state.estimate.rings)),
         r_factor=r_new,
         samples_absorbed=state.samples_absorbed + 1,
     )
@@ -261,7 +260,7 @@ def synthesize(
     info = _retriangularize(info, matrix.entries[1::2], rhs[1::2])
     r = info[:, :-1]
     x = _back_substitute(r, info[:, -1])
-    weights = _weights_from_vector(x, geom.has_center_element)
+    weights = _weights_from_vector(x, geom.n_rings)
     state = SolverState(
         estimate=weights,
         r_factor=r,

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
 """
 
+import math
 import time
 
 import numpy as np
@@ -17,7 +18,12 @@ from ringsynth.geometry import (
     uniform_half_wavelength_geometry,
 )
 from ringsynth.runner import run_synthesis
-from ringsynth.sampling import build_sample_set, min_batch_samples, min_total_samples
+from ringsynth.sampling import (
+    build_sample_set,
+    effective_total_count,
+    min_batch_samples,
+    min_total_samples,
+)
 from ringsynth.solver import (
     SolverState,
     _weights_from_vector,
@@ -97,7 +103,7 @@ def test_criterion_1_rls_matches_batch_over_full_system():
         batch = build_design_matrix(geom, samples.abscissas[0::2])
         x_seed, info = solve_batch(batch, samples.values[0::2])
         state = SolverState(
-            estimate=_weights_from_vector(x_seed, True), r_factor=info[:, :-1],
+            estimate=_weights_from_vector(x_seed, geom.n_rings), r_factor=info[:, :-1],
             samples_absorbed=samples.batch_count,
             passes_completed=0, residual_trace=(0.0,),
         )
@@ -218,7 +224,7 @@ def test_criterion_7_invariant_suites(inv_gramian):
     batch = build_design_matrix(geom, samples.abscissas[0::2])
     x_seed, info = solve_batch(batch, samples.values[0::2])
     state = SolverState(
-        estimate=_weights_from_vector(x_seed, True), r_factor=info[:, :-1],
+        estimate=_weights_from_vector(x_seed, geom.n_rings), r_factor=info[:, :-1],
         samples_absorbed=samples.batch_count,
         passes_completed=0, residual_trace=(0.0,),
     )
@@ -243,3 +249,35 @@ def test_criterion_7_invariant_suites(inv_gramian):
     )
     report("PASS criterion 7: invariant suites (J0 oracle, evenness, P health, "
            "residual monotonicity, scale invariance)")
+
+
+def test_criterion_8_a_few_refinements_suffice():
+    """Nested refinement of the sample set shrinks the weight change >= 3x a level.
+
+    Tripling the midpoint count keeps every old midpoint, so the sample sets
+    of effective_total_count * 3^k (k = 0..3) are nested.  On the four
+    bundled configs (flat-top, difference, equi-ripple, nulls) each level
+    must move the weights at least three times less than the one before.
+    """
+    least = math.inf
+    for name in BUNDLED_EXAMPLES:
+        cfg, _ = resolve_config(
+            load_config_file(bundled_config_path(name)),
+            base_dir=bundled_config_path(name).parent,
+        )
+        geom, target = cfg.geometry, cfg.target
+        base = effective_total_count(geom)
+        levels = [
+            weights_vector(synthesize(geom, target, build_sample_set(geom, target, total))[0])
+            for total in (base * 3**k for k in range(4))
+        ]
+        changes = [
+            float(np.linalg.norm(fine - coarse) / np.linalg.norm(fine))
+            for coarse, fine in zip(levels, levels[1:])
+        ]
+        for earlier, later in zip(changes, changes[1:]):
+            ratio = earlier / later
+            least = min(least, ratio)
+            assert ratio >= 3.0, f"{name}: weight changes {changes} shrink only {ratio:.2f}x"
+    report(f"PASS criterion 8: nested refinement shrinks the weight change "
+           f"at least {least:.1f}x a level on every bundled config")

@@ -119,7 +119,7 @@ class TestEvaluateCut:
         assert peak < 30e6
 
     def test_ring_block_is_the_only_basis_sized_array(self):
-        # J0 runs in place over k * u * r, so the 1001 x 500 half-grid block
+        # J0 runs in place over k * u * r, so the 1001 x 501 half-grid block
         # (4.0 MB) is not joined by a second one; two such arrays peaked at 9.9 MB
         geom = uniform_half_wavelength_geometry(500)
         w = Weights(center=1.0, rings=(1.0,) * 500)

@@ -441,6 +441,23 @@ class TestCliRun:
         )
         assert main(["run", str(path)]) == 2
 
+    def test_center_only_geometry(self, tmp_path):
+        # the center alone is one ring of radius 0: a constant pattern
+        path = write_config(
+            tmp_path,
+            {
+                "geometry": {"wavelength": 1.0, "radii": [], "center_element": True},
+                "target": {"kind": "flat_top", "passband_edge": 0.4},
+                "output": {"directory": str(tmp_path / "out")},
+            },
+        )
+        assert main(["run", str(path), "--quiet"]) == 0
+        lines = (tmp_path / "out" / "weights.csv").read_text().splitlines()
+        assert len(lines) == 1 + 1
+        assert lines[1].split(",")[:3] == ["0", "0", "1"]
+        cut = (tmp_path / "out" / "cut.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in cut} == {"0.000000"}
+
     def test_singular_geometry_exit_code(self, tmp_path):
         path = write_config(
             tmp_path,

@@ -165,17 +165,15 @@ class TestArrayFactor:
     @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("n_rings", [1, 20, 500])
     def test_matches_design_matrix_columns_bit_for_bit(self, n_rings, center):
-        # the pattern's basis is the fit's ring columns, without the center
-        # column, each row summed on its own (no BLAS tail-row rounding)
+        # the pattern's basis is the whole design matrix, the center column
+        # included, each row summed on its own (no BLAS tail-row rounding)
         rng = np.random.default_rng(n_rings)
         geom = replace(uniform_half_wavelength_geometry(n_rings), has_center_element=center)
         rings = rng.standard_normal(n_rings)
         w = Weights(center=0.3, rings=tuple(rings))
         u = np.linspace(-1.0, 1.0, 1001)
-        basis = build_design_matrix(geom, u).entries[:, :n_rings]
-        want = np.einsum("ij,j->i", basis, rings)
-        if center:
-            want = want + w.center
+        full_vector = np.append(rings, w.center)[: geom.column_count]
+        want = np.einsum("ij,j->i", build_design_matrix(geom, u).entries, full_vector)
         got = pattern_on_grid(geom, w, u)
         assert got.dtype == np.float64
         assert np.array_equal(got, want)

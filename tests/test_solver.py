@@ -1,6 +1,7 @@
 """Design matrix assembly, batch least squares, and the recursive update."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -39,7 +40,7 @@ def weights_vector(w: Weights, has_center: bool = True) -> np.ndarray:
 def batch_state(x: np.ndarray, info: np.ndarray, absorbed: int = 0) -> SolverState:
     """Recursive state seeded from ``solve_batch``'s solution (center last) and [R z]."""
     return SolverState(
-        estimate=_weights_from_vector(x, True), r_factor=info[:, :-1],
+        estimate=_weights_from_vector(x, x.size - 1), r_factor=info[:, :-1],
         samples_absorbed=absorbed, passes_completed=0, residual_trace=(0.0,),
     )
 
@@ -82,6 +83,27 @@ class TestBuildDesignMatrix:
                 expected = count * bessel_j0_grid(k * radius * u)
                 assert matrix.entries[m, n] == pytest.approx(expected, abs=1e-12)
             assert matrix.entries[m, -1] == 1.0
+
+    @pytest.mark.parametrize("n_rings", [1, 500])
+    def test_center_column_is_exactly_one(self, n_rings):
+        # the center is the ring (0, 1) inside the ring block, so its column
+        # is J0(k * 0 * u), which must be exactly 1, at u = -0.0 too
+        u = np.concatenate([np.linspace(-1.0, 1.0, 2001), [0.0, -0.0]])
+        matrix = build_design_matrix(uniform_half_wavelength_geometry(n_rings), u)
+        assert np.array_equal(matrix.entries[:, -1], np.ones_like(u))
+
+    def test_peak_memory_is_the_matrix(self):
+        # J0 fills the one block, center column included, in place; a second
+        # basis-sized array, such as a copy with a separate center, doubles the peak
+        geom = uniform_half_wavelength_geometry(500)
+        u = midpoint_abscissas(effective_total_count(geom))
+        tracemalloc.start()
+        try:
+            matrix = build_design_matrix(geom, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * matrix.entries.nbytes
 
     def test_no_center_column(self):
         geom = RingGeometry(1.0, (0.5, 1.0), (6, 13), has_center_element=False)
