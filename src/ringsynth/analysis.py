@@ -1,4 +1,4 @@
-"""Dense pattern cuts, dB conversion, and pattern quality metrics."""
+"""Dense pattern cuts that carry their target, dB conversion, and pattern quality metrics."""
 
 from __future__ import annotations
 
@@ -24,18 +24,18 @@ _PEAK_TOL_DB = 0.01
 
 @dataclass(frozen=True)
 class PatternCut:
-    """Peak-normalized pattern magnitude in dB over a uniform u grid."""
+    """Peak-normalized pattern magnitude in dB and linear target |amplitude| over a u grid."""
 
     u_grid: NDArray[np.float64]
     amplitude_db: NDArray[np.float64]
+    target_amplitude: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.u_grid, dtype=float)
-        db = np.asarray(self.amplitude_db, dtype=float)
-        object.__setattr__(self, "u_grid", u)
-        object.__setattr__(self, "amplitude_db", db)
-        if u.shape != db.shape or u.ndim != 1:
-            raise DomainError("u grid and dB values must be matching 1-D arrays")
+        for name in ("u_grid", "amplitude_db", "target_amplitude"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        u, db = self.u_grid, self.amplitude_db
+        if u.ndim != 1 or db.shape != u.shape or self.target_amplitude.shape != u.shape:
+            raise DomainError("u grid, dB values and target amplitude must be matching 1-D arrays")
         if u.size < _MIN_GRID:
             raise DomainError(f"cut needs at least {_MIN_GRID} grid points, got {u.size}")
         if abs(float(db.max())) > 1e-9:
@@ -127,21 +127,23 @@ def _to_db(magnitude: NDArray[np.float64]) -> NDArray[np.float64]:
     return 20.0 * np.log10(np.maximum(magnitude / peak, _FLOOR_LIN))
 
 
-def evaluate_cut(geom: RingGeometry, w: Weights, grid_points: int = 2001) -> PatternCut:
-    """Normalized |F(u)| in dB on a uniform grid over [-1, 1].
+def evaluate_cut(geom: RingGeometry, w: Weights, target: TargetPattern,
+                 grid_points: int = 2001) -> PatternCut:
+    """Normalized |F(u)| in dB and the target's |amplitude| on a uniform grid over [-1, 1].
 
     The pattern is even in u and the grid's points are exact +/- pairs, so
     only the non-negative half is evaluated and its dB values are mirrored;
     the result is bit-identical to evaluating every point.  Exact zeros are
     floored at -200 dB.  All-zero weights cannot be normalized and raise
-    :class:`DegeneratePatternError`.
+    :class:`DegeneratePatternError`.  The target is evaluated once over the
+    whole grid: tables and notched targets need not be even in u.
     """
     if grid_points < _MIN_GRID:
         raise DomainError(f"grid_points must be >= {_MIN_GRID}, got {grid_points}")
     n = int(grid_points)
     u = _symmetric_grid(n)
     db = _to_db(np.abs(pattern_on_grid(geom, w, u[n // 2 :])))
-    return PatternCut(u_grid=u, amplitude_db=np.concatenate([db[::-1][: n // 2], db]))
+    return PatternCut(u, np.concatenate([db[::-1][: n // 2], db]), target.amplitude(u))
 
 
 def _contiguous_runs(mask: NDArray[np.bool_]) -> list[tuple[int, int]]:
@@ -155,7 +157,7 @@ def _main_lobe_mask(cut: PatternCut, target: TargetPattern) -> NDArray[np.bool_]
     """Grid mask of the main lobe region(s) excluded from sidelobe search."""
     db = cut.amplitude_db
     if target.kind.startswith("flat_top"):
-        return target.amplitude(cut.u_grid) > 0.5
+        return cut.target_amplitude > 0.5
 
     mask = np.zeros(db.shape, dtype=bool)
     for lo, hi in _contiguous_runs(db > _MAIN_LOBE_EDGE_DB):
@@ -190,7 +192,8 @@ def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
     The main lobe is the connected region above -3 dB around the global
     peak(s); for flat-top targets it is the region where the target exceeds
     one half.  The sidelobe level is the highest local maximum outside that
-    region, absent when the cut has no sidelobes at all.
+    region, absent when the cut has no sidelobes at all.  The target amplitude
+    comes from the cut; ``target`` gives only its kind and parameters.
     """
     u = cut.u_grid
     db = cut.amplitude_db
@@ -232,7 +235,7 @@ def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
         if left is not None and right is not None:
             hpbw = right - left
 
-    amp = target.amplitude(u)
+    amp = cut.target_amplitude
     meaningful = amp > 1e-4
     if np.any(meaningful):
         target_db = 20.0 * np.log10(amp[meaningful])
@@ -338,32 +341,27 @@ def _fixed6_table(v: NDArray[np.float64]) -> str | None:
     return raw[raw != 0].tobytes().decode("ascii")
 
 
-def cut_rows(cut: PatternCut, target: TargetPattern | None = None) -> str:
-    """The cut table's text: a header, then one (u, dB) row per grid point.
+def cut_rows(cut: PatternCut) -> str:
+    """The cut table's text: a header, then one (u, dB, target dB) row per grid point.
 
-    With a target, each row also carries the target in dB.  Every cell is
-    ``%.6f`` text, byte for byte: ``%`` prints the exact binary value rounded
-    half-even to six decimals, and so does ``rint(v * 1e6)`` wherever the
-    product's rounding error (at most |p| * 2**-53 for p = v * 1e6) cannot
-    carry it across a half-integer.  So the table goes through one
-    vectorised kernel when every rint(p) is below 1e9 in magnitude (an
-    integer part of at most three digits) and every p lies more than
-    |p| * 2**-50 from a half-integer.  Exact ties (such as 0.0078125), NaN,
-    inf and larger values fail that test, and then the whole table is
-    formatted by one ``%`` call instead.  u, dB and target dB all lie in
-    [-200, 1], so a cut falls back only if one of its values is such a tie.
+    Every cell is ``%.6f`` text, byte for byte: ``%`` prints the exact binary
+    value rounded half-even to six decimals, and so does ``rint(v * 1e6)``
+    wherever the product's rounding error (at most |p| * 2**-53 for
+    p = v * 1e6) cannot carry it across a half-integer.  So the table goes
+    through one vectorised kernel when every rint(p) is below 1e9 in
+    magnitude (an integer part of at most three digits) and every p lies
+    more than |p| * 2**-50 from a half-integer.  Exact ties (such as
+    0.0078125), NaN, inf and larger values fail that test, and then the
+    whole table is formatted by one ``%`` call instead.  u, dB and target dB
+    all lie in [-200, 1], so a cut falls back only if one of its values is
+    such a tie.
     """
-    header = "u,db"
-    columns = [cut.u_grid, cut.amplitude_db]
-    if target is not None:
-        columns.append(20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), _FLOOR_LIN)))
-        header += ",target_db"
-    values = np.column_stack(columns)
+    target_db = 20.0 * np.log10(np.maximum(cut.target_amplitude, _FLOOR_LIN))
+    values = np.column_stack([cut.u_grid, cut.amplitude_db, target_db])
     text = _fixed6_table(values)
     if text is None:
-        row = ",".join(["%.6f"] * len(columns)) + "\n"
-        text = (row * cut.u_grid.size) % tuple(values.ravel().tolist())
-    return header + "\n" + text
+        text = ("%.6f,%.6f,%.6f\n" * cut.u_grid.size) % tuple(values.ravel().tolist())
+    return "u,db,target_db\n" + text
 
 
 def surface_rows(surface: SurfaceGrid) -> str:

@@ -331,10 +331,16 @@ def _resolve_target(
     return target, echo
 
 
-def _check_problem_size(geometry: RingGeometry, oversample: float, problems: list[str]) -> None:
-    """Note a problem when the fit would sample more than ``_MAX_DESIGN_CELLS`` cells."""
+def _check_problem_size(
+    geometry: RingGeometry, settings: Mapping[str, dict[str, Any]], problems: list[str]
+) -> None:
+    """Note each array a run would build over ``_MAX_DESIGN_CELLS`` cells.
+
+    They are the fit's design matrix, the cut's half-grid ring block, and a
+    surface's ring block and theta x phi rows.
+    """
     try:
-        total = float(effective_total_count(geometry, oversample))
+        total = float(effective_total_count(geometry, settings["solver"]["oversample"]))
     except OverflowError:  # a sample count beyond the float range
         total = math.inf
     if total * geometry.column_count > _MAX_DESIGN_CELLS:
@@ -343,6 +349,17 @@ def _check_problem_size(geometry: RingGeometry, oversample: float, problems: lis
             f"weights, over the {_MAX_DESIGN_CELLS} design-cell limit; check radii, "
             f"wavelength and solver.oversample"
         )
+    out, columns = settings["output"], geometry.column_count
+    half, theta, phi = out["grid_points"] // 2 + 1, out["theta_points"], out["phi_points"]
+    blocks = [("grid_points", half, "cut points", columns, "weights")]
+    if out["surface"]:
+        blocks += [("theta_points", theta, "surface angles", columns, "weights"),
+                   ("surface", theta, "theta", phi, "phi surface rows")]
+    problems.extend(
+        f"output.{field}: {rows} {row_name} x {cols} {col_name}, "
+        f"over the {_MAX_DESIGN_CELLS} design-cell limit"
+        for field, rows, row_name, cols, col_name in blocks if rows * cols > _MAX_DESIGN_CELLS
+    )
 
 
 def resolve_config(
@@ -370,7 +387,7 @@ def resolve_config(
         settings[name] = _read_fields(section, fields, name, problems)
 
     if geometry is not None:
-        _check_problem_size(geometry, settings["solver"]["oversample"], problems)
+        _check_problem_size(geometry, settings, problems)
     if problems or geometry is None or resolved_target is None:
         raise ConfigError(problems or ["config could not be resolved"])
     target, target_echo = resolved_target

@@ -28,7 +28,6 @@ from .config import ResolvedConfig
 from .geometry import Weights
 from .sampling import SampleSet, build_sample_set, effective_total_count
 from .solver import SolverState, synthesize
-from .targets import TargetPattern
 
 WEIGHTS_FILE = "weights.csv"
 CUT_FILE = "cut.csv"
@@ -47,14 +46,13 @@ class SynthesisReport:
     metrics: PatternMetrics
     surface: SurfaceGrid | None
     samples: SampleSet
-    target: TargetPattern
     config_echo: dict[str, Any]
     warnings: tuple[str, ...]
     wall_time_s: float
 
 
 def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> SynthesisReport:
-    """Execute the two-stage synthesis a resolved config describes."""
+    """Execute the two-stage synthesis; the target is evaluated on the samples and the cut grid."""
     started = time.perf_counter()
     samples = build_sample_set(
         cfg.geometry,
@@ -62,7 +60,7 @@ def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> Syn
         total_count=effective_total_count(cfg.geometry, cfg.oversample),
     )
     weights, state = synthesize(cfg.geometry, cfg.target, samples=samples)
-    cut = evaluate_cut(cfg.geometry, weights, grid_points=cfg.grid_points)
+    cut = evaluate_cut(cfg.geometry, weights, cfg.target, grid_points=cfg.grid_points)
     metrics = measure_metrics(cut, cfg.target)
     surface = None
     if cfg.surface:
@@ -77,7 +75,6 @@ def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> Syn
         metrics=metrics,
         surface=surface,
         samples=samples,
-        target=cfg.target,
         config_echo=cfg.echo,
         warnings=tuple(warnings or []),
         wall_time_s=elapsed,
@@ -150,7 +147,7 @@ def write_outputs(report: SynthesisReport, out_dir: str | Path) -> list[Path]:
         written.append(path)
 
     emit(WEIGHTS_FILE, "\n".join(weights_rows(report)) + "\n")
-    emit(CUT_FILE, cut_rows(report.cut, report.target))
+    emit(CUT_FILE, cut_rows(report.cut))
     if report.surface is not None:
         emit(SURFACE_FILE, surface_rows(report.surface))
     emit(REPORT_FILE, "\n".join(report_rows(report)) + "\n")

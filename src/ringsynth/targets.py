@@ -306,11 +306,13 @@ def load_table(path: str | Path) -> TargetPattern:
     """Read a two-column comma-separated (u, amplitude) file.
 
     A single non-numeric header line is tolerated; blank lines are skipped.
+    A leading UTF-8 byte-order mark (as spreadsheet "CSV UTF-8" exports write)
+    is dropped, so it cannot turn the first row into a header.
     """
     path = Path(path)
     rows: list[tuple[float, float]] = []
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise TableFormatError(f"cannot read table file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

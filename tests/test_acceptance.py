@@ -215,11 +215,11 @@ def test_criterion_7_invariant_suites(inv_gramian):
     rng = np.random.default_rng(5)
     geom = uniform_half_wavelength_geometry(7)
     w = Weights(center=rng.standard_normal(), rings=tuple(rng.standard_normal(7)))
-    cut = evaluate_cut(geom, w)
+    target = from_table([(-1.0, 0.2), (0.0, 1.0), (1.0, 0.2)])
+    cut = evaluate_cut(geom, w, target)
     assert np.array_equal(cut.amplitude_db, cut.amplitude_db[::-1])
 
     # P symmetry and positive definiteness after every recursive step
-    target = from_table([(-1.0, 0.2), (0.0, 1.0), (1.0, 0.2)])
     samples = build_sample_set(geom, target)
     batch = build_design_matrix(geom, samples.abscissas[0::2])
     x_seed, info = solve_batch(batch, samples.values[0::2])
@@ -245,7 +245,7 @@ def test_criterion_7_invariant_suites(inv_gramian):
     # dB cut scale invariance
     doubled = Weights(center=2.0 * w.center, rings=tuple(2.0 * r for r in w.rings))
     assert np.array_equal(
-        evaluate_cut(geom, doubled).amplitude_db, cut.amplitude_db
+        evaluate_cut(geom, doubled, target).amplitude_db, cut.amplitude_db
     )
     report("PASS criterion 7: invariant suites (J0 oracle, evenness, P health, "
            "residual monotonicity, scale invariance)")

@@ -1,6 +1,7 @@
 """Pattern cuts, surfaces, and metric measurement."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +25,12 @@ from ringsynth.cli import BUNDLED_EXAMPLES, bundled_config_path, main
 from ringsynth.config import load_config_file, resolve_config
 from ringsynth.errors import DegeneratePatternError, DomainError
 from ringsynth.geometry import RingGeometry, Weights, uniform_half_wavelength_geometry
-from ringsynth.runner import run_synthesis
+from ringsynth.runner import run_synthesis, write_outputs
 from ringsynth.solver import synthesize
 from ringsynth.targets import equi_ripple, flat_top, from_table, with_nulls
+
+# the target of cuts whose tests do not look at it
+FLAT_TOP = flat_top(0.4, 0.1)
 
 
 def cut_from_target(target, points: int = 4001) -> PatternCut:
@@ -35,20 +39,20 @@ def cut_from_target(target, points: int = 4001) -> PatternCut:
     amp = target.amplitude(u)
     floor = 10.0 ** (DB_FLOOR / 20.0)
     db = 20.0 * np.log10(np.maximum(amp / amp.max(), floor))
-    return PatternCut(u_grid=u, amplitude_db=db)
+    return PatternCut(u_grid=u, amplitude_db=db, target_amplitude=amp)
 
 
 class TestEvaluateCut:
     def test_center_only_is_flat(self):
         geom = RingGeometry(1.0, (0.5,), (6,), has_center_element=True)
-        cut = evaluate_cut(geom, Weights(center=1, rings=(0,)))
+        cut = evaluate_cut(geom, Weights(center=1, rings=(0,)), FLAT_TOP)
         assert np.all(cut.amplitude_db == 0.0)
 
     def test_even_in_u(self):
         rng = np.random.default_rng(0)
         geom = uniform_half_wavelength_geometry(6)
         w = Weights(center=rng.standard_normal(), rings=tuple(rng.standard_normal(6)))
-        cut = evaluate_cut(geom, w)
+        cut = evaluate_cut(geom, w, FLAT_TOP)
         assert np.max(np.abs(cut.amplitude_db - cut.amplitude_db[::-1])) <= 1e-12
 
     def test_scale_invariance_exact_for_power_of_two(self):
@@ -56,8 +60,8 @@ class TestEvaluateCut:
         geom = uniform_half_wavelength_geometry(5)
         w = Weights(center=rng.standard_normal(), rings=tuple(rng.standard_normal(5)))
         scaled = Weights(center=2.0 * w.center, rings=tuple(2.0 * r for r in w.rings))
-        a = evaluate_cut(geom, w)
-        b = evaluate_cut(geom, scaled)
+        a = evaluate_cut(geom, w, FLAT_TOP)
+        b = evaluate_cut(geom, scaled, FLAT_TOP)
         assert np.array_equal(a.amplitude_db, b.amplitude_db)
 
     def test_scale_invariance_negative_scalar(self):
@@ -66,31 +70,31 @@ class TestEvaluateCut:
         w = Weights(center=rng.standard_normal(), rings=tuple(rng.standard_normal(5)))
         c = -0.7
         scaled = Weights(center=c * w.center, rings=tuple(c * r for r in w.rings))
-        a = evaluate_cut(geom, w)
-        b = evaluate_cut(geom, scaled)
+        a = evaluate_cut(geom, w, FLAT_TOP)
+        b = evaluate_cut(geom, scaled, FLAT_TOP)
         assert np.max(np.abs(a.amplitude_db - b.amplitude_db)) <= 1e-9
 
     def test_all_zero_weights_degenerate(self):
         geom = uniform_half_wavelength_geometry(3)
         with pytest.raises(DegeneratePatternError):
-            evaluate_cut(geom, Weights(center=0, rings=(0, 0, 0)))
+            evaluate_cut(geom, Weights(center=0, rings=(0, 0, 0)), FLAT_TOP)
 
     def test_grid_floor_enforced(self):
         geom = uniform_half_wavelength_geometry(3)
         w = Weights(center=1, rings=(1, 1, 1))
         with pytest.raises(DomainError):
-            evaluate_cut(geom, w, grid_points=400)
+            evaluate_cut(geom, w, FLAT_TOP, grid_points=400)
 
     def test_peak_is_zero_db(self):
         geom = uniform_half_wavelength_geometry(4)
         w = Weights(center=1, rings=(1, 0.5, 0.2, 0.1))
-        cut = evaluate_cut(geom, w)
+        cut = evaluate_cut(geom, w, FLAT_TOP)
         assert cut.amplitude_db.max() == 0.0
 
     def test_db_floor_applied(self):
         # difference-style weights with exact zero at u = 0 would otherwise log(0)
         geom = RingGeometry(1.0, (0.5,), (6,), has_center_element=True)
-        cut = evaluate_cut(geom, Weights(center=-6.0, rings=(1.0,)))
+        cut = evaluate_cut(geom, Weights(center=-6.0, rings=(1.0,)), FLAT_TOP)
         assert np.all(cut.amplitude_db >= DB_FLOOR)
 
     @pytest.mark.parametrize("points", [801, 2000, 2001])
@@ -98,7 +102,7 @@ class TestEvaluateCut:
         rng = np.random.default_rng(points)
         geom = uniform_half_wavelength_geometry(30)
         w = Weights(center=rng.standard_normal(), rings=tuple(rng.standard_normal(30)))
-        cut = evaluate_cut(geom, w, grid_points=points)
+        cut = evaluate_cut(geom, w, FLAT_TOP, grid_points=points)
         magnitude = np.abs(pattern_on_grid(geom, w, cut.u_grid))
         floor = 10.0 ** (DB_FLOOR / 20.0)
         reference = 20.0 * np.log10(np.maximum(magnitude / magnitude.max(), floor))
@@ -111,7 +115,7 @@ class TestEvaluateCut:
         w = Weights(center=1.0, rings=tuple(rng.standard_normal(500)))
         tracemalloc.start()
         try:
-            evaluate_cut(geom, w, grid_points=2001)
+            evaluate_cut(geom, w, FLAT_TOP, grid_points=2001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -125,11 +129,43 @@ class TestEvaluateCut:
         w = Weights(center=1.0, rings=(1.0,) * 500)
         tracemalloc.start()
         try:
-            evaluate_cut(geom, w, grid_points=2001)
+            evaluate_cut(geom, w, FLAT_TOP, grid_points=2001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 1001 * 500 * 8
+
+
+class TestPatternCut:
+    @pytest.mark.parametrize("shape", [(800,), (802,), (801, 1), ()])
+    def test_rejects_target_of_another_shape(self, shape):
+        u = np.linspace(-1.0, 1.0, 801)
+        with pytest.raises(DomainError):
+            PatternCut(u_grid=u, amplitude_db=np.zeros_like(u), target_amplitude=np.ones(shape))
+
+    def test_carries_the_target_over_the_whole_grid(self):
+        # a notched target is not even in u, so no half of the grid can stand for it
+        target = with_nulls(equi_ripple(-30.0, 5), [0.6], -40.0, 0.05)
+        geom = uniform_half_wavelength_geometry(5)
+        cut = evaluate_cut(geom, Weights(center=1, rings=(1,) * 5), target)
+        assert np.array_equal(cut.target_amplitude, target.amplitude(cut.u_grid))
+        assert not np.array_equal(cut.target_amplitude, cut.target_amplitude[::-1])
+
+    @pytest.mark.parametrize("name", BUNDLED_EXAMPLES)
+    def test_target_evaluated_once_per_grid(self, tmp_path, name):
+        path = bundled_config_path(name)
+        cfg, warnings = resolve_config(load_config_file(path), base_dir=path.parent)
+        sizes = []
+        evaluate = cfg.target.evaluator
+
+        def counting(u):
+            sizes.append(u.size)
+            return evaluate(u)
+
+        cfg = replace(cfg, target=replace(cfg.target, evaluator=counting))
+        report = run_synthesis(cfg, warnings)
+        write_outputs(report, tmp_path)
+        assert sizes == [report.samples.total_count, cfg.grid_points]
 
 
 class TestMeasureMetrics:
@@ -141,7 +177,8 @@ class TestMeasureMetrics:
     def test_flat_line_has_no_sidelobes(self):
         target = from_table([(-1.0, 1.0), (1.0, 1.0)])
         u = np.linspace(-1, 1, 2001)
-        cut = PatternCut(u_grid=u, amplitude_db=np.zeros_like(u))
+        cut = PatternCut(u_grid=u, amplitude_db=np.zeros_like(u),
+                         target_amplitude=target.amplitude(u))
         metrics = measure_metrics(cut, target)
         assert metrics.sll_db is None
 
@@ -157,7 +194,7 @@ class TestMeasureMetrics:
         geom = uniform_half_wavelength_geometry(9)
         target = flat_top(0.4, 0.12)
         w, _ = synthesize(geom, target)
-        metrics = measure_metrics(evaluate_cut(geom, w), target)
+        metrics = measure_metrics(evaluate_cut(geom, w, target), target)
         assert metrics.passband_ripple_db is not None
         assert 0.0 < metrics.passband_ripple_db < 3.0
 
@@ -171,8 +208,8 @@ class TestMeasureMetrics:
         geom = uniform_half_wavelength_geometry(10)
         target = equi_ripple(-30.0, 10)
         w, _ = synthesize(geom, target)
-        coarse = measure_metrics(evaluate_cut(geom, w, grid_points=2001), target)
-        fine = measure_metrics(evaluate_cut(geom, w, grid_points=8001), target)
+        coarse = measure_metrics(evaluate_cut(geom, w, target, grid_points=2001), target)
+        fine = measure_metrics(evaluate_cut(geom, w, target, grid_points=8001), target)
         assert abs(coarse.sll_db - fine.sll_db) <= 0.1
 
     def test_rms_error_reported(self):
@@ -186,7 +223,7 @@ class TestEvaluateSurface:
         geom = uniform_half_wavelength_geometry(4)
         w = Weights(center=1, rings=(1, 1, 1, 1))  # peak at u = 0 on both grids
         surface = evaluate_surface(geom, w, theta_points=91, phi_points=8)
-        cut = evaluate_cut(geom, w)
+        cut = evaluate_cut(geom, w, FLAT_TOP)
         mid = len(cut.u_grid) // 2
         assert surface.amplitude_db[0] == pytest.approx(
             cut.amplitude_db[mid], abs=1e-9
@@ -196,7 +233,7 @@ class TestEvaluateSurface:
         geom = uniform_half_wavelength_geometry(4)
         w = Weights(center=1, rings=(1, 1, 1, 1))
         surface = evaluate_surface(geom, w, theta_points=91, phi_points=8)
-        cut = evaluate_cut(geom, w)
+        cut = evaluate_cut(geom, w, FLAT_TOP)
         assert surface.amplitude_db[-1] == pytest.approx(
             cut.amplitude_db[-1], abs=1e-9
         )
@@ -239,17 +276,14 @@ class TestEvaluateSurface:
         assert surface.amplitude_db == pytest.approx(expected, abs=1e-9)
 
 
-def per_cell_cut_text(cut: PatternCut, target=None) -> str:
-    """Reference cut table: one f-string per cell."""
-    if target is None:
-        rows = ["u,db"] + [f"{u:.6f},{db:.6f}" for u, db in zip(cut.u_grid, cut.amplitude_db)]
-    else:
-        floor = 10.0 ** (DB_FLOOR / 20.0)
-        target_db = 20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), floor))
-        rows = ["u,db,target_db"] + [
-            f"{u:.6f},{db:.6f},{t:.6f}"
-            for u, db, t in zip(cut.u_grid, cut.amplitude_db, target_db)
-        ]
+def per_cell_cut_text(cut: PatternCut, target) -> str:
+    """Reference cut table: one f-string per cell, the target evaluated afresh."""
+    floor = 10.0 ** (DB_FLOOR / 20.0)
+    target_db = 20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), floor))
+    rows = ["u,db,target_db"] + [
+        f"{u:.6f},{db:.6f},{t:.6f}"
+        for u, db, t in zip(cut.u_grid, cut.amplitude_db, target_db)
+    ]
     return "\n".join(rows) + "\n"
 
 
@@ -273,8 +307,8 @@ class TestSerialization:
     def test_cut_rows_format(self):
         geom = uniform_half_wavelength_geometry(3)
         w = Weights(center=1, rings=(1, 1, 1))
-        cut = evaluate_cut(geom, w)
-        rows = cut_rows(cut, flat_top(0.4, 0.1)).splitlines()
+        cut = evaluate_cut(geom, w, FLAT_TOP)
+        rows = cut_rows(cut).splitlines()
         assert rows[0] == "u,db,target_db"
         assert len(rows) == len(cut.u_grid) + 1
         first = rows[1].split(",")
@@ -295,11 +329,11 @@ class TestSerialization:
         u = np.linspace(-1.0, 1.0, n)
         u[: EDGE_VALUES.size] = -EDGE_VALUES
         u[EDGE_VALUES.size : 2 * EDGE_VALUES.size] = EDGE_VALUES
-        cut = PatternCut(u_grid=u, amplitude_db=db)
         # a table target reaching exact zero (the dB floor) and exact one (0 dB)
         table = from_table([(-1.0, 0.0), (-0.5, 1.0), (0.5, 1.0), (1.0, 0.0)])
-        for target in (None, table, flat_top(0.4, 0.1)):
-            assert cut_rows(cut, target) == per_cell_cut_text(cut, target)
+        for target in (table, FLAT_TOP):
+            cut = PatternCut(u_grid=u, amplitude_db=db, target_amplitude=target.amplitude(u))
+            assert cut_rows(cut) == per_cell_cut_text(cut, target)
 
         theta = np.concatenate([EDGE_VALUES, [0.5, 123.4567895]])
         phi = -EDGE_VALUES
@@ -316,7 +350,7 @@ class TestSerialization:
         report = run_synthesis(cfg, warnings)
         cut_text = (tmp_path / "cut.csv").read_text(encoding="utf-8")
         surface_text = (tmp_path / "surface.csv").read_text(encoding="utf-8")
-        assert cut_text == per_cell_cut_text(report.cut, report.target)
+        assert cut_text == per_cell_cut_text(report.cut, cfg.target)
         assert surface_text == per_cell_surface_text(report.surface)
 
     def test_metrics_rows_include_nulls(self):
@@ -328,8 +362,8 @@ class TestSerialization:
 
     def test_fast_path_takes_real_cuts(self):
         geom = uniform_half_wavelength_geometry(20)
-        cut = evaluate_cut(geom, Weights(center=1, rings=(1,) * 20), grid_points=4001)
-        target = flat_top(0.4, 0.1)
+        target = FLAT_TOP
+        cut = evaluate_cut(geom, Weights(center=1, rings=(1,) * 20), target, grid_points=4001)
         target_db = 20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), 1e-10))
         text = _fixed6_table(np.column_stack([cut.u_grid, cut.amplitude_db, target_db]))
         assert text is not None
@@ -341,13 +375,18 @@ def percent_text(values) -> str:
     return "".join(",".join("%.6f" % x for x in row) + "\n" for row in values.tolist())
 
 
+# a table target whose dB column holds the floor, 0 dB and values between
+TABLE = from_table([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.25)])
+
+
 def cut_holding(values, db=None) -> PatternCut:
-    """A minimum-size cut whose u column repeats ``values`` (dB peak at 0)."""
+    """A minimum-size cut whose u column repeats ``values`` (dB peak at 0), target TABLE."""
     u = np.resize(np.asarray(values, dtype=float), 801)
     if db is None:
         db = -np.abs(u)
         db[0] = 0.0
-    return PatternCut(u_grid=u, amplitude_db=np.resize(np.asarray(db, dtype=float), 801))
+    return PatternCut(u_grid=u, amplitude_db=np.resize(np.asarray(db, dtype=float), 801),
+                      target_amplitude=TABLE.amplitude(u))
 
 
 FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -357,9 +396,7 @@ class TestFixedPointKernel:
     @given(st.lists(FINITE, min_size=1, max_size=40))
     def test_cut_rows_match_per_cell_reference(self, values):
         cut = cut_holding(values)
-        table = from_table([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.25)])
-        for target in (None, table):
-            assert cut_rows(cut, target) == per_cell_cut_text(cut, target)
+        assert cut_rows(cut) == per_cell_cut_text(cut, TABLE)
 
     @given(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=1, max_size=40))
     def test_mixed_sign_columns_match_or_fall_back(self, rows):
@@ -372,7 +409,7 @@ class TestFixedPointKernel:
         assert _fixed6_table(ties) is None
         assert _fixed6_table(ties[::2]) == percent_text(ties[::2])
         cut = cut_holding(ties.ravel())
-        assert cut_rows(cut) == per_cell_cut_text(cut)
+        assert cut_rows(cut) == per_cell_cut_text(cut, TABLE)
         assert "0.007812," in cut_rows(cut)  # 0.0078125 rounds half to even
 
     @pytest.mark.parametrize("value", [-0.0, -1e-9])
@@ -385,7 +422,7 @@ class TestFixedPointKernel:
         for value in (999.9999995, -999.9999995):
             assert _fixed6_table(np.array([[value]])) is None
             cut = cut_holding([value, 0.0])
-            assert cut_rows(cut) == per_cell_cut_text(cut)
+            assert cut_rows(cut) == per_cell_cut_text(cut, TABLE)
         assert _fixed6_table(np.array([[999.9999994]])) == "999.999999\n"
         # below 1000, but its six-decimal text needs four integer digits
         assert _fixed6_table(np.array([[999.9999999999999]])) is None
@@ -403,7 +440,7 @@ class TestFixedPointKernel:
         cut = cut_holding(np.linspace(-1.0, 1.0, 801), db)
         assert _fixed6_table(np.column_stack([cut.u_grid, cut.amplitude_db])) is None
         text = cut_rows(cut)
-        assert text == per_cell_cut_text(cut)
+        assert text == per_cell_cut_text(cut, TABLE)
         assert "-1234.500000" in text
 
     def test_nan_and_inf_fall_back(self):

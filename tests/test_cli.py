@@ -112,6 +112,49 @@ class TestConfigResolution:
         cfg, _ = resolve_config(minimal_config(geometry={"wavelength": 1.0, "rings": 2000}))
         assert cfg.geometry.n_rings == 2000
 
+    @pytest.mark.parametrize(
+        "output, field",
+        [
+            # 200,000,001 half-grid points x 21 weights
+            ({"grid_points": 400_000_001}, "output.grid_points"),
+            # 1,600,000 angles x 21 weights, written as 3.2M rows
+            ({"surface": True, "theta_points": 1_600_000, "phi_points": 2},
+             "output.theta_points"),
+            # 1e10 rows of a surface whose ring block is only 2.1M cells
+            ({"surface": True, "theta_points": 100_000, "phi_points": 100_000},
+             "output.surface"),
+        ],
+    )
+    def test_output_grids_are_bounded(self, output, field):
+        raw = minimal_config(geometry={"wavelength": 1.0, "rings": 20}, output=output)
+        with pytest.raises(ConfigError) as err:
+            resolve_config(raw)
+        assert [p.split(":")[0] for p in err.value.problems] == [field]
+        assert "design-cell limit" in err.value.problems[0]
+
+    def test_surface_limits_apply_only_to_a_surface_run(self):
+        output = {"theta_points": 100_000, "phi_points": 100_000}
+        raw = minimal_config(geometry={"wavelength": 1.0, "rings": 20}, output=output)
+        assert resolve_config(raw)[0].theta_points == 100_000
+
+    def test_largest_output_grids_resolve(self):
+        # the dense-output benchmark shape, and the largest cut 21 weights allow
+        for output in ({"grid_points": 20001, "surface": True,
+                        "theta_points": 721, "phi_points": 181},
+                       {"grid_points": 2 * (2**25 // 21) - 1}):
+            raw = minimal_config(geometry={"wavelength": 1.0, "rings": 20}, output=output)
+            cfg, _ = resolve_config(raw)
+            assert cfg.grid_points == output["grid_points"]
+
+    def test_validate_reports_output_grid_limit(self, tmp_path, capsys):
+        output = {"grid_points": 400_000_001, "surface": True,
+                  "theta_points": 100_000, "phi_points": 100_000}
+        raw = minimal_config(geometry={"wavelength": 1.0, "rings": 20}, output=output)
+        assert main(["validate", str(write_config(tmp_path, raw))]) == 2
+        err = capsys.readouterr().err
+        assert "output.grid_points: 200000001 cut points x 21 weights" in err
+        assert "output.surface: 100000 theta x 100000 phi surface rows" in err
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError) as err:
             resolve_config(minimal_config(extras={}))

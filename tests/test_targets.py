@@ -270,6 +270,17 @@ class TestLoadTable:
         t = load_table(path)
         assert t.amplitude(1.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("header", [b"", b"u,amplitude\n"])
+    def test_byte_order_mark_keeps_every_point(self, tmp_path, header):
+        # spreadsheet "CSV UTF-8" exports start the file with EF BB BF
+        rows = header + b"-1.0,0.2\n0.0,1.0\n1.0,0.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + rows)
+        points = load_table(marked).params["points"]
+        assert len(points) == 3
+        assert points == load_table(plain).params["points"]
+
     def test_rejects_missing_column(self, tmp_path):
         path = tmp_path / "target.csv"
         path.write_text("-1.0\n1.0\n", encoding="utf-8")
