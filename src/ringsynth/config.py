@@ -336,8 +336,8 @@ def _check_problem_size(
 ) -> None:
     """Note each array a run would build over ``_MAX_DESIGN_CELLS`` cells.
 
-    They are the fit's design matrix, the cut's half-grid ring block, and a
-    surface's ring block and theta x phi rows.
+    They are the fit's design matrix, the cut's half-grid ring block and its
+    three-column table, and a surface's ring block and theta x phi rows.
     """
     try:
         total = float(effective_total_count(geometry, settings["solver"]["oversample"]))
@@ -350,8 +350,11 @@ def _check_problem_size(
             f"wavelength and solver.oversample"
         )
     out, columns = settings["output"], geometry.column_count
-    half, theta, phi = out["grid_points"] // 2 + 1, out["theta_points"], out["phi_points"]
-    blocks = [("grid_points", half, "cut points", columns, "weights")]
+    grid, theta, phi = out["grid_points"], out["theta_points"], out["phi_points"]
+    # the cut's half-grid ring block, or its u, dB, target table if that is larger
+    blocks = [max(("grid_points", grid // 2 + 1, "cut points", columns, "weights"),
+                  ("grid_points", grid, "cut points", 3, "table columns"),
+                  key=lambda block: block[1] * block[3])]
     if out["surface"]:
         blocks += [("theta_points", theta, "surface angles", columns, "weights"),
                    ("surface", theta, "theta", phi, "phi surface rows")]

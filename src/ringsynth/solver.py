@@ -9,8 +9,8 @@ the upper-triangular factor R, with R^T R the Gramian A^T A of the rows
 absorbed so far, and z = Q^T B, so the estimate solves R I = z.  The batch
 stage triangularizes the augmented even-indexed rows [A B] (the batch half of
 the sample set) by orthogonal factorization; the recursive stage absorbs the
-odd-indexed rows by re-triangularizing [R z; A B] block by block, each block
-at most as tall as the weight count, and back-substitutes once.  Neither
+odd-indexed rows by re-triangularizing [R z; A B] panel by panel, 64 columns
+at a time, and back-substitutes once.  Neither
 stage forms Q or the inverse Gramian P = (A^T A)^{-1}.  The rank-one gain
 update K = P a / (a^T P a + 1) of :func:`rls_absorb` is kept as the reference
 form.  Absorbing a row set either way is algebraically identical to batch
@@ -39,7 +39,7 @@ from .specialfn import bessel_j0_grid
 from .targets import TargetPattern
 
 _CONDITION_LIMIT = 1e12
-_BACK_SUBSTITUTION_BLOCK = 64
+_BLOCK = 64  # rows of a back-substitution block, columns of an absorption panel
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ def _back_substitute(r: NDArray[np.float64], z: NDArray[np.float64]) -> NDArray[
     ``np.linalg.solve`` and its solution is eliminated from the rows above.
     """
     x = np.array(z, dtype=float)
-    for end in range(r.shape[0], 0, -_BACK_SUBSTITUTION_BLOCK):
-        start = max(0, end - _BACK_SUBSTITUTION_BLOCK)
+    for end in range(r.shape[0], 0, -_BLOCK):
+        start = max(0, end - _BLOCK)
         x[start:end] = np.linalg.solve(r[start:end, start:end], x[start:end])
         x[:start] -= r[:start, start:end] @ x[start:end]
     return x
@@ -208,26 +208,62 @@ def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> So
     )
 
 
+def _block_reflector(tau: NDArray[np.float64], gram: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Upper-triangular T with H_1 H_2 ... H_k = I - V T V^T (LAPACK larft).
+
+    ``gram`` is V^T V off its diagonal; a reflector with tau = 0 is the
+    identity and leaves its column of T zero.
+    """
+    t = np.diag(tau)
+    scaled = gram * -tau  # column i of V^T V times -tau_i
+    for i in range(1, tau.shape[0]):
+        t[:i, i] = t[:i, :i] @ scaled[:i, i]
+    return t
+
+
 def _retriangularize(
     info: NDArray[np.float64], rows: NDArray[np.float64], rhs: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Absorb sample rows into the information array [R z] by QR.
 
-    Each block [A b] of at most n rows is stacked under [R z] and the
-    (at most 2n)-by-(n+1) result re-triangularized, keeping its top n rows;
-    one preallocated buffer holds every block, so the work space stays the
-    same whatever the row count.
+    Returns [R' z'] with R'^T R' = R^T R + A^T A, on a copy of [A b].
+    While more than 64 columns remain, the next 64 are one panel: [R_jj; A_j]
+    is factored with Householder reflectors, which are zero in R's rows below
+    the pivot because R_jj is triangular, so V = [I; V_A].  The panel's block
+    reflector I - V T V^T (Schreiber and Van Loan, 1989) then updates the
+    trailing columns of [R z] and [A b] with two products, and R's rows
+    below the panel are never factored again.  The last 64 or fewer
+    columns, z among them, are re-triangularized densely, each block of at
+    most n rows stacked under their triangle; a system of 64 or fewer
+    weights takes only this path, one n-row block at a time.
     """
     n = info.shape[0]
-    stacked = np.empty((2 * n, n + 1))
-    stacked[:n] = info
-    for start in range(0, rows.shape[0], n):
-        block = rows[start : start + n]
-        height = n + block.shape[0]
-        stacked[n:height, :-1] = block
-        stacked[n:height, -1] = rhs[start : start + n]
-        stacked[:n] = np.linalg.qr(stacked[:height], mode="r")[:n]
-    return stacked[:n].copy()
+    out = info.copy()
+    low = np.column_stack((rows, rhs))
+    if low.shape[0] == 0:
+        return out
+    start = 0
+    while n - start > _BLOCK:
+        end = start + _BLOCK
+        panel = np.vstack((out[start:end, start:end], low[:, start:end]))
+        h, tau = np.linalg.qr(panel, mode="raw")  # h holds the factored panel transposed
+        out[start:end, start:end] = np.triu(h[:, :_BLOCK].T)
+        v = h[:, _BLOCK:].T
+        t = _block_reflector(tau, v.T @ v)
+        w = t.T @ (out[start:end, end:] + v.T @ low[:, end:])
+        out[start:end, end:] -= w
+        low[:, end:] -= v @ w
+        start = end
+    width = n - start
+    stacked = np.empty((width + n, width + 1))
+    stacked[:width] = out[start:, start:]
+    for first in range(0, low.shape[0], n):
+        block = low[first : first + n, start:]
+        height = width + block.shape[0]
+        stacked[width:height] = block
+        stacked[:width] = np.linalg.qr(stacked[:height], mode="r")[:width]
+    out[start:, start:] = stacked[:width]
+    return out
 
 
 def synthesize(
@@ -237,7 +273,7 @@ def synthesize(
 
     The batch stage triangularizes the batch half of the sample set into
     [R z]; one pass then absorbs the incremental half by re-triangularizing
-    [R z; A b] in blocks of at most the weight count, and one back
+    [R z; A b] panel by panel (:func:`_retriangularize`), and one back
     substitution gives the weights, which in exact arithmetic are the full
     least-squares solution.  The solve stays in arrays until the weights
     are returned.  ``passes_completed`` is that one pass (0 without

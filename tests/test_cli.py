@@ -146,6 +146,30 @@ class TestConfigResolution:
             cfg, _ = resolve_config(raw)
             assert cfg.grid_points == output["grid_points"]
 
+    @pytest.mark.parametrize("grid_points, resolves", [(2**25 // 3, True),
+                                                       (2**25 // 3 + 1, False),
+                                                       (2**26 - 1, False)])
+    def test_cut_table_is_bounded(self, grid_points, resolves):
+        # one weight: the ring block is a third of the u, dB, target table
+        geometry = {"wavelength": 1.0, "rings": 1, "center_element": False}
+        raw = minimal_config(geometry=geometry, output={"grid_points": grid_points})
+        if resolves:
+            assert resolve_config(raw)[0].grid_points == grid_points
+            return
+        with pytest.raises(ConfigError) as err:
+            resolve_config(raw)
+        assert err.value.problems == [
+            f"output.grid_points: {grid_points} cut points x 3 table columns, "
+            f"over the {2**25} design-cell limit"
+        ]
+
+    def test_validate_reports_cut_table_limit(self, tmp_path, capsys):
+        geometry = {"wavelength": 1.0, "rings": 1, "center_element": False}
+        raw = minimal_config(geometry=geometry, output={"grid_points": 67_108_863})
+        assert main(["validate", str(write_config(tmp_path, raw))]) == 2
+        err = capsys.readouterr().err
+        assert "output.grid_points: 67108863 cut points x 3 table columns" in err
+
     def test_validate_reports_output_grid_limit(self, tmp_path, capsys):
         output = {"grid_points": 400_000_001, "surface": True,
                   "theta_points": 100_000, "phi_points": 100_000}

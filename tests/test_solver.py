@@ -55,6 +55,14 @@ def random_state(rng, n: int) -> SolverState:
     return batch_state(*random_seed(rng, n), absorbed=3 * n)
 
 
+def gram_error(absorbed, info, rows, rhs) -> float:
+    """Relative Gramian gap of an absorbed [R z] to one dense QR of the stacked system."""
+    n = info.shape[0]
+    dense = np.linalg.qr(np.vstack((info, np.column_stack((rows, rhs)))), mode="r")[:n]
+    want = dense.T @ dense
+    return np.linalg.norm(absorbed.T @ absorbed - want) / np.linalg.norm(want)
+
+
 def well_conditioned_upper(rng, n: int) -> np.ndarray:
     # the R of a 2n x n Gaussian matrix has a condition number near 6
     return np.linalg.qr(rng.standard_normal((2 * n, n)), mode="r")
@@ -310,14 +318,18 @@ class TestRlsAbsorb:
 
 
 class TestRetriangularize:
-    @pytest.mark.parametrize("k", [1, 4, 19])
-    def test_blocks_match_successive_rank_one_updates(self, k, inv_gramian):
+    @pytest.mark.parametrize(
+        "n, k", [(6, 1), (6, 4), (6, 19), (65, 1), (65, 70)],
+        ids=["1", "4", "19", "65-columns-1", "65-columns-70"],
+    )
+    def test_blocks_match_successive_rank_one_updates(self, n, k, inv_gramian):
         # 6 columns, so blocks of 6: one row, a partial block, and three full
-        # blocks plus a partial one
+        # blocks plus a partial one; 65 columns: one 64-column panel, then a
+        # dense trailing column and z
         rng = np.random.default_rng(13)
-        x_seed, info = random_seed(rng, 6)
+        x_seed, info = random_seed(rng, n)
         state = batch_state(x_seed, info)
-        rows = rng.standard_normal((k, 6))
+        rows = rng.standard_normal((k, n))
         rhs = rng.standard_normal(k)
         absorbed = _retriangularize(info, rows, rhs)
         x = _back_substitute(absorbed[:, :-1], absorbed[:, -1])
@@ -330,6 +342,69 @@ class TestRetriangularize:
         assert np.linalg.norm(p - want_p) <= 1e-12 * np.linalg.norm(want_p)
         assert np.array_equal(p, p.T)
         np.linalg.cholesky(p)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 201])
+    @pytest.mark.parametrize("rows", ["none", "one", "panel", "tall"])
+    def test_matches_dense_qr_and_lstsq(self, n, rows):
+        # panel edges: no panel, one panel with 1 or 65 trailing columns (z
+        # counted), and several panels with a partial trailing block
+        m = {"none": 0, "one": 1, "panel": 64, "tall": 2 * n + 3}[rows]
+        rng = np.random.default_rng(n + m)
+        seed_rows = rng.standard_normal((3 * n, n))
+        seed_rhs = seed_rows @ rng.standard_normal(n) + 0.01 * rng.standard_normal(3 * n)
+        _, info = solve_batch(DesignMatrix(seed_rows, True), seed_rhs)
+        new_rows, new_rhs = rng.standard_normal((m, n)), rng.standard_normal(m)
+        absorbed = _retriangularize(info, new_rows, new_rhs)
+        assert absorbed.shape == info.shape
+        assert np.array_equal(absorbed, np.triu(absorbed))
+        assert gram_error(absorbed, info, new_rows, new_rhs) <= 1e-14
+        x = _back_substitute(absorbed[:, :-1], absorbed[:, -1])
+        want_x = np.linalg.lstsq(
+            np.vstack((seed_rows, new_rows)), np.concatenate((seed_rhs, new_rhs)), rcond=None
+        )[0]
+        assert np.linalg.norm(x - want_x) <= 1e-13 * np.linalg.norm(want_x)
+
+    @pytest.mark.parametrize("n", [6, 129])
+    def test_zero_rows_leave_the_array_unchanged(self, n):
+        rng = np.random.default_rng(n)
+        _, info = random_seed(rng, n)
+        assert np.array_equal(_retriangularize(info, np.zeros((n + 5, n)), np.zeros(n + 5)), info)
+
+    @pytest.mark.parametrize("zero_columns", [1, 20, 64])
+    def test_rows_zero_in_leading_columns_match_dense_qr(self, zero_columns):
+        # each leading zero column gives a reflector with tau = 0, the
+        # identity and a zero column of the panel's T, so R's rows for those
+        # columns come back unchanged; with all 64 zero the whole first
+        # panel is the identity
+        rng = np.random.default_rng(zero_columns)
+        _, info = random_seed(rng, 129)
+        rows, rhs = rng.standard_normal((40, 129)), rng.standard_normal(40)
+        rows[:, :zero_columns] = 0.0
+        absorbed = _retriangularize(info, rows, rhs)
+        assert gram_error(absorbed, info, rows, rhs) <= 1e-14
+        assert np.array_equal(absorbed[:zero_columns], info[:zero_columns])
+
+    @pytest.mark.parametrize("n", [1, 6, 51, 63, 64])
+    @pytest.mark.parametrize("rows", ["none", "one", "block", "tall"])
+    def test_up_to_64_columns_keep_the_row_block_arithmetic(self, n, rows):
+        # bit for bit the row-block loop that absorbed every system before
+        # the panels: this pins the bundled output bytes without a golden file
+        def row_blocks(info, rows, rhs):
+            stacked = np.empty((2 * n, n + 1))
+            stacked[:n] = info
+            for start in range(0, rows.shape[0], n):
+                block = rows[start : start + n]
+                height = n + block.shape[0]
+                stacked[n:height, :-1] = block
+                stacked[n:height, -1] = rhs[start : start + n]
+                stacked[:n] = np.linalg.qr(stacked[:height], mode="r")[:n]
+            return stacked[:n].copy()
+
+        m = {"none": 0, "one": 1, "block": n, "tall": 2 * n + 3}[rows]
+        rng = np.random.default_rng(n + m)
+        _, info = random_seed(rng, n)
+        rows, rhs = rng.standard_normal((m, n)), rng.standard_normal(m)
+        assert np.array_equal(_retriangularize(info, rows, rhs), row_blocks(info, rows, rhs))
 
 
 class TestBackSubstitute:
