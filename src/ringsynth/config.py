@@ -90,7 +90,7 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
     try:
         raw = json.loads(text)

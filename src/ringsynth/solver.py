@@ -9,9 +9,9 @@ the upper-triangular factor R, with R^T R the Gramian A^T A of the rows
 absorbed so far, and z = Q^T B, so the estimate solves R I = z.  The batch
 stage triangularizes the augmented even-indexed rows [A B] (the batch half of
 the sample set) by orthogonal factorization; the recursive stage absorbs the
-odd-indexed rows by re-triangularizing [R z; A B] panel by panel, 64 columns
-at a time, and back-substitutes once.  Neither
-stage forms Q or the inverse Gramian P = (A^T A)^{-1}.  The rank-one gain
+odd-indexed rows by re-triangularizing [R z; A B] in one loop over 64-column
+panels, whatever the weight count, and back-substitutes once.  Neither stage
+forms Q or the inverse Gramian P = (A^T A)^{-1}.  The rank-one gain
 update K = P a / (a^T P a + 1) of :func:`rls_absorb` is kept as the reference
 form.  Absorbing a row set either way is algebraically identical to batch
 least squares over the same rows, which is the correctness property the test
@@ -226,43 +226,28 @@ def _retriangularize(
 ) -> NDArray[np.float64]:
     """Absorb sample rows into the information array [R z] by QR.
 
-    Returns [R' z'] with R'^T R' = R^T R + A^T A, on a copy of [A b].
-    While more than 64 columns remain, the next 64 are one panel: [R_jj; A_j]
+    Returns [R' z'] with R'^T R' = R^T R + A^T A, on a copy of [A b].  The
+    columns go in panels of 64, the last possibly narrower; each [R_jj; A_j]
     is factored with Householder reflectors, which are zero in R's rows below
     the pivot because R_jj is triangular, so V = [I; V_A].  The panel's block
     reflector I - V T V^T (Schreiber and Van Loan, 1989) then updates the
-    trailing columns of [R z] and [A b] with two products, and R's rows
-    below the panel are never factored again.  The last 64 or fewer
-    columns, z among them, are re-triangularized densely, each block of at
-    most n rows stacked under their triangle; a system of 64 or fewer
-    weights takes only this path, one n-row block at a time.
+    trailing columns of [R z] and [A b], z always among them, with two
+    products, and R's rows below the panel are never factored again.  With
+    no rows every tau is 0 and the copy comes back unchanged.
     """
     n = info.shape[0]
     out = info.copy()
     low = np.column_stack((rows, rhs))
-    if low.shape[0] == 0:
-        return out
-    start = 0
-    while n - start > _BLOCK:
-        end = start + _BLOCK
+    for start in range(0, n, _BLOCK):
+        end = min(start + _BLOCK, n)
         panel = np.vstack((out[start:end, start:end], low[:, start:end]))
         h, tau = np.linalg.qr(panel, mode="raw")  # h holds the factored panel transposed
-        out[start:end, start:end] = np.triu(h[:, :_BLOCK].T)
-        v = h[:, _BLOCK:].T
+        out[start:end, start:end] = np.triu(h[:, : end - start].T)
+        v = h[:, end - start :].T
         t = _block_reflector(tau, v.T @ v)
         w = t.T @ (out[start:end, end:] + v.T @ low[:, end:])
         out[start:end, end:] -= w
         low[:, end:] -= v @ w
-        start = end
-    width = n - start
-    stacked = np.empty((width + n, width + 1))
-    stacked[:width] = out[start:, start:]
-    for first in range(0, low.shape[0], n):
-        block = low[first : first + n, start:]
-        height = width + block.shape[0]
-        stacked[width:height] = block
-        stacked[:width] = np.linalg.qr(stacked[:height], mode="r")[:width]
-    out[start:, start:] = stacked[:width]
     return out
 
 
@@ -273,7 +258,7 @@ def synthesize(
 
     The batch stage triangularizes the batch half of the sample set into
     [R z]; one pass then absorbs the incremental half by re-triangularizing
-    [R z; A b] panel by panel (:func:`_retriangularize`), and one back
+    [R z; A b] in 64-column panels (:func:`_retriangularize`), and one back
     substitution gives the weights, which in exact arithmetic are the full
     least-squares solution.  The solve stays in arrays until the weights
     are returned.  ``passes_completed`` is that one pass (0 without

@@ -305,20 +305,19 @@ def from_table(samples: Sequence[tuple[float, float]]) -> TargetPattern:
 def load_table(path: str | Path) -> TargetPattern:
     """Read a two-column comma-separated (u, amplitude) file.
 
-    A single non-numeric header line is tolerated; blank lines are skipped.
-    A leading UTF-8 byte-order mark (as spreadsheet "CSV UTF-8" exports write)
-    is dropped, so it cannot turn the first row into a header.
+    A single non-numeric header on the first non-blank line is tolerated;
+    blank lines are skipped.  A leading UTF-8 byte-order mark (as spreadsheet
+    "CSV UTF-8" exports write) is dropped, so it cannot turn the first row
+    into a header.
     """
     path = Path(path)
     rows: list[tuple[float, float]] = []
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TableFormatError(f"cannot read table file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    lines = [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    for index, (lineno, line) in enumerate(lines):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise TableFormatError(
@@ -327,7 +326,7 @@ def load_table(path: str | Path) -> TargetPattern:
         try:
             rows.append((float(parts[0]), float(parts[1])))
         except ValueError:
-            if lineno == 1:
+            if index == 0:
                 continue  # header line
             raise TableFormatError(f"{path}:{lineno}: non-numeric row {line!r}") from None
     return from_table(rows)

@@ -314,6 +314,22 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             load_config_file(path)
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(ConfigError):
+            load_config_file(path)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
+
+    def test_non_utf8_table_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "shape.csv").write_bytes(b"\xff\xfe\x00bad")
+        path = write_config(tmp_path, minimal_config(target={"kind": "table", "path": "shape.csv"}))
+        out = str(tmp_path / "out")
+        for command in (["validate", str(path)], ["run", str(path), "--out", out, "--quiet"]):
+            assert main(command) == 2
+            assert "config error: target: cannot read table file" in capsys.readouterr().err
+
 
 EQUI_RIPPLE_WITH_NULL = {"kind": "equi_ripple", "sll_db": -25,
                          "nulls": [{"center": 0.5, "depth_db": -40, "width": 0.05}]}

@@ -270,7 +270,7 @@ class TestLoadTable:
         t = load_table(path)
         assert t.amplitude(1.0) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("header", [b"", b"u,amplitude\n"])
+    @pytest.mark.parametrize("header", [b"", b"u,amplitude\n", b"\nu,amplitude\n"])
     def test_byte_order_mark_keeps_every_point(self, tmp_path, header):
         # spreadsheet "CSV UTF-8" exports start the file with EF BB BF
         rows = header + b"-1.0,0.2\n0.0,1.0\n1.0,0.5\n"
@@ -290,6 +290,18 @@ class TestLoadTable:
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(TableFormatError):
             load_table(tmp_path / "absent.csv")
+
+    def test_rejects_non_utf8_file(self, tmp_path):
+        path = tmp_path / "target.csv"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(TableFormatError, match="cannot read table file"):
+            load_table(path)
+
+    def test_rejects_second_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "target.csv"
+        path.write_text("\n\nu,amplitude\nu,amplitude\n0.0,1.0\n1.0,0.0\n", encoding="utf-8")
+        with pytest.raises(TableFormatError, match=":4: non-numeric row"):
+            load_table(path)
 
     def test_rejects_non_numeric_row(self, tmp_path):
         path = tmp_path / "target.csv"
