@@ -107,9 +107,8 @@ def pattern_on_grid(
             f"weights carry {len(w.rings)} rings but geometry has {geom.n_rings}"
         )
     # einsum sums each row the same way wherever it sits, where BLAS gemv
-    # rounds its tail rows differently, so equal rows (the +/-u pairs of a
-    # cut) give equal values.  Its order follows the operands' strides, hence
-    # the contiguous weight vector.
+    # rounds its tail rows differently, so equal rows give equal values.  Its
+    # order follows the operands' strides, hence the contiguous weight vector.
     return np.einsum(
         "ij,j->i", _ring_block(geom, u), _vector_from_weights(w, geom.column_count)
     )
@@ -132,9 +131,10 @@ def evaluate_cut(geom: RingGeometry, w: Weights, target: TargetPattern,
     """Normalized |F(u)| in dB and the target's |amplitude| on a uniform grid over [-1, 1].
 
     The pattern is even in u and the grid's points are exact +/- pairs, so
-    only the non-negative half is evaluated and its dB values are mirrored;
-    the result is bit-identical to evaluating every point.  Exact zeros are
-    floored at -200 dB.  All-zero weights cannot be normalized and raise
+    only the non-negative half is evaluated and its dB values are mirrored,
+    which makes the cut exactly even.  Evaluating every point agrees to J0's
+    rounding, since the ring block then groups the rows into other J0
+    panels.  Exact zeros are floored at -200 dB.  All-zero weights cannot be normalized and raise
     :class:`DegeneratePatternError`.  The target is evaluated once over the
     whole grid: tables and notched targets need not be even in u.
     """

@@ -53,6 +53,10 @@ class RingGeometry:
         )
         if not (math.isfinite(self.wavelength) and self.wavelength > 0):
             raise DomainError(f"wavelength must be positive, got {self.wavelength!r}")
+        if not math.isfinite(self.wavenumber):
+            raise DomainError(
+                f"wavelength {self.wavelength!r} is too small: 2*pi/wavelength overflows"
+            )
         if len(self.radii) != len(self.elements_per_ring):
             raise DomainError(
                 f"{len(self.radii)} radii but {len(self.elements_per_ring)} element counts"

@@ -35,7 +35,8 @@ from numpy.typing import NDArray
 from .errors import DomainError, SingularSystemError
 from .geometry import RingGeometry, Weights, _require_real
 from .sampling import SampleSet, build_sample_set, effective_total_count
-from .specialfn import bessel_j0_grid
+from .specialfn import _BLOCK as _J0_PANEL
+from .specialfn import bessel_j0_grid, j0_hankel_columns
 from .targets import TargetPattern
 
 _CONDITION_LIMIT = 1e12
@@ -84,7 +85,12 @@ def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.fl
     """Design columns N_n * J0(k * r_n * u_m), one row per abscissa, scaled in place.
 
     The center element is the ring (0.0, 1), appended last, so the block is
-    the whole design matrix.
+    the whole design matrix.  J0 goes over row panels of about
+    ``_J0_PANEL`` elements: in each, the ring columns wholly in J0's Hankel
+    branch come from two small matrix products
+    (:func:`~ringsynth.specialfn.j0_hankel_columns`), and the rest (the
+    series branch, columns that straddle x = 8, the center, and panels
+    holding u = 0) go through :func:`bessel_j0_grid`.
     """
     if len(abscissas) == 0:
         raise DomainError("design matrix needs at least one sample abscissa")
@@ -98,8 +104,39 @@ def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.fl
     # J0 overwrites its own argument, so the block is the only basis-sized array
     block = np.multiply.outer(u, np.asarray(radii, dtype=float))
     np.multiply(block, geom.wavenumber, out=block)
-    bessel_j0_grid(block, out=block)
+    n_rings, n_columns = geom.n_rings, block.shape[1]
+    step = max(1, _J0_PANEL // n_columns)
+    # the columns left beside a panel's products wait until about a panel's
+    # worth of them can go through one bessel_j0_grid call
+    pending: list[NDArray[np.float64]] = []
+    held = 0
+    for lo in range(0, block.shape[0], step):
+        panel = block[lo : lo + step]
+        first = j0_hankel_columns(u[lo : lo + step], panel[:, :n_rings])
+        if first == n_rings:
+            bessel_j0_grid(panel, out=panel)
+            continue
+        pending += [panel[:, :first], panel[:, n_rings:]]
+        held += panel.shape[0] * (first + n_columns - n_rings)
+        if held >= _J0_PANEL:
+            _j0_in_place(pending)
+            pending, held = [], 0
+    if held:
+        _j0_in_place(pending)
     return np.multiply(block, np.asarray(counts, dtype=float), out=block)
+
+
+def _j0_in_place(views: list[NDArray[np.float64]]) -> None:
+    """J0 over each of several views, through one :func:`bessel_j0_grid` call.
+
+    Its fixed cost, a few dozen numpy calls on a block that mixes both
+    branches, would otherwise come once per panel.
+    """
+    values = bessel_j0_grid(np.concatenate([v.ravel() for v in views]))
+    offset = 0
+    for v in views:
+        v[...] = values[offset : offset + v.size].reshape(v.shape)
+        offset += v.size
 
 
 def build_design_matrix(geom: RingGeometry, abscissas: Sequence[float]) -> DesignMatrix:

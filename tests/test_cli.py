@@ -637,6 +637,17 @@ class TestCliValidate:
         assert "geometry.spacing: expected a number" in err
         assert "sidelobe level must lie in" in err
 
+    def test_wavelength_with_overflowing_wavenumber_exits_2(self, tmp_path, capsys):
+        # a subnormal wavelength is positive and finite, but 2*pi/wavelength is not
+        path = write_config(
+            tmp_path, minimal_config(geometry={"wavelength": 1e-310, "rings": 3})
+        )
+        assert main(["validate", str(path)]) == 2
+        assert "2*pi/wavelength overflows" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "2*pi/wavelength overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_validate_reports_bad_radii_beside_bad_wavelength(self, tmp_path, capsys):
         # radii order and sign are checked on their own, not only once the
         # rest of the geometry is valid

@@ -83,6 +83,11 @@ class TestRingGeometryValidation:
         with pytest.raises(DomainError):
             RingGeometry(0.0, (1.0,), (6,))
 
+    def test_rejects_wavelength_whose_wavenumber_overflows(self):
+        # 2*pi/1e-310 is inf, which would reach J0 as an infinite argument
+        with pytest.raises(DomainError, match="2\\*pi/wavelength overflows"):
+            RingGeometry(1e-310, (1e-310,), (6,))
+
     def test_rejects_mismatched_counts(self):
         with pytest.raises(DomainError):
             RingGeometry(1.0, (1.0, 2.0), (6,))

@@ -1,13 +1,23 @@
 """Design matrix assembly, batch least squares, and the recursive update."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ringsynth
+from ringsynth import solver
 from ringsynth.cli import BUNDLED_EXAMPLES, bundled_config_path
 from ringsynth.config import load_config_file, resolve_config
 from ringsynth.errors import DomainError, SingularSystemError
@@ -23,6 +33,7 @@ from ringsynth.solver import (
     SolverState,
     _back_substitute,
     _retriangularize,
+    _ring_block,
     _weights_from_vector,
     build_design_matrix,
     rls_absorb,
@@ -129,6 +140,72 @@ class TestBuildDesignMatrix:
         geom = uniform_half_wavelength_geometry(2)
         with pytest.raises(DomainError):
             build_design_matrix(geom, np.array([0.1 + 0.5j, 0.2]))
+
+
+@st.composite
+def panelled_blocks(draw):
+    """A ring geometry, abscissas and a J0 panel size for ``_ring_block``.
+
+    Abscissas come unsorted, of either sign and with zeros; gaps up to 30
+    wavelengths reach x ~ 2000.  The tiny wavelength gives k * r ~ 1e201,
+    with abscissas scaled down to match, plus a few far smaller and far
+    larger ones.  Small panel sizes split even a small block many ways.
+    """
+    n_rings = draw(st.integers(1, 12))
+    radii = np.cumsum(draw(st.lists(st.floats(0.05, 30.0), min_size=n_rings, max_size=n_rings)))
+    counts = draw(st.lists(st.integers(1, 60), min_size=n_rings, max_size=n_rings))
+    wavelength = draw(st.sampled_from([1.0, 1e-200]))
+    geom = RingGeometry(wavelength, tuple(radii), tuple(counts), draw(st.booleans()))
+    u = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=1, max_size=120
+    ))) * wavelength
+    if wavelength != 1.0:
+        u = np.concatenate([u, draw(st.lists(st.sampled_from([1e-300, -1e-250, 1e-190, 0.5])))])
+    return geom, u, draw(st.sampled_from([1, 5, 64, 32768]))
+
+
+class TestRingBlockPanels:
+    """The ring block takes Hankel columns from products and the rest elementwise."""
+
+    @given(panelled_blocks())
+    def test_matches_elementwise_j0(self, case):
+        geom, u, panel = case
+        with patch.object(solver, "_J0_PANEL", panel), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            block = _ring_block(geom, u)
+        radii = geom.radii + ((0.0,) if geom.has_center_element else ())
+        counts = np.array(geom.elements_per_ring + ((1,) if geom.has_center_element else ()))
+        x = np.multiply.outer(u, np.array(radii)) * geom.wavenumber
+        ref = bessel_j0_grid(x) * counts
+        # beyond 1e-15 the two differ only where the cosine's argument, rounded
+        # to x's ulp, lands one ulp apart: J0'(x) ulp(x) < ulp(x) / sqrt(x)
+        ax = np.abs(x)
+        tol = counts * (1e-15 + np.spacing(ax) / np.sqrt(np.maximum(ax, 8.0)))
+        assert np.all(np.abs(block - ref) <= tol)
+
+    def test_block_bytes_do_not_depend_on_blas_threads(self):
+        # the products stay panel-sized; a whole-block product may split
+        # differently across BLAS threads and round differently
+        script = (
+            "import hashlib, numpy as np\n"
+            "from ringsynth.geometry import uniform_half_wavelength_geometry as g\n"
+            "from ringsynth.sampling import effective_total_count as n, midpoint_abscissas as m\n"
+            "from ringsynth.solver import _ring_block\n"
+            "geom = g(500)\n"
+            "for u in (m(n(geom)), np.linspace(-1.0, 1.0, 2001)[1000:]):\n"
+            "    print(hashlib.sha256(_ring_block(geom, u).tobytes()).hexdigest())\n"
+        )
+        src = str(Path(ringsynth.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                check=True, timeout=120,
+            )
+            digests.append(result.stdout)
+        assert digests[0] == digests[1]
+        assert len(digests[0].split()) == 2
 
 
 class TestSolveBatch:

@@ -19,6 +19,7 @@ from ringsynth.specialfn import (
     _j0_series,
     _polevl,
     bessel_j0_grid,
+    j0_hankel_columns,
 )
 
 
@@ -124,20 +125,22 @@ class TestKernelCoefficients:
         assert np.max(np.abs(fit - ref)) <= 6e-17
 
     def test_hankel_tables(self):
-        # m = sqrt(x) M0 and g = x (theta0 - x + pi/4), with J0 = M0 cos(theta0)
+        # m = sqrt(x) M0 and g = x (theta0 - x + pi/4), with J0 = M0 cos(theta0),
+        # tabled in s = 1/x^2 = (t + 1)/128
+        s = (self.T + 1.0) / 128.0
         ref = []
         with mpmath.workdps(30):
-            for t in self.T.tolist():
-                x = mpmath.sqrt(128 / (mpmath.mpf(t) + 1))
+            for s_j in s.tolist():
+                x = 1 / mpmath.sqrt(mpmath.mpf(s_j))
                 j, y = mpmath.besselj(0, x), mpmath.bessely(0, x)
                 theta = mpmath.atan2(y, j)
                 theta += 2 * mpmath.pi * mpmath.nint((x - mpmath.pi / 4 - theta) / (2 * mpmath.pi))
                 ref.append((float(mpmath.sqrt(x * (j * j + y * y))),
                             float(x * (theta - x + mpmath.pi / 4))))
         m_ref, g_ref = np.array(ref).T
-        assert np.max(np.abs(_polevl(self.T, _HANKEL_M, np.empty_like(self.T)) - m_ref)) <= 2.5e-16
+        assert np.max(np.abs(_polevl(s, _HANKEL_M, np.empty_like(s)) - m_ref)) <= 2.5e-16
         # a phase error of g's size over x >= 8 stays below 2e-16
-        assert np.max(np.abs(_polevl(self.T, _HANKEL_G, np.empty_like(self.T)) - g_ref)) <= 1.5e-15
+        assert np.max(np.abs(_polevl(s, _HANKEL_G, np.empty_like(s)) - g_ref)) <= 1.5e-15
 
 
 class TestBlockedGrid:
@@ -212,3 +215,39 @@ class TestBlockedGrid:
             tracemalloc.stop()
         assert peak <= 3 * x.nbytes
 
+
+
+class TestHankelColumns:
+    """J0 over the Hankel column suffix of a rank-one panel x = u (x) w."""
+
+    def test_against_mpmath(self):
+        # shuffled rows of either sign; every x lies in [8.5, 2000]
+        u = np.random.default_rng(11).permutation(np.linspace(0.3, 1.0, 15) * np.tile([1, -1], 8)[:15])
+        x = np.multiply.outer(u, np.geomspace(8.5 / 0.3, 2000.0, 12))
+        expected = j0_mpmath(x.ravel()).reshape(x.shape)
+        assert j0_hankel_columns(u, x) == 0
+        assert np.max(np.abs(x - expected)) <= 1e-14
+
+    def test_only_the_suffix_is_written(self):
+        u = np.array([0.5, -0.25, 1.0])
+        x = np.multiply.outer(u, np.array([0.0, 10.0, 31.9, 32.0, 40.0, 500.0]))
+        before = x.copy()
+        # the smallest |x| of a column sits in the row of min |u|: 0.25 * 32 = 8
+        assert j0_hankel_columns(u, x) == 3
+        assert np.array_equal(x[:, :3], before[:, :3])
+        assert np.max(np.abs(x[:, 3:] - bessel_j0_grid(before[:, 3:]))) <= 1e-15
+
+    @pytest.mark.parametrize("u", [[0.5, 0.0, 1.0], [0.5, -0.0], [1e-3, 2e-3]])
+    def test_no_suffix_leaves_the_panel(self, u):
+        u = np.array(u)
+        x = np.multiply.outer(u, np.array([1.0, 100.0, 1000.0]))
+        before = x.copy()
+        assert j0_hankel_columns(u, x) == 3
+        assert np.array_equal(x, before)
+
+    def test_non_finite_suffix_rejected(self):
+        u = np.array([0.5, 1.0])
+        x = np.multiply.outer(u, np.array([20.0, 1e308]))
+        x[1, 1] = math.inf
+        with pytest.raises(DomainError):
+            j0_hankel_columns(u, x)
