@@ -64,12 +64,12 @@ class TargetPattern:
 
 
 def _chebyshev(order: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """T_order(x): cos(n acos x) inside [-1, 1], +/-cosh(n acosh |x|) outside."""
-    ax = np.abs(x)
-    inner = np.cos(order * np.arccos(np.clip(x, -1.0, 1.0)))
-    outer = np.cosh(order * np.arccosh(np.maximum(ax, 1.0)))
-    outer *= np.where(x < 0.0, (-1.0) ** order, 1.0)
-    return np.where(ax <= 1.0, inner, outer)
+    """T_order(x): cos(n acos x) inside [-1, 1], +/-cosh(n acosh |x|) only where |x| > 1."""
+    out = np.cos(order * np.arccos(np.clip(x, -1.0, 1.0)))
+    outside = np.abs(x) > 1.0
+    xo = x[outside]
+    out[outside] = np.cosh(order * np.arccosh(np.abs(xo))) * np.where(xo < 0.0, (-1.0) ** order, 1.0)
+    return out
 
 
 def _pencil(order: int, ratio: float) -> tuple[float, Evaluator]:
@@ -150,22 +150,22 @@ def equi_ripple(sll_db: float, aperture_rings: int) -> TargetPattern:
 
 
 def _refined_peak(fn: Evaluator, lo: float, hi: float, points: int) -> float:
-    """Grid scan followed by a ternary polish; returns the peak of |fn|."""
+    """Largest |fn| seen in a grid scan, then in 11 zoom rounds about the best point.
+
+    Each round is one call over 33 points spanning the two steps around the
+    best point, shrinking the step 16x (1/8000 to 7e-18).  The peak is never
+    below the scan's maximum and is good to fn's own evaluation noise there.
+    """
     grid = np.linspace(lo, hi, points)
-    values = np.abs(fn(grid))
-    idx = int(np.argmax(values))
-    a = grid[max(idx - 1, 0)]
-    b = grid[min(idx + 1, points - 1)]
-    for _ in range(80):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        v1, v2 = np.abs(fn(np.array([m1, m2])))
-        if v1 < v2:
-            a = m1
-        else:
-            b = m2
-    u_star = 0.5 * (a + b)
-    return max(float(np.abs(fn(np.array([u_star])))[0]), float(values[idx]))
+    step = (hi - lo) / (points - 1)
+    peak = 0.0
+    for _ in range(12):
+        values = np.abs(fn(grid))
+        idx = int(np.argmax(values))
+        peak = max(peak, float(values[idx]))
+        grid = np.clip(grid[idx] + step * np.linspace(-1.0, 1.0, 33), lo, hi)
+        step /= 16.0
+    return peak
 
 
 def difference(sll_db: float, aperture_rings: int) -> TargetPattern:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ringsynth import targets
 from ringsynth.errors import DomainError, TableFormatError
 from ringsynth.targets import (
     TargetPattern,
@@ -36,6 +37,18 @@ def scan_peak(target) -> float:
 
 def local_maxima(values: np.ndarray) -> np.ndarray:
     return np.where((values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:]))[0] + 1
+
+
+def ternary_argmax(f, a: float, b: float) -> float:
+    """Abscissa of the max of f in [a, b] by 80 ternary steps (the peak polish
+    difference() used before its zoom rounds, kept as an oracle)."""
+    for _ in range(80):
+        m1, m2 = a + (b - a) / 3, b - (b - a) / 3
+        if f(m1) < f(m2):
+            a = m1
+        else:
+            b = m2
+    return 0.5 * (a + b)
 
 
 class TestFlatTop:
@@ -116,14 +129,45 @@ class TestDifference:
         assert peak <= 1.0 + 1e-12
         # the true twin-lobe peak sits between grid points; polish locally
         grid_idx = int(np.argmax(t.amplitude(SCAN)))
-        a, b = SCAN[grid_idx - 1], SCAN[grid_idx + 1]
-        for _ in range(80):
-            m1, m2 = a + (b - a) / 3, b - (b - a) / 3
-            if t.amplitude(m1) < t.amplitude(m2):
-                a = m1
-            else:
-                b = m2
-        assert t.amplitude(0.5 * (a + b)) == pytest.approx(1.0, abs=1e-9)
+        u_star = ternary_argmax(t.amplitude, SCAN[grid_idx - 1], SCAN[grid_idx + 1])
+        assert t.amplitude(u_star) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("rings", [3, 11, 50, 200, 2000])
+    @pytest.mark.parametrize("sll_db", [-80.0, -25.0, -3.0])
+    def test_peak_is_the_true_peak_to_evaluation_noise(self, rings, sll_db):
+        t = difference(sll_db, rings)
+        # The beam's evaluation noise grows with its order: T_n takes
+        # n * acosh(x) with x just above 1 in the main lobe, where acosh
+        # magnifies x's rounding.  Over these orders (4 to 3998) the ternary
+        # oracle's peak sits within 235 * order * eps of this one at worst
+        # (2000 rings, -25 dB), a quarter of the bound.
+        order = max(2 * (rings - 1), 2)
+        bound = 1024 * order * np.finfo(float).eps
+        # dividing by the peak is correctly rounded, so the normalized scan
+        # stays <= 1 exactly when the peak is >= the raw scan's maximum
+        scan = np.linspace(0.0, 1.0, 8001)
+        values = np.abs(t.sample_value(scan))
+        assert values.max() <= 1.0
+        i = int(np.argmax(values))
+        dense = np.abs(t.sample_value(np.linspace(scan[i - 2], scan[i + 2], 20001)))
+        assert dense.max() <= 1.0 + bound
+        u_star = ternary_argmax(t.amplitude, scan[i - 1], scan[i + 1])
+        assert abs(max(t.amplitude(u_star), values[i]) - 1.0) <= bound
+
+    def test_peak_search_calls_the_beam_a_fixed_few_times(self, monkeypatch):
+        # the scan plus 11 zoom rounds, each one call of two shifted beams;
+        # polishing with two-point calls, as ternary_argmax does, makes 164
+        calls = 0
+        chebyshev = targets._chebyshev
+
+        def counting(order, x):
+            nonlocal calls
+            calls += 1
+            return chebyshev(order, x)
+
+        monkeypatch.setattr(targets, "_chebyshev", counting)
+        difference(-25.0, 11)
+        assert calls <= 2 * (1 + 11)
 
     def test_twin_lobes(self):
         t = difference(-25.0, 11)
@@ -320,6 +364,20 @@ class TestArrayEvaluation:
         coef[-1] = 1.0
         want = np.polynomial.chebyshev.chebval(x, coef)
         np.testing.assert_allclose(_chebyshev(order, x), want, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "order, span", [(1, 1e3), (2, 1e3), (7, 50.0), (8, 50.0), (99, 3.0), (3998, 1.0001)]
+    )
+    def test_chebyshev_equals_two_branch_form(self, order, span):
+        # the cosh branch runs only where |x| > 1; it must give the bits of
+        # evaluating both branches everywhere and picking one per element
+        edges = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.0, span]
+        x = np.concatenate([np.linspace(-span, span, 4001), edges, np.negative(edges)])
+        ax = np.abs(x)
+        inner = np.cos(order * np.arccos(np.clip(x, -1.0, 1.0)))
+        outer = np.cosh(order * np.arccosh(np.maximum(ax, 1.0)))
+        outer *= np.where(x < 0.0, (-1.0) ** order, 1.0)
+        assert np.array_equal(_chebyshev(order, x), np.where(ax <= 1.0, inner, outer))
 
     @pytest.mark.parametrize("kind", BUILDS)
     def test_grid_call_matches_per_point_calls(self, kind):
