@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 from numpy.typing import NDArray
@@ -20,6 +21,7 @@ _FLOOR_LIN = 10.0 ** (DB_FLOOR / 20.0)
 _MIN_GRID = 801
 _MAIN_LOBE_EDGE_DB = -3.0
 _PEAK_TOL_DB = 0.01
+_CHUNK_ROWS = 4096  # cut rows formatted and written at a time
 
 
 @dataclass(frozen=True)
@@ -341,42 +343,45 @@ def _fixed6_table(v: NDArray[np.float64]) -> str | None:
     return raw[raw != 0].tobytes().decode("ascii")
 
 
-def cut_rows(cut: PatternCut) -> str:
-    """The cut table's text: a header, then one (u, dB, target dB) row per grid point.
+def cut_rows(cut: PatternCut, out: TextIO) -> None:
+    """Write the cut table to ``out``: a header, then one (u, dB, target dB) row per grid point.
 
     Every cell is ``%.6f`` text, byte for byte: ``%`` prints the exact binary
     value rounded half-even to six decimals, and so does ``rint(v * 1e6)``
     wherever the product's rounding error (at most |p| * 2**-53 for
-    p = v * 1e6) cannot carry it across a half-integer.  So the table goes
-    through one vectorised kernel when every rint(p) is below 1e9 in
-    magnitude (an integer part of at most three digits) and every p lies
-    more than |p| * 2**-50 from a half-integer.  Exact ties (such as
-    0.0078125), NaN, inf and larger values fail that test, and then the
-    whole table is formatted by one ``%`` call instead.  u, dB and target dB
-    all lie in [-200, 1], so a cut falls back only if one of its values is
+    p = v * 1e6) cannot carry it across a half-integer.  The rows go out in
+    chunks of ``_CHUNK_ROWS``, so the table never exists as one string, and
+    each chunk goes through one vectorised kernel when every rint(p) is below
+    1e9 in magnitude (an integer part of at most three digits) and every p
+    lies more than |p| * 2**-50 from a half-integer.  Exact ties (such as
+    0.0078125), NaN, inf and larger values fail that test, and then that
+    chunk alone is formatted by one ``%`` call instead.  u, dB and target dB
+    all lie in [-200, 1], so a chunk falls back only if one of its values is
     such a tie.
     """
-    target_db = 20.0 * np.log10(np.maximum(cut.target_amplitude, _FLOOR_LIN))
-    values = np.column_stack([cut.u_grid, cut.amplitude_db, target_db])
-    text = _fixed6_table(values)
-    if text is None:
-        text = ("%.6f,%.6f,%.6f\n" * cut.u_grid.size) % tuple(values.ravel().tolist())
-    return "u,db,target_db\n" + text
+    out.write("u,db,target_db\n")
+    for start in range(0, cut.u_grid.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        target_db = 20.0 * np.log10(np.maximum(cut.target_amplitude[rows], _FLOOR_LIN))
+        values = np.column_stack([cut.u_grid[rows], cut.amplitude_db[rows], target_db])
+        text = _fixed6_table(values)
+        if text is None:
+            text = ("%.6f,%.6f,%.6f\n" * len(values)) % tuple(values.ravel().tolist())
+        out.write(text)
 
 
-def surface_rows(surface: SurfaceGrid) -> str:
-    """The surface table's text: a header, then one (theta, phi, dB) row per cell.
+def surface_rows(surface: SurfaceGrid, out: TextIO) -> None:
+    """Write the surface table to ``out``: a header, then one (theta, phi, dB) row per cell.
 
     The surface holds one dB value per theta, so each phi label and each
     theta row's head and tail are formatted once, and a theta row's cells
-    are one join of the labels.
+    are one join of the labels, written as one piece.
     """
     phi_labels = ["%.6f" % phi for phi in surface.phi.tolist()]
-    parts = ["theta,phi,db\n"]
+    out.write("theta,phi,db\n")
     for theta, db in zip(surface.theta.tolist(), surface.amplitude_db.tolist()):
         head, tail = "%.6f," % theta, ",%.6f\n" % db
-        parts.append(head + (tail + head).join(phi_labels) + tail)
-    return "".join(parts)
+        out.write(head + (tail + head).join(phi_labels) + tail)
 
 
 def metrics_rows(metrics: PatternMetrics) -> list[str]:

@@ -338,6 +338,8 @@ def _check_problem_size(
 
     They are the fit's design matrix, the cut's half-grid ring block and its
     three-column table, and a surface's ring block and theta x phi rows.
+    Rows are written in bounded pieces, never held as text, so the row limits
+    bound the size of cut.csv and surface.csv, not a text copy in memory.
     """
     try:
         total = float(effective_total_count(geometry, settings["solver"]["oversample"]))

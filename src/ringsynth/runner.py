@@ -11,7 +11,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TextIO
 
 from .analysis import (
     PatternCut,
@@ -136,21 +136,27 @@ def report_rows(report: SynthesisReport) -> list[str]:
 
 
 def write_outputs(report: SynthesisReport, out_dir: str | Path) -> list[Path]:
-    """Emit weights.csv, cut.csv, report.txt and optionally surface.csv."""
+    """Emit weights.csv, cut.csv, report.txt and optionally surface.csv.
+
+    Each file is opened once and its table written straight into it, so the
+    cut and surface tables never exist as one string.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, write: Callable[[TextIO], object]) -> None:
         path = out / name
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as handle:
+            write(handle)
         written.append(path)
 
-    emit(WEIGHTS_FILE, "\n".join(weights_rows(report)) + "\n")
-    emit(CUT_FILE, cut_rows(report.cut))
-    if report.surface is not None:
-        emit(SURFACE_FILE, surface_rows(report.surface))
-    emit(REPORT_FILE, "\n".join(report_rows(report)) + "\n")
+    emit(WEIGHTS_FILE, lambda f: f.write("\n".join(weights_rows(report)) + "\n"))
+    emit(CUT_FILE, lambda f: cut_rows(report.cut, f))
+    surface = report.surface
+    if surface is not None:
+        emit(SURFACE_FILE, lambda f: surface_rows(surface, f))
+    emit(REPORT_FILE, lambda f: f.write("\n".join(report_rows(report)) + "\n"))
     return written
 
 

@@ -1,5 +1,6 @@
 """Pattern cuts, surfaces, and metric measurement."""
 
+import io
 import tracemalloc
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from ringsynth.analysis import (
     DB_FLOOR,
     PatternCut,
     SurfaceGrid,
+    _CHUNK_ROWS,
     _fixed6_table,
     cut_rows,
     evaluate_cut,
@@ -276,6 +278,13 @@ class TestEvaluateSurface:
         assert surface.amplitude_db == pytest.approx(expected, abs=1e-9)
 
 
+def table_text(write, table) -> str:
+    """The text a table writer sends to an open file."""
+    out = io.StringIO()
+    write(table, out)
+    return out.getvalue()
+
+
 def per_cell_cut_text(cut: PatternCut, target) -> str:
     """Reference cut table: one f-string per cell, the target evaluated afresh."""
     floor = 10.0 ** (DB_FLOOR / 20.0)
@@ -308,7 +317,7 @@ class TestSerialization:
         geom = uniform_half_wavelength_geometry(3)
         w = Weights(center=1, rings=(1, 1, 1))
         cut = evaluate_cut(geom, w, FLAT_TOP)
-        rows = cut_rows(cut).splitlines()
+        rows = table_text(cut_rows, cut).splitlines()
         assert rows[0] == "u,db,target_db"
         assert len(rows) == len(cut.u_grid) + 1
         first = rows[1].split(",")
@@ -319,7 +328,7 @@ class TestSerialization:
         geom = uniform_half_wavelength_geometry(2)
         w = Weights(center=1, rings=(1, 1))
         surface = evaluate_surface(geom, w, theta_points=3, phi_points=4)
-        rows = surface_rows(surface).splitlines()
+        rows = table_text(surface_rows, surface).splitlines()
         assert rows[0] == "theta,phi,db"
         assert len(rows) == 3 * 4 + 1
 
@@ -333,13 +342,13 @@ class TestSerialization:
         table = from_table([(-1.0, 0.0), (-0.5, 1.0), (0.5, 1.0), (1.0, 0.0)])
         for target in (table, FLAT_TOP):
             cut = PatternCut(u_grid=u, amplitude_db=db, target_amplitude=target.amplitude(u))
-            assert cut_rows(cut) == per_cell_cut_text(cut, target)
+            assert table_text(cut_rows, cut) == per_cell_cut_text(cut, target)
 
         theta = np.concatenate([EDGE_VALUES, [0.5, 123.4567895]])
         phi = -EDGE_VALUES
         db_theta = np.resize(EDGE_VALUES[::-1], theta.size)
         surface = SurfaceGrid(theta=theta, phi=phi, amplitude_db=db_theta)
-        assert surface_rows(surface) == per_cell_surface_text(surface)
+        assert table_text(surface_rows, surface) == per_cell_surface_text(surface)
 
     @pytest.mark.parametrize("name", BUNDLED_EXAMPLES)
     def test_bundled_files_match_per_cell_reference(self, tmp_path, name):
@@ -352,6 +361,44 @@ class TestSerialization:
         surface_text = (tmp_path / "surface.csv").read_text(encoding="utf-8")
         assert cut_text == per_cell_cut_text(report.cut, cfg.target)
         assert surface_text == per_cell_surface_text(report.surface)
+
+    def test_multi_chunk_files_match_per_cell_reference(self, tmp_path):
+        # the bundled default grid (2001 points) fits in one chunk; 20001 takes five
+        assert main(["run", "example-d-nulls", "--out", str(tmp_path), "--grid", "20001",
+                     "--surface", "--quiet"]) == 0
+        raw = load_config_file(bundled_config_path("example-d-nulls"))
+        raw["output"] = {**raw.get("output", {}), "grid_points": 20001, "surface": True}
+        cfg, warnings = resolve_config(raw)
+        report = run_synthesis(cfg, warnings)
+        assert report.cut.u_grid.size > 4 * _CHUNK_ROWS
+        cut_text = (tmp_path / "cut.csv").read_text(encoding="utf-8")
+        surface_text = (tmp_path / "surface.csv").read_text(encoding="utf-8")
+        assert cut_text == per_cell_cut_text(report.cut, cfg.target)
+        assert surface_text == per_cell_surface_text(report.surface)
+
+    def test_write_outputs_memory_stays_bounded(self, tmp_path):
+        # shaped like the dense-output benchmark job: 20 rings, a 20001-point
+        # cut and a 721 x 181 surface (about 4.4 MB of surface.csv); building
+        # each table as one string and encoding it peaked near 7.6 MB
+        raw = {
+            "geometry": {"wavelength": 1.0, "rings": 20},
+            "target": {"kind": "equi_ripple", "sll_db": -30.0, "nulls": [
+                {"center": 0.4, "depth_db": -40, "width": 0.06},
+                {"center": 0.75, "depth_db": -40, "width": 0.06},
+            ]},
+            "output": {"grid_points": 20001, "surface": True, "theta_points": 721,
+                       "phi_points": 181},
+        }
+        cfg, warnings = resolve_config(raw)
+        report = run_synthesis(cfg, warnings)
+        tracemalloc.start()
+        try:
+            written = write_outputs(report, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(path.stat().st_size for path in written) > 4_000_000
+        assert peak < 1.5e6
 
     def test_metrics_rows_include_nulls(self):
         target = with_nulls(flat_top(0.9, 0.0), [0.5], -40.0, 0.05)
@@ -396,7 +443,7 @@ class TestFixedPointKernel:
     @given(st.lists(FINITE, min_size=1, max_size=40))
     def test_cut_rows_match_per_cell_reference(self, values):
         cut = cut_holding(values)
-        assert cut_rows(cut) == per_cell_cut_text(cut, TABLE)
+        assert table_text(cut_rows, cut) == per_cell_cut_text(cut, TABLE)
 
     @given(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=1, max_size=40))
     def test_mixed_sign_columns_match_or_fall_back(self, rows):
@@ -409,8 +456,8 @@ class TestFixedPointKernel:
         assert _fixed6_table(ties) is None
         assert _fixed6_table(ties[::2]) == percent_text(ties[::2])
         cut = cut_holding(ties.ravel())
-        assert cut_rows(cut) == per_cell_cut_text(cut, TABLE)
-        assert "0.007812," in cut_rows(cut)  # 0.0078125 rounds half to even
+        assert table_text(cut_rows, cut) == per_cell_cut_text(cut, TABLE)
+        assert "0.007812," in table_text(cut_rows, cut)  # 0.0078125 rounds half to even
 
     @pytest.mark.parametrize("value", [-0.0, -1e-9])
     def test_negative_zero_keeps_its_sign(self, value):
@@ -422,7 +469,7 @@ class TestFixedPointKernel:
         for value in (999.9999995, -999.9999995):
             assert _fixed6_table(np.array([[value]])) is None
             cut = cut_holding([value, 0.0])
-            assert cut_rows(cut) == per_cell_cut_text(cut, TABLE)
+            assert table_text(cut_rows, cut) == per_cell_cut_text(cut, TABLE)
         assert _fixed6_table(np.array([[999.9999994]])) == "999.999999\n"
         # below 1000, but its six-decimal text needs four integer digits
         assert _fixed6_table(np.array([[999.9999999999999]])) is None
@@ -434,14 +481,34 @@ class TestFixedPointKernel:
             "-200.000000,-200.000000\n200.000000,200.000000\n0.000000,0.000000\n"
         )
 
-    def test_out_of_range_cell_falls_back_for_the_whole_table(self):
+    def test_out_of_range_cell_falls_back_for_its_chunk(self):
         db = np.full(801, -3.0)
         db[0], db[400] = 0.0, -1234.5
         cut = cut_holding(np.linspace(-1.0, 1.0, 801), db)
         assert _fixed6_table(np.column_stack([cut.u_grid, cut.amplitude_db])) is None
-        text = cut_rows(cut)
+        text = table_text(cut_rows, cut)
         assert text == per_cell_cut_text(cut, TABLE)
         assert "-1234.500000" in text
+
+    def test_unsafe_cells_fall_back_for_their_chunk_only(self, tmp_path):
+        n = 3 * _CHUNK_ROWS + 17
+        u = np.linspace(-1.0, 1.0, n)
+        db = -np.abs(u)
+        db[0] = 0.0
+        u[_CHUNK_ROWS + 5] = 0.0078125  # a dyadic tie, which the kernel declines
+        db[2 * _CHUNK_ROWS - 3] = -1234.5  # four integer digits
+        cut = PatternCut(u_grid=u, amplitude_db=db, target_amplitude=TABLE.amplitude(u))
+        chunks = [np.column_stack([u[i : i + _CHUNK_ROWS], db[i : i + _CHUNK_ROWS]])
+                  for i in range(0, n, _CHUNK_ROWS)]
+        assert [_fixed6_table(c) is None for c in chunks] == [False, True, False, False]
+        expected = per_cell_cut_text(cut, TABLE)
+        text = table_text(cut_rows, cut)
+        assert text == expected
+        assert "0.007812," in text and ",-1234.500000," in text
+        path = tmp_path / "cut.csv"
+        with path.open("w", encoding="utf-8") as handle:
+            cut_rows(cut, handle)
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_nan_and_inf_fall_back(self):
         for bad in (np.nan, np.inf, -np.inf):
