@@ -24,6 +24,15 @@ _PEAK_TOL_DB = 0.01
 _CHUNK_ROWS = 4096  # cut rows formatted and written at a time
 
 
+def _set_finite_arrays(obj: object, what: str, names: tuple[str, ...]) -> None:
+    """Store each named field of a frozen dataclass as a float array; NaN and inf raise."""
+    for name in names:
+        values = np.asarray(getattr(obj, name), dtype=float)
+        if not np.isfinite(values).all():
+            raise DomainError(f"{what} {name} must be finite")
+        object.__setattr__(obj, name, values)
+
+
 @dataclass(frozen=True)
 class PatternCut:
     """Peak-normalized pattern magnitude in dB and linear target |amplitude| over a u grid."""
@@ -33,8 +42,7 @@ class PatternCut:
     target_amplitude: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        for name in ("u_grid", "amplitude_db", "target_amplitude"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        _set_finite_arrays(self, "cut", ("u_grid", "amplitude_db", "target_amplitude"))
         u, db = self.u_grid, self.amplitude_db
         if u.ndim != 1 or db.shape != u.shape or self.target_amplitude.shape != u.shape:
             raise DomainError("u grid, dB values and target amplitude must be matching 1-D arrays")
@@ -68,12 +76,8 @@ class SurfaceGrid:
     amplitude_db: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        db = np.asarray(self.amplitude_db, dtype=float)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "amplitude_db", db)
+        _set_finite_arrays(self, "surface", ("theta", "phi", "amplitude_db"))
+        theta, phi, db = self.theta, self.phi, self.amplitude_db
         if theta.ndim != 1 or phi.ndim != 1:
             raise DomainError("surface theta and phi must be 1-D arrays")
         if db.shape != theta.shape or 0 in (theta.size, phi.size):
@@ -168,56 +172,35 @@ def _main_lobe_mask(cut: PatternCut, target: TargetPattern) -> NDArray[np.bool_]
     return mask
 
 
-def _local_maxima(
-    values: NDArray[np.float64], take_left_edge: bool, take_right_edge: bool
-) -> NDArray[np.int_]:
-    """Indices of local maxima; run edges count only at the grid boundary.
-
-    A descending flank truncated by the main-lobe region would otherwise
-    register its cut point as a spurious sidelobe peak.
-    """
-    inner = np.where(
-        (values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:])
-    )[0] + 1
-    edges = []
-    if len(values) >= 2:
-        if take_left_edge and values[0] >= values[1]:
-            edges.append(0)
-        if take_right_edge and values[-1] >= values[-2]:
-            edges.append(len(values) - 1)
-    return np.concatenate([inner, np.array(edges, dtype=int)]) if edges else inner
-
-
 def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
     """Sidelobe level, ripple, null depths, beamwidth, and target RMS error.
 
     The main lobe is the connected region above -3 dB around the global
     peak(s); for flat-top targets it is the region where the target exceeds
-    one half.  The sidelobe level is the highest local maximum outside that
-    region, absent when the cut has no sidelobes at all.  The target amplitude
-    comes from the cut; ``target`` gives only its kind and parameters.
+    one half.  A sidelobe peak is a grid point outside that region that is
+    >= each grid neighbour outside it; a neighbour inside it marks a flank
+    truncated by the main lobe, which counts only at a grid end.  The
+    sidelobe level is the highest such peak, absent when there is none.  The
+    beamwidth needs a single main-lobe region: beyond each of its edges the
+    first point at or below -3 dB and its inner neighbour fix a line in
+    (u, dB), and the crossing is where that line meets -3 dB (an
+    extrapolation when a flat-top edge already lies below -3 dB).  The
+    target amplitude comes from the cut; ``target`` gives only its kind and
+    parameters.
     """
     u = cut.u_grid
     db = cut.amplitude_db
     main = _main_lobe_mask(cut, target)
 
-    sll: float | None = None
-    candidates = []
-    # scan each connected run outside the main region for local maxima
-    for lo, hi in _contiguous_runs(~main):
-        run = db[lo : hi + 1]
-        if run.size == 1:
-            if lo == 0 or hi == len(u) - 1:
-                candidates.append(float(run[0]))
-        else:
-            for peak_idx in _local_maxima(run, lo == 0, hi == len(u) - 1):
-                candidates.append(float(run[peak_idx]))
-    if candidates:
-        sll = float(max(candidates))
+    peaks = ~main
+    peaks[1:-1] &= ~main[:-2] & ~main[2:] & (db[1:-1] >= db[:-2]) & (db[1:-1] >= db[2:])
+    peaks[0] &= main[1] or db[0] >= db[1]
+    peaks[-1] &= main[-2] or db[-1] >= db[-2]
+    sll = float(db[peaks].max()) if peaks.any() else None
 
     ripple: float | None = None
     edge = target.params.get("passband_edge")
-    if target.kind.startswith("flat_top") and edge is not None:
+    if edge is not None:
         band = np.abs(u) <= float(edge)  # type: ignore[arg-type]
         if np.any(band):
             ripple = float(db[band].max() - db[band].min())
@@ -232,10 +215,11 @@ def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
     runs = _contiguous_runs(main)
     if len(runs) == 1:
         lo, hi = runs[0]
-        left = _crossing(u, db, lo, direction=-1)
-        right = _crossing(u, db, hi, direction=1)
-        if left is not None and right is not None:
-            hpbw = right - left
+        left = np.flatnonzero(db[:lo] <= _MAIN_LOBE_EDGE_DB)
+        right = np.flatnonzero(db[hi + 1 :] <= _MAIN_LOBE_EDGE_DB)
+        if left.size and right.size:
+            j, k = int(left[-1]), hi + 1 + int(right[0])
+            hpbw = _crossing(u, db, k - 1, k) - _crossing(u, db, j + 1, j)
 
     amp = cut.target_amplitude
     meaningful = amp > 1e-4
@@ -254,20 +238,11 @@ def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
     )
 
 
-def _crossing(
-    u: NDArray[np.float64], db: NDArray[np.float64], index: int, direction: int
-) -> float | None:
-    """u where the cut crosses -3 dB walking outward from a main-lobe edge."""
-    n = len(u)
-    i = index
-    while 0 <= i + direction < n:
-        j = i + direction
-        if db[j] <= _MAIN_LOBE_EDGE_DB:
-            span = db[j] - db[i]
-            frac = 0.0 if span == 0 else (_MAIN_LOBE_EDGE_DB - db[i]) / span
-            return float(u[i] + frac * (u[j] - u[i]))
-        i = j
-    return None
+def _crossing(u: NDArray[np.float64], db: NDArray[np.float64], i: int, j: int) -> float:
+    """u where the line from (u[i], db[i]) to (u[j], db[j]) crosses -3 dB."""
+    span = db[j] - db[i]
+    frac = 0.0 if span == 0 else (_MAIN_LOBE_EDGE_DB - db[i]) / span
+    return float(u[i] + frac * (u[j] - u[i]))
 
 
 def evaluate_surface(

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringsynth.analysis import (
@@ -145,6 +145,15 @@ class TestPatternCut:
         with pytest.raises(DomainError):
             PatternCut(u_grid=u, amplitude_db=np.zeros_like(u), target_amplitude=np.ones(shape))
 
+    @pytest.mark.parametrize("field", ["u_grid", "amplitude_db", "target_amplitude"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, field, bad):
+        u = np.linspace(-1.0, 1.0, 801)
+        values = {"u_grid": u, "amplitude_db": -np.abs(u), "target_amplitude": np.ones_like(u)}
+        values[field][7] = bad
+        with pytest.raises(DomainError, match="finite"):
+            PatternCut(**values)
+
     def test_carries_the_target_over_the_whole_grid(self):
         # a notched target is not even in u, so no half of the grid can stand for it
         target = with_nulls(equi_ripple(-30.0, 5), [0.6], -40.0, 0.05)
@@ -220,6 +229,124 @@ class TestMeasureMetrics:
         assert metrics.rms_error_vs_target_db == pytest.approx(0.0, abs=1e-9)
 
 
+GRID = np.linspace(-1.0, 1.0, 801)
+PENCIL = equi_ripple(-30.0, 10)
+
+
+def reference_main_region(db, amplitude, flat) -> list[bool]:
+    """The docstring's main lobe: target above one half, or the -3 dB region round the peak(s)."""
+    if flat:
+        return [a > 0.5 for a in amplitude]
+    main = [d >= -0.01 for d in db]
+    for i in range(1, len(db)):
+        main[i] = main[i] or (main[i - 1] and db[i] > -3.0)
+    for i in range(len(db) - 2, -1, -1):
+        main[i] = main[i] or (main[i + 1] and db[i] > -3.0)
+    return main
+
+
+def reference_sll_and_hpbw(u, db, main):
+    """Sidelobe level and beamwidth by one pass over the grid indices, per the docstring."""
+    n = len(db)
+    peaks = []
+    for i in range(n):
+        neighbours = [k for k in (i - 1, i + 1) if 0 <= k < n]
+        flank = any(main[k] for k in neighbours) and 0 < i < n - 1
+        if not main[i] and not flank and all(db[i] >= db[k] for k in neighbours if not main[k]):
+            peaks.append(db[i])
+    regions = [i for i in range(n) if main[i] and (i == 0 or not main[i - 1])]
+    if len(regions) != 1:
+        return max(peaks, default=None), None
+    edges = [regions[0], max(i for i in range(n) if main[i])]
+    crossings = []
+    for edge, step in zip(edges, (-1, 1)):
+        outer = edge + step
+        while 0 <= outer < n and db[outer] > -3.0:
+            outer += step
+        if not 0 <= outer < n:
+            return max(peaks, default=None), None
+        inner = outer - step
+        span = db[outer] - db[inner]
+        frac = 0.0 if span == 0 else (-3.0 - db[inner]) / span
+        crossings.append(float(u[inner] + frac * (u[outer] - u[inner])))
+    return max(peaks, default=None), crossings[1] - crossings[0]
+
+
+@st.composite
+def synthetic_cuts(draw):
+    """801-point cuts: integer random walks with plateaus, flat-top regions and grid-end spikes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = GRID.size
+    plateau = draw(st.integers(1, 25))
+    steps = np.repeat(rng.integers(-3, 4, n // plateau + 1), plateau)[:n]
+    scale = draw(st.sampled_from([0.25, 1.0, 4.0]))
+    db = np.cumsum(steps) * scale
+    target, amplitude = PENCIL, PENCIL.amplitude(GRID)
+    if draw(st.booleans()):
+        # one or two regions near the top of the cut, often touching or near
+        # a grid end; the lifted span may run a few points past the region,
+        # so that its outer neighbours can stand above its edges
+        target, amplitude = FLAT_TOP, np.full(n, 0.1)
+        top = db.max()
+        for _ in range(draw(st.integers(1, 2))):
+            lo = draw(st.sampled_from([0, 1, 2, int(rng.integers(0, n))]))
+            hi = draw(st.sampled_from([n - 1, n - 2, n - 3, int(rng.integers(lo, n))]))
+            amplitude[lo : hi + 1] = 1.0
+            pad = draw(st.integers(0, 3))
+            lifted = slice(max(lo - pad, 0), hi + pad + 1)
+            db[lifted] = top - scale * rng.integers(0, 3, db[lifted].size)
+    for i in draw(st.lists(st.sampled_from([0, 1, n - 2, n - 1]), max_size=3)):
+        db[i] = db.max() + draw(st.floats(-10.0, 5.0))
+    return PatternCut(GRID, np.maximum(db - db.max(), DB_FLOOR), amplitude), target
+
+
+class TestMetricDefinitions:
+    @settings(max_examples=300)
+    @given(synthetic_cuts())
+    def test_sll_and_hpbw_match_per_index_reference(self, case):
+        cut, target = case
+        main = reference_main_region(cut.amplitude_db.tolist(), cut.target_amplitude.tolist(),
+                                     target is FLAT_TOP)
+        sll, hpbw = reference_sll_and_hpbw(cut.u_grid, cut.amplitude_db, main)
+        metrics = measure_metrics(cut, target)
+        assert metrics.sll_db == sll
+        assert metrics.hpbw_u == hpbw
+
+    def test_isolated_point_at_grid_end_is_a_sidelobe(self):
+        # the flat-top region covers every point but u = -1
+        amplitude = np.ones(801)
+        amplitude[0] = 0.1
+        db = np.zeros(801)
+        db[0] = -20.0
+        metrics = measure_metrics(PatternCut(GRID, db, amplitude), FLAT_TOP)
+        assert metrics.sll_db == -20.0
+
+    def test_flank_next_to_the_main_region_is_not_a_sidelobe(self):
+        # the flat-top region |u| <= 0.5 ends at -6 dB, below its outer
+        # neighbours at -5.1 dB, from which the pattern falls away
+        inside = np.abs(GRID) <= 0.5
+        db = np.where(inside, 0.0, -5.0 - 40.0 * (np.abs(GRID) - 0.5))
+        db[np.flatnonzero(inside)[[0, -1]]] = -6.0
+        db[np.isclose(np.abs(GRID), 0.8)] = -10.0
+        assert db[~inside].max() > -5.2
+        amplitude = np.where(inside, 1.0, 0.1)
+        metrics = measure_metrics(PatternCut(GRID, db, amplitude), FLAT_TOP)
+        assert metrics.sll_db == -10.0
+
+    def test_edge_below_half_power_pairs_with_its_outer_neighbour(self):
+        # the flat-top region |u| <= 0.5 ends at -6 dB and the next point is
+        # at -20 dB: the crossing is where the line through those two meets
+        # -3 dB, just inside the edge, not the pattern's own -3 dB point at
+        # |u| = 0.45
+        amplitude = np.where(np.abs(GRID) <= 0.5, 1.0, 0.1)
+        db = np.minimum(0.0, -60.0 * (np.abs(GRID) - 0.4))
+        db[np.abs(GRID) > 0.5] = -20.0
+        metrics = measure_metrics(PatternCut(GRID, db, amplitude), FLAT_TOP)
+        edge = 0.5 - 0.0025 * 3.0 / 14.0
+        assert db[np.abs(GRID) <= 0.5].min() == pytest.approx(-6.0)
+        assert metrics.hpbw_u == pytest.approx(2.0 * edge, rel=1e-12)
+
+
 class TestEvaluateSurface:
     def test_boresight_matches_cut(self):
         geom = uniform_half_wavelength_geometry(4)
@@ -260,6 +387,14 @@ class TestEvaluateSurface:
     def test_surface_grid_rejects_bad_shapes(self, theta, phi, db):
         with pytest.raises(DomainError):
             SurfaceGrid(theta=theta, phi=phi, amplitude_db=db)
+
+    @pytest.mark.parametrize("field", ["theta", "phi", "amplitude_db"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_surface_grid_rejects_non_finite_values(self, field, bad):
+        values = {"theta": [0.0, 0.5], "phi": [0.0, 1.0, 2.0], "amplitude_db": [0.0, -3.0]}
+        values[field][1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            SurfaceGrid(**values)
 
     def test_rejects_tiny_grid(self):
         geom = uniform_half_wavelength_geometry(2)
