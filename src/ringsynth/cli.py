@@ -83,16 +83,23 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     return {**raw, "output": output} if output else raw
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     config_path = _locate_config(args.config)
     try:
         raw = load_config_file(config_path)
-        raw = _apply_overrides(raw, args)
+        if args.command == "run":
+            raw = _apply_overrides(raw, args)
         cfg, warnings = resolve_config(raw, base_dir=config_path.parent)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.command == "validate":
+        for warning in warnings:
+            print(f"warning: {warning}")
+        print(f"{config_path}: ok")
+        return EXIT_OK
 
     try:
         report = run_synthesis(cfg, warnings=warnings)
@@ -112,28 +119,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for path in written:
             print(f"wrote {path}")
     return EXIT_OK
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    config_path = _locate_config(args.config)
-    try:
-        raw = load_config_file(config_path)
-        _, warnings = resolve_config(raw, base_dir=config_path.parent)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-    for warning in warnings:
-        print(f"warning: {warning}")
-    print(f"{config_path}: ok")
-    return EXIT_OK
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_validate(args)
 
 
 def console_entry() -> None:

@@ -102,8 +102,7 @@ def bessel_j0_grid(
 
     The argument is walked in blocks of ``_BLOCK`` elements, and each block's
     Horner steps run in place, so the temporaries stay cache-sized whatever
-    the grid; beyond the output, working memory is a few blocks.  A block
-    that lies wholly in one branch skips the mask gather and scatter.  Every
+    the grid; beyond the output, working memory is a few blocks.  Every
     element sees the same operations in the same order as in an unblocked
     evaluation, so the result does not depend on the blocking.
 
@@ -124,15 +123,10 @@ def bessel_j0_grid(
             raise DomainError("bessel_j0_grid requires finite arguments")
         dest = dest_flat[lo : lo + _BLOCK]
         small = ax < _SERIES_CUTOFF
-        if small.all():
-            _j0_series(ax, dest)
-        elif not small.any():
-            _j0_hankel(ax, dest)
-        else:
-            big = ~small
-            near, far = ax[small], ax[big]
-            dest[small] = _j0_series(near, np.empty_like(near))
-            dest[big] = _j0_hankel(far, np.empty_like(far))
+        big = ~small
+        near, far = ax[small], ax[big]
+        dest[small] = _j0_series(near, np.empty_like(near))
+        dest[big] = _j0_hankel(far, np.empty_like(far))
     return out
 
 

@@ -91,12 +91,14 @@ def _first_null(order: int, x0: float) -> float:
     return (2.0 / math.pi) * math.acos(math.cos(math.pi / (2.0 * order)) / x0)
 
 
-def _check_sll(sll_db: float) -> float:
+def _check_sll(sll_db: float, aperture_rings: int) -> float:
     sll_db = float(sll_db)
     if not (math.isfinite(sll_db) and _SLL_MIN <= sll_db <= _SLL_MAX):
         raise DomainError(
             f"sidelobe level must lie in [{_SLL_MIN:g}, {_SLL_MAX:g}] dB, got {sll_db!r}"
         )
+    if aperture_rings < 1:
+        raise DomainError(f"aperture_rings must be >= 1, got {aperture_rings}")
     return sll_db
 
 
@@ -131,14 +133,12 @@ def equi_ripple(sll_db: float, aperture_rings: int) -> TargetPattern:
     2n - 1 for n rings, ties the main-lobe width to the aperture diameter of
     the ring layout the target is meant for.
     """
-    sll_db = _check_sll(sll_db)
-    if aperture_rings < 1:
-        raise DomainError(f"aperture_rings must be >= 1, got {aperture_rings}")
+    sll_db = _check_sll(sll_db, aperture_rings)
     # The order matches a half-wavelength-sampled line source spanning the
     # ring aperture (2*n - 1 elements across the diameter).  The odd order
     # also zeroes the shape at |u| = 1, which the ring basis reproduces far
     # more accurately than a ripple peak pinned at the edge of visible space.
-    order = max(2 * int(aperture_rings) - 1, 1)
+    order = 2 * int(aperture_rings) - 1
     x0, signed = _pencil(order, 10.0 ** (-sll_db / 20.0))
 
     params = {
@@ -177,9 +177,7 @@ def difference(sll_db: float, aperture_rings: int) -> TargetPattern:
     level, a margin that keeps the normalized shape's sidelobes at or below
     it from -80 to -3 dB (the test suite sweeps that range).
     """
-    sll_db = _check_sll(sll_db)
-    if aperture_rings < 1:
-        raise DomainError(f"aperture_rings must be >= 1, got {aperture_rings}")
+    sll_db = _check_sll(sll_db, aperture_rings)
     order = max(2 * (int(aperture_rings) - 1), 2)
     x0, beam = _pencil(order, 10.0 ** ((-sll_db + 10.0) / 20.0))
     shift = _first_null(order, x0)
@@ -302,13 +300,20 @@ def from_table(samples: Sequence[tuple[float, float]]) -> TargetPattern:
     return TargetPattern(kind=TABULATED, params=params, evaluator=signed)
 
 
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def load_table(path: str | Path) -> TargetPattern:
     """Read a two-column comma-separated (u, amplitude) file.
 
-    A single non-numeric header on the first non-blank line is tolerated;
-    blank lines are skipped.  A leading UTF-8 byte-order mark (as spreadsheet
-    "CSV UTF-8" exports write) is dropped, so it cannot turn the first row
-    into a header.
+    The first non-blank line is a header, and is skipped, when neither of its
+    columns is a number; blank lines are skipped.  A leading UTF-8 byte-order
+    mark (as spreadsheet "CSV UTF-8" exports write) is dropped, so it cannot
+    turn the first row into a header.
     """
     path = Path(path)
     rows: list[tuple[float, float]] = []
@@ -323,10 +328,9 @@ def load_table(path: str | Path) -> TargetPattern:
             raise TableFormatError(
                 f"{path}:{lineno}: expected two comma-separated columns, got {line!r}"
             )
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            if index == 0:
-                continue  # header line
-            raise TableFormatError(f"{path}:{lineno}: non-numeric row {line!r}") from None
+        u, amplitude = map(_number, parts)
+        if u is not None and amplitude is not None:
+            rows.append((u, amplitude))
+        elif index > 0 or u is not None or amplitude is not None:
+            raise TableFormatError(f"{path}:{lineno}: non-numeric row {line!r}")
     return from_table(rows)

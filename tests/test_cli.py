@@ -59,6 +59,44 @@ def echo_case(tmp_path, name):
     return write_config(tmp_path, ECHO_CASES[name])
 
 
+# Configs that fail to resolve, each with one problem its config errors must
+# name; "unreadable_table" reads the non-UTF-8 shape.csv written beside it.
+BROKEN_CASES = {
+    "bad_fields": (
+        {"geometry": {"wavelength": -1.0, "rings": 3, "spacing": "x"},
+         "target": {"kind": "equi_ripple", "sll_db": -200}},
+        "geometry.spacing: expected a number",
+    ),
+    "cut_table_limit": (
+        minimal_config(geometry={"wavelength": 1.0, "rings": 1, "center_element": False},
+                       output={"grid_points": 67_108_863}),
+        "output.grid_points: 67108863 cut points x 3 table columns",
+    ),
+    "output_grid_limit": (
+        minimal_config(geometry={"wavelength": 1.0, "rings": 20},
+                       output={"grid_points": 400_000_001, "surface": True,
+                               "theta_points": 100_000, "phi_points": 100_000}),
+        "output.surface: 100000 theta x 100000 phi surface rows",
+    ),
+    "bad_radii_beside_bad_wavelength": (
+        minimal_config(geometry={"wavelength": -1.0, "radii": [1.0, 0.5]}),
+        "geometry.radii: must be strictly increasing and positive",
+    ),
+    "bad_counts_beside_bad_wavelength": (
+        minimal_config(geometry={"wavelength": -1.0, "radii": [0.5, 1.0], "counts": [0, 6]}),
+        "geometry.counts: each ring needs at least one element, got [0, 6]",
+    ),
+    "huge_sample_count": (
+        minimal_config(geometry={"wavelength": 0.01, "radii": [1e308], "counts": [6]}),
+        "design-cell limit",
+    ),
+    "unreadable_table": (
+        minimal_config(target={"kind": "table", "path": "shape.csv"}),
+        "config error: target: cannot read table file",
+    ),
+}
+
+
 class TestConfigResolution:
     def test_rule_form_geometry(self):
         cfg, _ = resolve_config(minimal_config())
@@ -164,16 +202,13 @@ class TestConfigResolution:
         ]
 
     def test_validate_reports_cut_table_limit(self, tmp_path, capsys):
-        geometry = {"wavelength": 1.0, "rings": 1, "center_element": False}
-        raw = minimal_config(geometry=geometry, output={"grid_points": 67_108_863})
+        raw = BROKEN_CASES["cut_table_limit"][0]
         assert main(["validate", str(write_config(tmp_path, raw))]) == 2
         err = capsys.readouterr().err
         assert "output.grid_points: 67108863 cut points x 3 table columns" in err
 
     def test_validate_reports_output_grid_limit(self, tmp_path, capsys):
-        output = {"grid_points": 400_000_001, "surface": True,
-                  "theta_points": 100_000, "phi_points": 100_000}
-        raw = minimal_config(geometry={"wavelength": 1.0, "rings": 20}, output=output)
+        raw = BROKEN_CASES["output_grid_limit"][0]
         assert main(["validate", str(write_config(tmp_path, raw))]) == 2
         err = capsys.readouterr().err
         assert "output.grid_points: 200000001 cut points x 21 weights" in err
@@ -321,14 +356,6 @@ class TestConfigResolution:
             load_config_file(path)
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert "config error: cannot read config" in capsys.readouterr().err
-
-    def test_non_utf8_table_is_config_error(self, tmp_path, capsys):
-        (tmp_path / "shape.csv").write_bytes(b"\xff\xfe\x00bad")
-        path = write_config(tmp_path, minimal_config(target={"kind": "table", "path": "shape.csv"}))
-        out = str(tmp_path / "out")
-        for command in (["validate", str(path)], ["run", str(path), "--out", out, "--quiet"]):
-            assert main(command) == 2
-            assert "config error: target: cannot read table file" in capsys.readouterr().err
 
 
 EQUI_RIPPLE_WITH_NULL = {"kind": "equi_ripple", "sll_db": -25,
@@ -624,13 +651,7 @@ class TestCliValidate:
 
     def test_validate_reports_problem_fields(self, tmp_path, capsys):
         # a bad wavelength hides neither the spacing nor the target's problem
-        path = write_config(
-            tmp_path,
-            {
-                "geometry": {"wavelength": -1.0, "rings": 3, "spacing": "x"},
-                "target": {"kind": "equi_ripple", "sll_db": -200},
-            },
-        )
+        path = write_config(tmp_path, BROKEN_CASES["bad_fields"][0])
         assert main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert "geometry.wavelength: must be > 0" in err
@@ -651,9 +672,7 @@ class TestCliValidate:
     def test_validate_reports_bad_radii_beside_bad_wavelength(self, tmp_path, capsys):
         # radii order and sign are checked on their own, not only once the
         # rest of the geometry is valid
-        path = write_config(
-            tmp_path, minimal_config(geometry={"wavelength": -1.0, "radii": [1.0, 0.5]})
-        )
+        path = write_config(tmp_path, BROKEN_CASES["bad_radii_beside_bad_wavelength"][0])
         assert main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert "geometry.wavelength: must be > 0" in err
@@ -661,8 +680,7 @@ class TestCliValidate:
 
     def test_validate_reports_bad_counts_beside_bad_wavelength(self, tmp_path, capsys):
         # counts are checked on their own and reported under their own name
-        geometry = {"wavelength": -1.0, "radii": [0.5, 1.0], "counts": [0, 6]}
-        path = write_config(tmp_path, minimal_config(geometry=geometry))
+        path = write_config(tmp_path, BROKEN_CASES["bad_counts_beside_bad_wavelength"][0])
         assert main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert "geometry.wavelength: must be > 0" in err
@@ -707,12 +725,21 @@ class TestCliValidate:
         assert main(["validate", str(path)]) == 2
         assert problem in capsys.readouterr().err
 
-    def test_sample_count_beyond_float_range_exits_2(self, tmp_path, capsys):
-        geometry = {"wavelength": 0.01, "radii": [1e308], "counts": [6]}
-        path = write_config(tmp_path, minimal_config(geometry=geometry))
-        for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
-            assert main(command) == 2
-            assert "design-cell limit" in capsys.readouterr().err
+    @pytest.mark.parametrize("case", BROKEN_CASES)
+    def test_run_and_validate_report_the_same_problems(self, tmp_path, capsys, case):
+        raw, problem = BROKEN_CASES[case]
+        (tmp_path / "shape.csv").write_bytes(b"\xff\xfe\x00bad")
+        path = write_config(tmp_path, raw)
+        assert main(["validate", str(path)]) == 2
+        validated = capsys.readouterr()
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        ran = capsys.readouterr()
+        assert problem in validated.err
+        lines = validated.err.splitlines()
+        assert lines and all(line.startswith("config error: ") for line in lines)
+        assert ran.err == validated.err
+        assert ran.out == validated.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_spacing_with_explicit_counts_rejected(self, tmp_path, capsys):
         geometry = {"wavelength": 1.0, "radii": [0.5, 1.0], "counts": [6, 13], "spacing": 0.4}

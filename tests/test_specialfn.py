@@ -183,6 +183,9 @@ class TestBlockedGrid:
         zero_d = bessel_j0_grid(np.float64(values[-1]))
         assert zero_d.shape == () and zero_d == ref[-1]
 
+    def test_empty_argument_keeps_its_shape(self):
+        assert bessel_j0_grid(np.empty((0, 3))).shape == (0, 3)
+
     def test_non_finite_in_a_later_block_rejected(self):
         x = np.ones(2 * _BLOCK + 1)
         x[-1] = math.inf

@@ -347,6 +347,13 @@ class TestLoadTable:
         with pytest.raises(TableFormatError, match=":4: non-numeric row"):
             load_table(path)
 
+    def test_first_row_with_one_bad_column_is_not_a_header(self, tmp_path):
+        # a typo in the first data row must not drop that row as a header
+        path = tmp_path / "target.csv"
+        path.write_text("0.0,abc\n0.5,1\n1.0,0.5\n", encoding="utf-8")
+        with pytest.raises(TableFormatError, match=r":1: non-numeric row '0\.0,abc'"):
+            load_table(path)
+
     def test_rejects_non_numeric_row(self, tmp_path):
         path = tmp_path / "target.csv"
         path.write_text("u,v\n0.0,1.0\nbad,row\n", encoding="utf-8")
