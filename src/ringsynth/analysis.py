@@ -11,7 +11,7 @@ from numpy.typing import NDArray
 
 from .errors import DegeneratePatternError, DomainError
 from .geometry import RingGeometry, Weights
-from .solver import _ring_block, _vector_from_weights
+from .solver import _ring_block, _row_chunks, _vector_from_weights
 # unused here; kept while perfbench/tracing.py wraps J0 under this module's name
 from .specialfn import bessel_j0_grid
 from .targets import TargetPattern
@@ -103,21 +103,22 @@ def _symmetric_grid(n: int) -> NDArray[np.float64]:
 def pattern_on_grid(
     geom: RingGeometry, w: Weights, u: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Array factor evaluated over a whole u grid at once.
+    """Array factor over a u grid: the fit's ring block, center column included, times the weights.
 
-    The basis is the solver's ring block, the fit's whole design matrix,
-    center column included, times the full weight vector.
+    Each chunk of whole J0 panels is multiplied and dropped; the block never exists whole.
     """
     if not w.matches(geom):
         raise DomainError(
             f"weights carry {len(w.rings)} rings but geometry has {geom.n_rings}"
         )
+    x = _vector_from_weights(w, geom.column_count)
+    values = np.empty(len(u))
     # einsum sums each row the same way wherever it sits, where BLAS gemv
-    # rounds its tail rows differently, so equal rows give equal values.  Its
+    # rounds its tail rows differently, so chunks give one block's values.  Its
     # order follows the operands' strides, hence the contiguous weight vector.
-    return np.einsum(
-        "ij,j->i", _ring_block(geom, u), _vector_from_weights(w, geom.column_count)
-    )
+    for rows in _row_chunks(len(u), geom.column_count):
+        np.einsum("ij,j->i", _ring_block(geom, u[rows]), x, out=values[rows])
+    return values
 
 
 def _to_db(magnitude: NDArray[np.float64]) -> NDArray[np.float64]:

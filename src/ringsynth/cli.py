@@ -95,20 +95,23 @@ def main(argv: list[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "validate":
-        for warning in warnings:
-            print(f"warning: {warning}")
-        print(f"{config_path}: ok")
-        return EXIT_OK
-
     try:
+        # a directory that cannot be made stops both commands before any solve
+        out = Path(cfg.out_dir)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"{existing} exists and is not a directory")
+        if args.command == "validate":
+            for warning in warnings:
+                print(f"warning: {warning}")
+            print(f"{config_path}: ok")
+            return EXIT_OK
+        out.mkdir(parents=True, exist_ok=True)
         report = run_synthesis(cfg, warnings=warnings)
+        written = write_outputs(report, cfg.out_dir)
     except (SingularSystemError, DegeneratePatternError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    try:
-        written = write_outputs(report, cfg.out_dir)
     except OSError as exc:
         # the directory comes from output.directory or --out
         print(f"output error: {exc}", file=sys.stderr)

@@ -1,21 +1,22 @@
 """Linear system assembly, batch least squares, and the recursive refinement.
 
 The pattern model is linear in the weights, so sampling the target at M0
-points yields an overdetermined system A I = B, built once as one design
-matrix.  Its columns N_n J0(k r_n u), the center element last as the ring
-(0, 1), are the block that the analysis stage multiplies by the weights.  The
-solver works in square-root information form (Bierman, 1977): its state is
-the upper-triangular factor R, with R^T R the Gramian A^T A of the rows
-absorbed so far, and z = Q^T B, so the estimate solves R I = z.  The batch
-stage triangularizes the augmented even-indexed rows [A B] (the batch half of
-the sample set) by orthogonal factorization; the recursive stage absorbs the
-odd-indexed rows by re-triangularizing [R z; A B] in one loop over 64-column
-panels, whatever the weight count, and back-substitutes once.  Neither stage
-forms Q or the inverse Gramian P = (A^T A)^{-1}.  The rank-one gain
-update K = P a / (a^T P a + 1) of :func:`rls_absorb` is kept as the reference
-form.  Absorbing a row set either way is algebraically identical to batch
-least squares over the same rows, which is the correctness property the test
-suite leans on.
+points yields an overdetermined system A I = B.  Its columns N_n J0(k r_n u),
+the center element last as the ring (0, 1), form the ring block, which
+nothing holds whole: it comes in chunks of whole J0 panels, for the solver
+and for the analysis stage's products with the weights.  The solver works in
+square-root information form (Bierman, 1977): its state is the
+upper-triangular factor R, with R^T R the Gramian A^T A of the rows absorbed
+so far, and z = Q^T B, so the estimate solves R I = z.  The batch stage
+triangularizes the augmented even-indexed rows [A B] (the batch half of the
+sample set) by orthogonal factorization; the recursive stage absorbs the
+odd-indexed rows chunk by chunk, re-triangularizing [R z; A B] in one loop
+over 64-column panels whatever the weight count, and back-substitutes once.
+Neither stage forms Q or the inverse Gramian P = (A^T A)^{-1}.  The rank-one
+gain update K = P a / (a^T P a + 1) of :func:`rls_absorb` is kept as the
+reference form.  Absorbing a row set either way is algebraically identical
+to batch least squares over the same rows, which is the correctness property
+the test suite leans on.
 
 Targets here are real valued and the basis is real, so the solver works in
 real arithmetic on plain arrays and builds the real :class:`Weights` once,
@@ -25,6 +26,7 @@ when it returns.  Complex abscissas, values, matrix entries or weights raise
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -41,6 +43,7 @@ from .targets import TargetPattern
 
 _CONDITION_LIMIT = 1e12
 _BLOCK = 64  # rows of a back-substitution block, columns of an absorption panel
+_CHUNK_PANELS = 8  # J0 panels per row chunk: about 2 MB of ring block at any width
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ class DesignMatrix:
     """Dense sample-by-weight coefficient matrix.
 
     Columns hold N_n * J0(k * r_n * u_m), the center element last as the
-    ring (0, 1).  ``has_center`` only names that column in
-    :class:`SingularSystemError`.
+    ring (0, 1).  ``has_center``, passed on to :func:`solve_batch`, only
+    names that column in :class:`SingularSystemError`.
     """
 
     entries: NDArray[np.float64]
@@ -144,6 +147,21 @@ def build_design_matrix(geom: RingGeometry, abscissas: Sequence[float]) -> Desig
     return DesignMatrix(entries=_ring_block(geom, abscissas), has_center=geom.has_center_element)
 
 
+def _row_chunks(n_rows: int, n_columns: int, split: int = 0) -> list[slice]:
+    """Row slices of up to ``_CHUNK_PANELS`` whole J0 panels, none across ``split``.
+
+    The slices start on the panel edges of one :func:`_ring_block` call over
+    the rows before ``split`` and one over the rest, so each slice's block is
+    that call's rows bit for bit (the Hankel products depend on each panel's
+    smallest |u|).  Rows that fit one chunk, or none, are one slice.
+    """
+    rows = _CHUNK_PANELS * max(1, _J0_PANEL // n_columns)
+    if n_rows <= rows:
+        return [slice(0, n_rows)]
+    starts = [*range(0, split, rows), *range(split, n_rows, rows)]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])]
+
+
 def _weights_from_vector(x: NDArray[np.float64], n_rings: int) -> Weights:
     """Weights from a column vector, the center at index ``n_rings`` (0.0 when absent)."""
     values = x.tolist() + [0.0]
@@ -174,40 +192,39 @@ def _back_substitute(r: NDArray[np.float64], z: NDArray[np.float64]) -> NDArray[
 
 
 def solve_batch(
-    matrix: DesignMatrix, rhs: Sequence[float]
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Least-squares solution and square-root information array for a block.
+    augmented: NDArray[np.float64], has_center: bool
+) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:
+    """Least-squares solution, square-root information array and residual of [A b].
 
     Triangularizes the augmented rows [A b] by QR without forming Q and
-    returns the solution x with the n-by-(n+1) array [R z]: R is upper
-    triangular with R^T R = A^T A, z = Q^T b, and x solves R x = z.
-    A condition estimate from diag(R) above 1e12 raises
-    :class:`SingularSystemError` naming the offending column.
+    returns x, the n-by-(n+1) array [R z] and |rho| = ||A x - b||: R is upper
+    triangular with R^T R = A^T A, z = Q^T b, x solves R x = z, and rho is
+    the last entry of the factor's row n + 1 (0 when A is square).  A
+    condition estimate from diag(R) above 1e12 raises
+    :class:`SingularSystemError` naming the offending column, the last one
+    ``center`` when ``has_center``.
     """
-    a = matrix.entries
-    _require_real(rhs, "rhs")
-    b = np.asarray(rhs, dtype=float)
-    if a.shape[0] < a.shape[1]:
-        raise DomainError(
-            f"system with {a.shape[0]} rows and {a.shape[1]} columns is underdetermined"
-        )
-    if b.shape != (a.shape[0],):
-        raise DomainError(f"rhs length {b.shape} does not match {a.shape[0]} rows")
-    if not np.all(np.isfinite(b)):
+    _require_real(augmented, "augmented system")
+    ab = np.asarray(augmented, dtype=float)
+    m, n = ab.shape[0], ab.shape[-1] - 1
+    if ab.ndim != 2 or m < n:
+        raise DomainError(f"system [A b] of shape {ab.shape} is not 2-D or is underdetermined")
+    if not np.all(np.isfinite(ab[:, n])):
         raise DomainError("rhs must be finite")
 
-    n = a.shape[1]
-    info = np.linalg.qr(np.column_stack((a, b)), mode="r")[:n]
+    factor = np.linalg.qr(ab, mode="r")
+    info = factor[:n]
     diag = np.abs(np.diag(info))
     worst = int(np.argmin(diag))
     if diag[worst] == 0.0 or diag.max() / diag[worst] > _CONDITION_LIMIT:
-        label = "center" if matrix.has_center and worst == n - 1 else f"ring {worst + 1}"
+        label = "center" if has_center and worst == n - 1 else f"ring {worst + 1}"
         raise SingularSystemError(
             f"design matrix is numerically rank deficient at column {worst} ({label})",
             column_index=worst,
             column_label=label,
         )
-    return _back_substitute(info[:, :n], info[:, n]), info
+    rho = abs(float(factor[n, n])) if m > n else 0.0
+    return _back_substitute(info[:, :n], info[:, n]), info, rho
 
 
 def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> SolverState:
@@ -258,34 +275,30 @@ def _block_reflector(tau: NDArray[np.float64], gram: NDArray[np.float64]) -> NDA
     return t
 
 
-def _retriangularize(
-    info: NDArray[np.float64], rows: NDArray[np.float64], rhs: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Absorb sample rows into the information array [R z] by QR.
+def _retriangularize(info: NDArray[np.float64], low: NDArray[np.float64]) -> None:
+    """Absorb the sample rows [A b] of ``low`` into the information array [R z], in place.
 
-    Returns [R' z'] with R'^T R' = R^T R + A^T A, on a copy of [A b].  The
+    [R z] becomes [R' z'] with R'^T R' = R^T R + A^T A, and b what the rows
+    leave of the residual: ||b||^2 is what they add to ||A x - b||^2.  The
     columns go in panels of 64, the last possibly narrower; each [R_jj; A_j]
     is factored with Householder reflectors, which are zero in R's rows below
     the pivot because R_jj is triangular, so V = [I; V_A].  The panel's block
     reflector I - V T V^T (Schreiber and Van Loan, 1989) then updates the
     trailing columns of [R z] and [A b], z always among them, with two
     products, and R's rows below the panel are never factored again.  With
-    no rows every tau is 0 and the copy comes back unchanged.
+    no rows every tau is 0 and [R z] stays as it was.
     """
     n = info.shape[0]
-    out = info.copy()
-    low = np.column_stack((rows, rhs))
     for start in range(0, n, _BLOCK):
         end = min(start + _BLOCK, n)
-        panel = np.vstack((out[start:end, start:end], low[:, start:end]))
+        panel = np.vstack((info[start:end, start:end], low[:, start:end]))
         h, tau = np.linalg.qr(panel, mode="raw")  # h holds the factored panel transposed
-        out[start:end, start:end] = np.triu(h[:, : end - start].T)
+        info[start:end, start:end] = np.triu(h[:, : end - start].T)
         v = h[:, end - start :].T
         t = _block_reflector(tau, v.T @ v)
-        w = t.T @ (out[start:end, end:] + v.T @ low[:, end:])
-        out[start:end, end:] -= w
+        w = t.T @ (info[start:end, end:] + v.T @ low[:, end:])
+        info[start:end, end:] -= w
         low[:, end:] -= v @ w
-    return out
 
 
 def synthesize(
@@ -293,14 +306,19 @@ def synthesize(
 ) -> tuple[Weights, SolverState]:
     """Run the two-stage synthesis pipeline for a geometry and target.
 
-    The batch stage triangularizes the batch half of the sample set into
-    [R z]; one pass then absorbs the incremental half by re-triangularizing
-    [R z; A b] in 64-column panels (:func:`_retriangularize`), and one back
-    substitution gives the weights, which in exact arithmetic are the full
-    least-squares solution.  The solve stays in arrays until the weights
-    are returned.  ``passes_completed`` is that one pass (0 without
-    incremental rows), every sample is absorbed once, and ``residual_trace``
-    holds the seed's residual and the final one over the whole sample set.
+    The rows come in chunks of whole J0 panels, batch half first, and a
+    chunk holds rows of both halves only when it holds every row, so that
+    such a problem makes one ring-block call.  The batch chunks fill the
+    batch's augmented [A b], which :func:`solve_batch` triangularizes into
+    [R z]; the incremental chunks are then absorbed one by one
+    (:func:`_retriangularize`), and one back substitution gives the weights,
+    which in exact arithmetic are the full least-squares solution.  The peak
+    is the batch [A b] plus numpy's two working copies of it.
+    ``passes_completed`` is the one absorption pass (0 without incremental
+    rows), and every sample is absorbed once.  ``residual_trace`` holds
+    ||A x - b|| over every sample at the seed and at the final x: the batch
+    residual of :func:`solve_batch` and, in quadrature, each incremental
+    chunk's ||A_c x_seed - b_c|| or what its absorption leaves of b_c.
 
     Without ``samples`` the set is sized by
     :func:`~ringsynth.sampling.effective_total_count`.  A caller's set is
@@ -311,11 +329,29 @@ def synthesize(
     if samples is None:
         samples = build_sample_set(geom, target, total_count=effective_total_count(geom))
 
-    matrix = build_design_matrix(geom, samples.abscissas)
-    rhs = samples.values
-    batch = DesignMatrix(entries=matrix.entries[0::2], has_center=matrix.has_center)
-    x_seed, info = solve_batch(batch, rhs[0::2])
-    info = _retriangularize(info, matrix.entries[1::2], rhs[1::2])
+    n, n_batch = geom.column_count, samples.batch_count
+    u = np.concatenate((samples.abscissas[0::2], samples.abscissas[1::2]))
+    b = np.concatenate((samples.values[0::2], samples.values[1::2]))
+    chunks = _row_chunks(u.shape[0], n, n_batch)
+    k = sum(rows.start < n_batch for rows in chunks)
+    augmented = np.empty((n_batch, n + 1))
+    augmented[:, n] = b[:n_batch]
+    waiting = []  # [A b] of the incremental rows when one chunk holds every row
+    for rows in chunks[:k]:
+        a = build_design_matrix(geom, u[rows]).entries
+        augmented[rows, :n] = a[: n_batch - rows.start]
+        if rows.stop > n_batch:
+            waiting.append(np.column_stack((a[n_batch - rows.start :], b[n_batch:])))
+        del a  # only [A b] arrays live through the batch QR
+    x_seed, info, rho = solve_batch(augmented, geom.has_center_element)
+    del augmented
+    rest = (np.column_stack((build_design_matrix(geom, u[r]).entries, b[r])) for r in chunks[k:])
+    seed_sq = final_sq = rho * rho
+    for low in itertools.chain(waiting, rest):
+        misfit = low[:, :n] @ x_seed - low[:, n]
+        seed_sq += misfit @ misfit
+        _retriangularize(info, low)
+        final_sq += low[:, n] @ low[:, n]
     r = info[:, :-1]
     x = _back_substitute(r, info[:, -1])
     weights = _weights_from_vector(x, geom.n_rings)
@@ -324,8 +360,6 @@ def synthesize(
         r_factor=r,
         samples_absorbed=samples.total_count,
         passes_completed=1 if samples.total_count > samples.batch_count else 0,
-        residual_trace=tuple(
-            float(np.linalg.norm(matrix.entries @ v - rhs)) for v in (x_seed, x)
-        ),
+        residual_trace=(math.sqrt(seed_sq), math.sqrt(final_sq)),
     )
     return weights, state

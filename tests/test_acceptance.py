@@ -101,7 +101,9 @@ def test_criterion_1_rls_matches_batch_over_full_system():
             continue
 
         batch = build_design_matrix(geom, samples.abscissas[0::2])
-        x_seed, info = solve_batch(batch, samples.values[0::2])
+        x_seed, info, _ = solve_batch(
+            np.column_stack((batch.entries, samples.values[0::2])), batch.has_center
+        )
         state = SolverState(
             estimate=_weights_from_vector(x_seed, geom.n_rings), r_factor=info[:, :-1],
             samples_absorbed=samples.batch_count,
@@ -111,7 +113,7 @@ def test_criterion_1_rls_matches_batch_over_full_system():
         for row, value in zip(inc.entries, samples.values[1::2]):
             state = rls_absorb(state, row, value)
 
-        want, _ = solve_batch(full, samples.values)
+        want, _, _ = solve_batch(np.column_stack((full.entries, samples.values)), full.has_center)
         got = weights_vector(state.estimate)
         rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
         worst = max(worst, rel)
@@ -222,7 +224,9 @@ def test_criterion_7_invariant_suites(inv_gramian):
     # P symmetry and positive definiteness after every recursive step
     samples = build_sample_set(geom, target)
     batch = build_design_matrix(geom, samples.abscissas[0::2])
-    x_seed, info = solve_batch(batch, samples.values[0::2])
+    x_seed, info, _ = solve_batch(
+        np.column_stack((batch.entries, samples.values[0::2])), batch.has_center
+    )
     state = SolverState(
         estimate=_weights_from_vector(x_seed, geom.n_rings), r_factor=info[:, :-1],
         samples_absorbed=samples.batch_count,

@@ -15,6 +15,7 @@ from ringsynth.analysis import (
     SurfaceGrid,
     _CHUNK_ROWS,
     _fixed6_table,
+    _symmetric_grid,
     cut_rows,
     evaluate_cut,
     evaluate_surface,
@@ -28,7 +29,7 @@ from ringsynth.config import load_config_file, resolve_config
 from ringsynth.errors import DegeneratePatternError, DomainError
 from ringsynth.geometry import RingGeometry, Weights, uniform_half_wavelength_geometry
 from ringsynth.runner import run_synthesis, write_outputs
-from ringsynth.solver import synthesize
+from ringsynth.solver import _ring_block, _vector_from_weights, synthesize
 from ringsynth.targets import equi_ripple, flat_top, from_table, with_nulls
 
 # the target of cuts whose tests do not look at it
@@ -99,6 +100,23 @@ class TestEvaluateCut:
         cut = evaluate_cut(geom, Weights(center=-6.0, rings=(1.0,)), FLAT_TOP)
         assert np.all(cut.amplitude_db >= DB_FLOOR)
 
+    @pytest.mark.parametrize("rings, points, half", [
+        (500, 2001, True), (500, 20001, True), (20, 20001, False),
+        (500, 1040, False), (500, 1041, False),
+    ])
+    def test_chunks_match_one_block(self, rings, points, half):
+        # at 500 rings a chunk is 520 rows: the cut's half grids (1001 and
+        # 10001 rows), exactly two chunks and two chunks and a row; at 20
+        # rings a 12480-row chunk and the rest of a whole 20001-point grid
+        rng = np.random.default_rng(rings + points)
+        geom = uniform_half_wavelength_geometry(rings)
+        w = Weights(center=rng.standard_normal(), rings=tuple(rng.standard_normal(rings)))
+        u = _symmetric_grid(points)
+        if half:
+            u = u[points // 2 :]
+        want = np.einsum("ij,j->i", _ring_block(geom, u), _vector_from_weights(w, rings + 1))
+        assert np.array_equal(pattern_on_grid(geom, w, u), want)
+
     @pytest.mark.parametrize("points", [801, 2000, 2001])
     def test_half_grid_matches_full_grid(self, points):
         rng = np.random.default_rng(points)
@@ -125,8 +143,9 @@ class TestEvaluateCut:
         assert peak < 30e6
 
     def test_ring_block_is_the_only_basis_sized_array(self):
-        # J0 runs in place over k * u * r, so the 1001 x 501 half-grid block
-        # (4.0 MB) is not joined by a second one; two such arrays peaked at 9.9 MB
+        # the half-grid block goes in chunks of whole J0 panels, each used
+        # and dropped, so even one 1001 x 501 block (4.0 MB) never exists;
+        # the whole block with J0's working arrays peaked at 4.9 MB
         geom = uniform_half_wavelength_geometry(500)
         w = Weights(center=1.0, rings=(1.0,) * 500)
         tracemalloc.start()
@@ -135,7 +154,7 @@ class TestEvaluateCut:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 1001 * 500 * 8
+        assert peak < 1001 * 501 * 8
 
 
 class TestPatternCut:

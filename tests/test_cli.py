@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ringsynth import runner
 from ringsynth.cli import BUNDLED_EXAMPLES, bundled_config_path, main
 from ringsynth.config import load_config_file, resolve_config
 from ringsynth.errors import ConfigError
@@ -537,6 +538,25 @@ class TestCliRun:
         assert err.startswith("output error: ") and "Traceback" not in err
         assert blocker.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("below", ["", "sub/deeper"], ids=["file", "below-a-file"])
+    def test_unusable_output_directory_found_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, below
+    ):
+        # the run used to solve and evaluate the cut before write_outputs failed
+        (tmp_path / "taken").write_text("not a directory")
+        out = str(tmp_path / "taken" / below) if below else str(tmp_path / "taken")
+        path = write_config(tmp_path, minimal_config(output={"directory": out}))
+
+        def never(*args, **kwargs):
+            raise AssertionError("synthesize ran")
+
+        monkeypatch.setattr(runner, "synthesize", never)
+        assert main(["run", str(path), "--quiet"]) == 2
+        ran = capsys.readouterr()
+        taken = tmp_path / "taken"
+        assert ran.err == f"output error: {taken} exists and is not a directory\n"
+        assert ran.out == ""
+
     def test_grid_override_below_floor_rejected(self, tmp_path):
         assert main(["run", "example-a-flattop", "--out", str(tmp_path),
                      "--grid", "400"]) == 2
@@ -740,6 +760,26 @@ class TestCliValidate:
         assert ran.err == validated.err
         assert ran.out == validated.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub/deeper"], ids=["file", "below-a-file"])
+    def test_validate_reports_the_output_error_run_reports(self, tmp_path, capsys, below):
+        (tmp_path / "taken").write_text("not a directory")
+        out = str(tmp_path / "taken" / below) if below else str(tmp_path / "taken")
+        path = write_config(tmp_path, minimal_config(output={"directory": out}))
+        assert main(["validate", str(path)]) == 2
+        validated = capsys.readouterr()
+        assert main(["run", str(path), "--quiet"]) == 2
+        ran = capsys.readouterr()
+        assert validated.err.startswith("output error: ")
+        assert validated.err == ran.err
+        assert validated.out == ran.out == ""
+
+    def test_validate_creates_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "deeper"
+        path = write_config(tmp_path, minimal_config(output={"directory": str(out)}))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.endswith(": ok\n")
+        assert not (tmp_path / "new").exists()
 
     def test_spacing_with_explicit_counts_rejected(self, tmp_path, capsys):
         geometry = {"wavelength": 1.0, "radii": [0.5, 1.0], "counts": [6, 13], "spacing": 0.4}

@@ -34,6 +34,7 @@ from ringsynth.solver import (
     _back_substitute,
     _retriangularize,
     _ring_block,
+    _row_chunks,
     _weights_from_vector,
     build_design_matrix,
     rls_absorb,
@@ -59,11 +60,18 @@ def batch_state(x: np.ndarray, info: np.ndarray, absorbed: int = 0) -> SolverSta
 def random_seed(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     a = rng.standard_normal((3 * n, n))
     x = rng.standard_normal(n)
-    return solve_batch(DesignMatrix(a, True), a @ x + 0.01 * rng.standard_normal(3 * n))
+    return solve_batch(np.column_stack((a, a @ x + 0.01 * rng.standard_normal(3 * n))), True)[:2]
 
 
 def random_state(rng, n: int) -> SolverState:
     return batch_state(*random_seed(rng, n), absorbed=3 * n)
+
+
+def retriangularized(info: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """[R z] with the rows [A b] absorbed, by ``_retriangularize`` on copies of both."""
+    absorbed = info.copy()
+    _retriangularize(absorbed, np.column_stack((rows, rhs)))
+    return absorbed
 
 
 def gram_error(absorbed, info, rows, rhs) -> float:
@@ -183,6 +191,38 @@ class TestRingBlockPanels:
         tol = counts * (1e-15 + np.spacing(ax) / np.sqrt(np.maximum(ax, 8.0)))
         assert np.all(np.abs(block - ref) <= tol)
 
+    @given(panelled_blocks())
+    def test_chunks_concatenate_to_one_block(self, case):
+        # chunks start on J0 panel edges, so each panel keeps its rows and
+        # its smallest |u|, and with it every bit of its Hankel products
+        geom, u, panel = case
+        with patch.object(solver, "_J0_PANEL", panel), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            whole = _ring_block(geom, u)
+            chunks = [_ring_block(geom, u[rows]) for rows in _row_chunks(len(u), whole.shape[1])]
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+    def test_solver_chunks_make_one_block_per_half(self):
+        # the 500-ring sample set as synthesize consumes it, batch half
+        # first: two chunks a half, none across the split, and each half's
+        # chunks hold one block of that half
+        geom = uniform_half_wavelength_geometry(500)
+        u = midpoint_abscissas(effective_total_count(geom))
+        halves = (u[0::2], u[1::2])
+        chunks = _row_chunks(len(u), geom.column_count, len(halves[0]))
+        assert [(r.start, r.stop) for r in chunks] == [
+            (0, 520), (520, 998), (998, 1518), (1518, 1996)
+        ]
+        blocks = [_ring_block(geom, np.concatenate(halves)[r]) for r in chunks]
+        for half, parts in zip(halves, (blocks[:2], blocks[2:])):
+            assert np.array_equal(np.concatenate(parts), _ring_block(geom, half))
+
+    def test_rows_of_one_chunk_are_one_slice_whatever_the_split(self):
+        # a small problem makes one ring-block call; no rows make one empty
+        # slice, so the block rejects them
+        assert _row_chunks(1000, 10, 500) == [slice(0, 1000)]
+        assert _row_chunks(0, 10) == [slice(0, 0)]
+
     def test_block_bytes_do_not_depend_on_blas_threads(self):
         # the products stay panel-sized; a whole-block product may split
         # differently across BLAS threads and round differently
@@ -210,8 +250,7 @@ class TestRingBlockPanels:
 
 class TestSolveBatch:
     def test_ones_column_returns_mean(self, inv_gramian):
-        matrix = DesignMatrix(np.ones((5, 1)), True)
-        x, info = solve_batch(matrix, [3.0] * 5)
+        x, info, _ = solve_batch(np.column_stack((np.ones((5, 1)), [3.0] * 5)), True)
         assert x == pytest.approx([3.0], abs=1e-14)
         assert x.shape == (1,)
         assert inv_gramian(batch_state(x, info))[0, 0] == pytest.approx(0.2, abs=1e-14)
@@ -220,7 +259,7 @@ class TestSolveBatch:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((20, 8))
         x_true = rng.standard_normal(8)
-        got, _ = solve_batch(DesignMatrix(a, True), a @ x_true)
+        got, _, _ = solve_batch(np.column_stack((a, a @ x_true)), True)
         assert np.linalg.norm(got - x_true) <= 1e-10 * np.linalg.norm(x_true)
 
     def test_matches_normal_equations_oracle(self, inv_gramian):
@@ -231,7 +270,7 @@ class TestSolveBatch:
         al = a.astype(np.longdouble)
         bl = b.astype(np.longdouble)
         x_oracle = np.linalg.solve((al.T @ al).astype(float), (al.T @ bl).astype(float))
-        got, info = solve_batch(DesignMatrix(a, True), b)
+        got, info, _ = solve_batch(np.column_stack((a, b)), True)
         assert np.linalg.norm(got - x_oracle) <= 1e-8 * np.linalg.norm(x_oracle)
         p = inv_gramian(batch_state(got, info))
         p_oracle = np.linalg.inv(a.T @ a)
@@ -240,14 +279,13 @@ class TestSolveBatch:
     def test_rejects_complex_input(self):
         # a float cast would solve for the real parts of rhs or matrix
         with pytest.raises(DomainError):
-            solve_batch(DesignMatrix(np.ones((4, 1)), True), np.array([1 + 1j, 1, 1, 1]))
+            solve_batch(np.column_stack((np.ones((4, 1)), np.array([1 + 1j, 1, 1, 1]))), True)
         with pytest.raises(DomainError):
             DesignMatrix(np.ones((4, 1)) + 1j, True)
 
     def test_rejects_underdetermined(self):
-        matrix = DesignMatrix(np.ones((2, 3)), True)
         with pytest.raises(DomainError):
-            solve_batch(matrix, [1.0, 2.0])
+            solve_batch(np.column_stack((np.ones((2, 3)), [1.0, 2.0])), True)
 
     def test_singular_column_named(self):
         geom = RingGeometry(
@@ -255,7 +293,7 @@ class TestSolveBatch:
         )
         matrix = build_design_matrix(geom, midpoint_abscissas(12))
         with pytest.raises(SingularSystemError) as err:
-            solve_batch(matrix, [1.0] * 12)
+            solve_batch(np.column_stack((matrix.entries, [1.0] * 12)), matrix.has_center)
         assert err.value.column_label.startswith("ring")
 
     @pytest.mark.parametrize("has_center, label", [(True, "center"), (False, "ring 4")])
@@ -265,7 +303,7 @@ class TestSolveBatch:
         a = rng.standard_normal((10, 4))
         a[:, 3] = a[:, 0]
         with pytest.raises(SingularSystemError) as err:
-            solve_batch(DesignMatrix(a, has_center), rng.standard_normal(10))
+            solve_batch(np.column_stack((a, rng.standard_normal(10))), has_center)
         assert err.value.column_index == 3
         assert err.value.column_label == label
         assert str(err.value) == (
@@ -279,13 +317,14 @@ class TestSolveBatch:
         a[:, 1] = a[:, 0]
         a[:, 2] = 1.0
         with pytest.raises(SingularSystemError) as err:
-            solve_batch(DesignMatrix(a, True), rng.standard_normal(10))
+            solve_batch(np.column_stack((a, rng.standard_normal(10))), True)
         assert (err.value.column_index, err.value.column_label) == (1, "ring 2")
 
     def test_inverse_gramian_symmetric_positive_definite(self, inv_gramian):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((15, 4))
-        p = inv_gramian(batch_state(*solve_batch(DesignMatrix(a, True), rng.standard_normal(15))))
+        augmented = np.column_stack((a, rng.standard_normal(15)))
+        p = inv_gramian(batch_state(*solve_batch(augmented, True)[:2]))
         assert np.max(np.abs(p - p.T)) <= 1e-10
         np.linalg.cholesky(p)
 
@@ -295,13 +334,29 @@ class TestSolveBatch:
         rng = np.random.default_rng(14)
         a = rng.standard_normal((15, 4))
         b = rng.standard_normal(15)
-        x, info = solve_batch(DesignMatrix(a, True), b)
+        x, info, _ = solve_batch(np.column_stack((a, b)), True)
         r, z = info[:, :-1], info[:, -1]
         assert info.shape == (4, 5)
         assert np.array_equal(r, np.triu(r))
         assert np.max(np.abs(r.T @ r - a.T @ a)) <= 1e-13 * np.max(np.abs(a.T @ a))
         residual = b - a @ x
         assert z @ z + residual @ residual == pytest.approx(b @ b, rel=1e-13)
+
+
+    @pytest.mark.parametrize("rows", [4, 15])
+    def test_residual_is_the_factor_row_below_r(self, rows):
+        # rho = ||A x - b|| is the last entry of the factor's row n + 1; a
+        # square system has no such row, solves exactly and reports 0
+        rng = np.random.default_rng(rows)
+        a = rng.standard_normal((rows, 4))
+        b = rng.standard_normal(rows)
+        x, info, rho = solve_batch(np.column_stack((a, b)), True)
+        assert info.shape == (4, 5)
+        if rows == 4:
+            assert rho == 0.0
+            assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+        else:
+            assert rho == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-13)
 
 
 class TestRlsAbsorb:
@@ -334,13 +389,13 @@ class TestRlsAbsorb:
         matrix = build_design_matrix(geom, abscissas)
         b = rng.standard_normal(40)
 
-        head = DesignMatrix(matrix.entries[0::2], matrix.has_center)
-        state = batch_state(*solve_batch(head, b[0::2]), absorbed=20)
+        head = np.column_stack((matrix.entries[0::2], b[0::2]))
+        state = batch_state(*solve_batch(head, matrix.has_center)[:2], absorbed=20)
         order = rng.permutation(np.arange(1, 40, 2))
         for idx in order:
             state = rls_absorb(state, matrix.entries[idx], b[idx])
 
-        want, _ = solve_batch(matrix, b)
+        want, _, _ = solve_batch(np.column_stack((matrix.entries, b)), matrix.has_center)
         got = weights_vector(state.estimate)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -407,7 +462,7 @@ class TestRetriangularize:
         state = batch_state(x_seed, info)
         rows = rng.standard_normal((k, n))
         rhs = rng.standard_normal(k)
-        absorbed = _retriangularize(info, rows, rhs)
+        absorbed = retriangularized(info, rows, rhs)
         x = _back_substitute(absorbed[:, :-1], absorbed[:, -1])
         p = inv_gramian(batch_state(x_seed, absorbed))
         for row, value in zip(rows, rhs):
@@ -428,9 +483,9 @@ class TestRetriangularize:
         rng = np.random.default_rng(n + m)
         seed_rows = rng.standard_normal((3 * n, n))
         seed_rhs = seed_rows @ rng.standard_normal(n) + 0.01 * rng.standard_normal(3 * n)
-        _, info = solve_batch(DesignMatrix(seed_rows, True), seed_rhs)
+        _, info, _ = solve_batch(np.column_stack((seed_rows, seed_rhs)), True)
         new_rows, new_rhs = rng.standard_normal((m, n)), rng.standard_normal(m)
-        absorbed = _retriangularize(info, new_rows, new_rhs)
+        absorbed = retriangularized(info, new_rows, new_rhs)
         assert absorbed.shape == info.shape
         assert np.array_equal(absorbed, np.triu(absorbed))
         assert gram_error(absorbed, info, new_rows, new_rhs) <= 1e-14
@@ -447,7 +502,7 @@ class TestRetriangularize:
         rng = np.random.default_rng(n)
         _, info = random_seed(rng, n)
         for m in (0, n + 5):
-            assert np.array_equal(_retriangularize(info, np.zeros((m, n)), np.zeros(m)), info)
+            assert np.array_equal(retriangularized(info, np.zeros((m, n)), np.zeros(m)), info)
 
     @pytest.mark.parametrize("zero_columns", [1, 20, 64])
     def test_rows_zero_in_leading_columns_match_dense_qr(self, zero_columns):
@@ -459,7 +514,7 @@ class TestRetriangularize:
         _, info = random_seed(rng, 129)
         rows, rhs = rng.standard_normal((40, 129)), rng.standard_normal(40)
         rows[:, :zero_columns] = 0.0
-        absorbed = _retriangularize(info, rows, rhs)
+        absorbed = retriangularized(info, rows, rhs)
         assert gram_error(absorbed, info, rows, rhs) <= 1e-14
         assert np.array_equal(absorbed[:zero_columns], info[:zero_columns])
 
@@ -507,6 +562,38 @@ def manufactured_target(geom, weights_vec) -> TargetPattern:
     )
 
 
+def assert_exact_residual_trace(rings: int, total: int) -> None:
+    """``residual_trace`` against 40-digit least squares on the exact-J0 system.
+
+    Both entries are ||A x - b|| over every sample, at the batch seed and at
+    the final x.  A is built like the pattern oracle, every entry from
+    ``mpmath.besselj``; an error E in A, from J0 or the QR's backward error,
+    moves such a residual by about ||E|| ||x||.
+    """
+    geom = uniform_half_wavelength_geometry(rings)
+    target = flat_top(0.5, 0.2)
+    abscissas = midpoint_abscissas(total)
+    samples = SampleSet(abscissas, target.sample_value(abscissas))
+    _, state = synthesize(geom, target, samples=samples)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        k = 2 * mpmath.pi / mpmath.mpf(geom.wavelength)
+        rows = [
+            [count * mpmath.besselj(0, k * mpmath.mpf(radius) * mpmath.mpf(u))
+             for radius, count in zip(geom.radii, geom.elements_per_ring)] + [1]
+            for u in abscissas.tolist()
+        ]
+        a, b = mpmath.matrix(rows), mpmath.matrix(samples.values.tolist())
+        x_seed, _ = mpmath.qr_solve(
+            mpmath.matrix(rows[0::2]), mpmath.matrix(samples.values[0::2].tolist())
+        )
+        x, final = mpmath.qr_solve(a, b)
+        wanted = (mpmath.norm(a * x_seed - b), final)
+        for got, want, v in zip(state.residual_trace, wanted, (x_seed, x)):
+            bound = 16 * eps * (mpmath.mnorm(a, "f") * mpmath.norm(v) + mpmath.norm(b))
+            assert abs(got - want) <= bound
+
+
 class TestSynthesize:
     def test_recovers_manufactured_weights(self):
         rng = np.random.default_rng(11)
@@ -527,19 +614,26 @@ class TestSynthesize:
             assert later <= earlier + 1e-10
 
     def test_residual_trace_is_seed_then_final(self):
-        geom = uniform_half_wavelength_geometry(4)
-        target = flat_top(0.5, 0.1)
+        assert_exact_residual_trace(rings=8, total=100)
+
+    def test_residual_trace_with_a_square_batch(self):
+        # 3 rings and a center: the 4-row batch is square, its own residual 0
+        assert_exact_residual_trace(rings=3, total=8)
+
+    def test_peak_memory_is_the_batch_augmented_system(self):
+        # the rows come in chunks of whole J0 panels, so beside the batch's
+        # [A b] (4.0 MB) live numpy's copy of it for the QR and a chunk or
+        # two; the whole 1996 x 501 block and its two halves peaked at 20 MB
+        geom = uniform_half_wavelength_geometry(500)
+        target = flat_top(0.35, 0.12)
         samples = build_sample_set(geom, target)
-        w, state = synthesize(geom, target, samples=samples)
-        full = build_design_matrix(geom, samples.abscissas)
-        x_seed, _ = solve_batch(
-            build_design_matrix(geom, samples.abscissas[0::2]), samples.values[0::2]
-        )
-        b = samples.values
-        assert state.residual_trace == (
-            np.linalg.norm(full.entries @ x_seed - b),
-            np.linalg.norm(full.entries @ weights_vector(w) - b),
-        )
+        tracemalloc.start()
+        try:
+            synthesize(geom, target, samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * samples.batch_count * (geom.column_count + 1) * 8
 
     def test_target_scaling_scales_weights_exactly(self):
         geom = uniform_half_wavelength_geometry(5)
