@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import BinaryIO
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,6 +22,7 @@ _MIN_GRID = 801
 _MAIN_LOBE_EDGE_DB = -3.0
 _PEAK_TOL_DB = 0.01
 _CHUNK_ROWS = 4096  # cut rows formatted and written at a time
+_BLOCK_BYTES = 65536  # whole surface rows gathered into one write
 
 
 def _set_finite_arrays(obj: object, what: str, names: tuple[str, ...]) -> None:
@@ -299,8 +300,8 @@ def _fixed6_digits(v: NDArray[np.float64]) -> tuple[NDArray[np.uint32], ...] | N
     return (whole, *np.divmod(frac, np.uint32(1000)))
 
 
-def _fixed6_table(v: NDArray[np.float64]) -> str | None:
-    """One row of comma-joined ``%.6f`` cells per row of v, or None when a cell is not safe.
+def _fixed6_table(v: NDArray[np.float64]) -> bytes | None:
+    """ASCII row of comma-joined ``%.6f`` cells per row of v, or None when a cell is not safe.
 
     Every cell is three 4-byte words looked up from the digit tables, and the
     pad bytes are dropped at the end.
@@ -316,10 +317,10 @@ def _fixed6_table(v: NDArray[np.float64]) -> str | None:
     words[:, :-1, 2] |= np.uint32(ord(",") << 24)
     words[:, -1, 2] |= np.uint32(ord("\n") << 24)
     raw = words.view(np.uint8).ravel()
-    return raw[raw != 0].tobytes().decode("ascii")
+    return raw[raw != 0].tobytes()
 
 
-def cut_rows(cut: PatternCut, out: TextIO) -> None:
+def cut_rows(cut: PatternCut, out: BinaryIO) -> None:
     """Write the cut table to ``out``: a header, then one (u, dB, target dB) row per grid point.
 
     Every cell is ``%.6f`` text, byte for byte: ``%`` prints the exact binary
@@ -331,33 +332,40 @@ def cut_rows(cut: PatternCut, out: TextIO) -> None:
     1e9 in magnitude (an integer part of at most three digits) and every p
     lies more than |p| * 2**-50 from a half-integer.  Exact ties (such as
     0.0078125), NaN, inf and larger values fail that test, and then that
-    chunk alone is formatted by one ``%`` call instead.  u, dB and target dB
-    all lie in [-200, 1], so a chunk falls back only if one of its values is
-    such a tie.
+    chunk alone is formatted by one bytes ``%`` call instead.  u, dB and
+    target dB all lie in [-200, 1], so a chunk falls back only if one of its
+    values is such a tie.  ``out`` is a binary stream; the table is ASCII.
     """
-    out.write("u,db,target_db\n")
+    out.write(b"u,db,target_db\n")
     for start in range(0, cut.u_grid.size, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         target_db = 20.0 * np.log10(np.maximum(cut.target_amplitude[rows], _FLOOR_LIN))
         values = np.column_stack([cut.u_grid[rows], cut.amplitude_db[rows], target_db])
         text = _fixed6_table(values)
         if text is None:
-            text = ("%.6f,%.6f,%.6f\n" * len(values)) % tuple(values.ravel().tolist())
+            text = (b"%.6f,%.6f,%.6f\n" * len(values)) % tuple(values.ravel().tolist())
         out.write(text)
 
 
-def surface_rows(surface: SurfaceGrid, out: TextIO) -> None:
+def surface_rows(surface: SurfaceGrid, out: BinaryIO) -> None:
     """Write the surface table to ``out``: a header, then one (theta, phi, dB) row per cell.
 
-    The surface holds one dB value per theta, so each phi label and each
-    theta row's head and tail are formatted once, and a theta row's cells
-    are one join of the labels, written as one piece.
+    ``out`` is a binary stream, and the table is ASCII.  The surface holds
+    one dB value per theta, so each phi label and each theta row's head
+    and tail are formatted once, and a theta row's cells are one join of
+    the labels.  Whole theta rows are gathered until they reach
+    ``_BLOCK_BYTES`` and each block goes out in one write.
     """
-    phi_labels = ["%.6f" % phi for phi in surface.phi.tolist()]
-    out.write("theta,phi,db\n")
+    phi_labels = [b"%.6f" % phi for phi in surface.phi.tolist()]
+    block, size = [b"theta,phi,db\n"], 0
     for theta, db in zip(surface.theta.tolist(), surface.amplitude_db.tolist()):
-        head, tail = "%.6f," % theta, ",%.6f\n" % db
-        out.write(head + (tail + head).join(phi_labels) + tail)
+        head, tail = b"%.6f," % theta, b",%.6f\n" % db
+        block.append(head + (tail + head).join(phi_labels) + tail)
+        size += len(block[-1])
+        if size >= _BLOCK_BYTES:
+            out.write(b"".join(block))
+            block, size = [], 0
+    out.write(b"".join(block))
 
 
 def metrics_rows(metrics: PatternMetrics) -> list[str]:

@@ -12,6 +12,7 @@ directory included), 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 from pathlib import Path
@@ -50,6 +51,7 @@ def _locate_config(argument: str) -> Path:
         return path  # let the loader report the missing file
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringsynth",

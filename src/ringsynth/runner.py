@@ -11,7 +11,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, TextIO
+from typing import Any, BinaryIO, Callable
 
 from .analysis import (
     PatternCut,
@@ -136,27 +136,31 @@ def report_rows(report: SynthesisReport) -> list[str]:
 
 
 def write_outputs(report: SynthesisReport, out_dir: str | Path) -> list[Path]:
-    """Emit weights.csv, cut.csv, report.txt and optionally surface.csv.
+    """Emit weights.csv, cut.csv, report.txt and optionally surface.csv into ``out_dir``.
 
-    Each file is opened once and its table written straight into it, so the
-    cut and surface tables never exist as one string.
+    The directory is made when it does not exist yet.  Each file is opened
+    once in binary mode and its bytes written straight into it, the cut
+    and surface tables in blocks, so neither table ever exists as one
+    string.  Lines end in LF on every platform; report.txt is UTF-8, since
+    a warning line can carry user text, and the rest is ASCII.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not out.is_dir():
+        out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def emit(name: str, write: Callable[[TextIO], object]) -> None:
+    def emit(name: str, write: Callable[[BinaryIO], object]) -> None:
         path = out / name
-        with path.open("w", encoding="utf-8") as handle:
+        with path.open("wb") as handle:
             write(handle)
         written.append(path)
 
-    emit(WEIGHTS_FILE, lambda f: f.write("\n".join(weights_rows(report)) + "\n"))
+    emit(WEIGHTS_FILE, lambda f: f.write(("\n".join(weights_rows(report)) + "\n").encode()))
     emit(CUT_FILE, lambda f: cut_rows(report.cut, f))
     surface = report.surface
     if surface is not None:
         emit(SURFACE_FILE, lambda f: surface_rows(surface, f))
-    emit(REPORT_FILE, lambda f: f.write("\n".join(report_rows(report)) + "\n"))
+    emit(REPORT_FILE, lambda f: f.write(("\n".join(report_rows(report)) + "\n").encode()))
     return written
 
 

@@ -239,10 +239,10 @@ def with_nulls(
 
     def notch_factor(u: NDArray[np.float64]) -> NDArray[np.float64]:
         factor = np.ones_like(u)
-        for c in centers:
+        for c in centers:  # the cosine only where the dip is in force
             t = (u - c) / width
-            dip = 1.0 - (1.0 - depth_lin) * 0.5 * (1.0 + np.cos(np.pi * t))
-            factor = np.where(np.abs(t) < 1.0, factor * dip, factor)
+            inside = np.abs(t) < 1.0
+            factor[inside] *= 1.0 - (1.0 - depth_lin) * 0.5 * (1.0 + np.cos(np.pi * t[inside]))
         return factor
 
     # The notches multiply the rectified base: notching the signed base

@@ -1,6 +1,7 @@
 """Pattern cuts, surfaces, and metric measurement."""
 
 import io
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from ringsynth.analysis import (
     DB_FLOOR,
     PatternCut,
     SurfaceGrid,
+    _BLOCK_BYTES,
     _CHUNK_ROWS,
     _fixed6_table,
     _symmetric_grid,
@@ -433,10 +435,10 @@ class TestEvaluateSurface:
 
 
 def table_text(write, table) -> str:
-    """The text a table writer sends to an open file."""
-    out = io.StringIO()
+    """The text a table writer sends to an open binary file, decoded."""
+    out = io.BytesIO()
     write(table, out)
-    return out.getvalue()
+    return out.getvalue().decode("ascii")
 
 
 def per_cell_cut_text(cut: PatternCut, target) -> str:
@@ -457,6 +459,40 @@ def per_cell_surface_text(surface: SurfaceGrid) -> str:
         for phi in surface.phi:
             rows.append(f"{theta:.6f},{phi:.6f},{surface.amplitude_db[i]:.6f}")
     return "\n".join(rows) + "\n"
+
+
+class CountingRaw(io.RawIOBase):
+    """A raw stream that keeps the size of every write it receives and drops the bytes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(len(data))
+        return len(data)
+
+
+@pytest.fixture(scope="module")
+def dense_report():
+    """(config, report) shaped like the dense-output benchmark job.
+
+    20 rings, a 20001-point cut and a 721 x 181 surface: about 4.4 MB of files.
+    """
+    raw = {
+        "geometry": {"wavelength": 1.0, "rings": 20},
+        "target": {"kind": "equi_ripple", "sll_db": -30.0, "nulls": [
+            {"center": 0.4, "depth_db": -40, "width": 0.06},
+            {"center": 0.75, "depth_db": -40, "width": 0.06},
+        ]},
+        "output": {"grid_points": 20001, "surface": True, "theta_points": 721,
+                   "phi_points": 181},
+    }
+    cfg, warnings = resolve_config(raw)
+    return cfg, run_synthesis(cfg, warnings)
 
 
 # -0.0, the dB floor, values near 6-decimal rounding ties and magnitudes >= 100
@@ -530,21 +566,9 @@ class TestSerialization:
         assert cut_text == per_cell_cut_text(report.cut, cfg.target)
         assert surface_text == per_cell_surface_text(report.surface)
 
-    def test_write_outputs_memory_stays_bounded(self, tmp_path):
-        # shaped like the dense-output benchmark job: 20 rings, a 20001-point
-        # cut and a 721 x 181 surface (about 4.4 MB of surface.csv); building
-        # each table as one string and encoding it peaked near 7.6 MB
-        raw = {
-            "geometry": {"wavelength": 1.0, "rings": 20},
-            "target": {"kind": "equi_ripple", "sll_db": -30.0, "nulls": [
-                {"center": 0.4, "depth_db": -40, "width": 0.06},
-                {"center": 0.75, "depth_db": -40, "width": 0.06},
-            ]},
-            "output": {"grid_points": 20001, "surface": True, "theta_points": 721,
-                       "phi_points": 181},
-        }
-        cfg, warnings = resolve_config(raw)
-        report = run_synthesis(cfg, warnings)
+    def test_write_outputs_memory_stays_bounded(self, tmp_path, dense_report):
+        # building each table as one string and encoding it peaked near 7.6 MB
+        report = dense_report[1]
         tracemalloc.start()
         try:
             written = write_outputs(report, tmp_path)
@@ -553,6 +577,25 @@ class TestSerialization:
             tracemalloc.stop()
         assert sum(path.stat().st_size for path in written) > 4_000_000
         assert peak < 1.5e6
+
+    def test_surface_leaves_in_few_large_writes(self, dense_report):
+        raw = CountingRaw()
+        with io.BufferedWriter(raw) as out:
+            surface_rows(dense_report[1].surface, out)
+        size = sum(raw.writes)
+        assert size > 3_000_000
+        assert len(raw.writes) <= math.ceil(size / _BLOCK_BYTES) + 2
+        assert max(raw.writes) <= 2 * _BLOCK_BYTES
+
+    def test_table_bytes_match_per_cell_reference(self, dense_report):
+        cfg, report = dense_report
+        for write, table, expected in (
+            (cut_rows, report.cut, per_cell_cut_text(report.cut, cfg.target)),
+            (surface_rows, report.surface, per_cell_surface_text(report.surface)),
+        ):
+            out = io.BytesIO()
+            write(table, out)
+            assert out.getvalue() == expected.encode()
 
     def test_metrics_rows_include_nulls(self):
         target = with_nulls(flat_top(0.9, 0.0), [0.5], -40.0, 0.05)
@@ -568,7 +611,7 @@ class TestSerialization:
         target_db = 20.0 * np.log10(np.maximum(target.amplitude(cut.u_grid), 1e-10))
         text = _fixed6_table(np.column_stack([cut.u_grid, cut.amplitude_db, target_db]))
         assert text is not None
-        assert "u,db,target_db\n" + text == per_cell_cut_text(cut, target)
+        assert b"u,db,target_db\n" + text == per_cell_cut_text(cut, target).encode()
 
 
 def percent_text(values) -> str:
@@ -603,19 +646,19 @@ class TestFixedPointKernel:
     def test_mixed_sign_columns_match_or_fall_back(self, rows):
         values = np.array(rows)
         text = _fixed6_table(values)
-        assert text is None or text == percent_text(values)
+        assert text is None or text == percent_text(values).encode()
 
     def test_dyadic_ties_fall_back_and_match(self):
         ties = (np.arange(-128, 129) / 128.0)[:, None]
         assert _fixed6_table(ties) is None
-        assert _fixed6_table(ties[::2]) == percent_text(ties[::2])
+        assert _fixed6_table(ties[::2]) == percent_text(ties[::2]).encode()
         cut = cut_holding(ties.ravel())
         assert table_text(cut_rows, cut) == per_cell_cut_text(cut, TABLE)
         assert "0.007812," in table_text(cut_rows, cut)  # 0.0078125 rounds half to even
 
     @pytest.mark.parametrize("value", [-0.0, -1e-9])
     def test_negative_zero_keeps_its_sign(self, value):
-        assert _fixed6_table(np.array([[value]])) == "-0.000000\n"
+        assert _fixed6_table(np.array([[value]])) == b"-0.000000\n"
 
     def test_values_at_the_range_edge(self):
         # 999.9999995 sits a hair below the tie in binary; its product rounds
@@ -624,7 +667,7 @@ class TestFixedPointKernel:
             assert _fixed6_table(np.array([[value]])) is None
             cut = cut_holding([value, 0.0])
             assert table_text(cut_rows, cut) == per_cell_cut_text(cut, TABLE)
-        assert _fixed6_table(np.array([[999.9999994]])) == "999.999999\n"
+        assert _fixed6_table(np.array([[999.9999994]])) == b"999.999999\n"
         # below 1000, but its six-decimal text needs four integer digits
         assert _fixed6_table(np.array([[999.9999999999999]])) is None
         assert _fixed6_table(np.array([[1000.0]])) is None
@@ -632,7 +675,7 @@ class TestFixedPointKernel:
     def test_db_floor(self):
         column = np.array([DB_FLOOR, -DB_FLOOR, 0.0])
         assert _fixed6_table(np.column_stack([column, column])) == (
-            "-200.000000,-200.000000\n200.000000,200.000000\n0.000000,0.000000\n"
+            b"-200.000000,-200.000000\n200.000000,200.000000\n0.000000,0.000000\n"
         )
 
     def test_out_of_range_cell_falls_back_for_its_chunk(self):
@@ -660,7 +703,7 @@ class TestFixedPointKernel:
         assert text == expected
         assert "0.007812," in text and ",-1234.500000," in text
         path = tmp_path / "cut.csv"
-        with path.open("w", encoding="utf-8") as handle:
+        with path.open("wb") as handle:
             cut_rows(cut, handle)
         assert path.read_bytes() == expected.encode("utf-8")
 

@@ -1,5 +1,6 @@
 """Config schema validation and end-to-end CLI behavior."""
 
+import argparse
 import json
 
 import pytest
@@ -473,6 +474,26 @@ class TestCliRun:
         rc = main(["run", "example-a-flattop", "--out", str(tmp_path), "--surface", "--quiet"])
         assert rc == 0
         assert (tmp_path / "surface.csv").exists()
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", "example-a-flattop", "--out", str(first), "--surface",
+                     "--grid", "1001", "--quiet"]) == 0
+        assert main(["run", "example-a-flattop", "--out", str(second), "--quiet"]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+        assert (first / "surface.csv").exists()
+        assert not (second / "surface.csv").exists()
+        rows = [len((out / "cut.csv").read_text(encoding="utf-8").splitlines())
+                for out in (first, second)]
+        assert rows == [1002, 2002]
 
     def test_deterministic_outputs(self, tmp_path):
         a = tmp_path / "a"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ringsynth import targets
+from ringsynth.analysis import _symmetric_grid
 from ringsynth.errors import DomainError, TableFormatError
 from ringsynth.targets import (
     TargetPattern,
@@ -19,6 +20,26 @@ from ringsynth.targets import (
 )
 
 SCAN = np.linspace(-1.0, 1.0, 10001)
+
+
+def where_notched_amplitude(base, centers, depth_db, width, u):
+    """Reference notched amplitude: every dip evaluated over the whole grid, kept by np.where."""
+    u = np.asarray(u, dtype=float)
+    depth_lin = 10.0 ** (depth_db / 20.0)
+    factor = np.ones_like(u)
+    for c in centers:
+        t = (u - c) / width
+        dip = 1.0 - (1.0 - depth_lin) * 0.5 * (1.0 + np.cos(np.pi * t))
+        factor = np.where(np.abs(t) < 1.0, factor * dip, factor)
+    return np.abs(np.abs(base.sample_value(u)) * factor)
+
+
+# (base, centers, depth dB, half-width); the dyadic case puts u - c exactly at +/- width
+NOTCH_CASES = [
+    (equi_ripple(-16.0, 14), [0.35, 0.65], -40.0, 0.1),
+    (flat_top(0.3, 0.1), [-0.6, 0.5], -40.0, 0.125),
+    (equi_ripple(-30.0, 20), [0.4123, 0.7517], -40.0, 0.06),
+]
 
 # Every target kind, notches over a signed and over a non-negative base.
 BUILDS = {
@@ -249,6 +270,25 @@ class TestWithNulls:
     def test_peak_normalization_survives_notching(self):
         t = with_nulls(equi_ripple(-16.0, 14), [0.35, 0.65], -40.0, 0.1)
         assert scan_peak(t) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("case", range(len(NOTCH_CASES)))
+    def test_windowed_notches_equal_whole_grid_reference(self, case):
+        base, centers, depth, width = NOTCH_CASES[case]
+        t = with_nulls(base, centers, depth, width)
+        rng = np.random.default_rng(case)
+        # each centre, the window edges and points just inside them
+        steps = (-1.0, -0.99999, -0.999, -0.5, 0.0, 0.5, 0.999, 0.99999, 1.0)
+        edges = [c + k * width for c in centers for k in steps]
+        grids = [rng.uniform(-1.0, 1.0, n) for n in (1, 7, 1000, 4097)]
+        grids += [np.array(edges), np.nextafter(edges, 2.0), np.nextafter(edges, -2.0),
+                  _symmetric_grid(20001)]
+        for u in grids:
+            assert np.array_equal(t.amplitude(u), where_notched_amplitude(base, centers, depth,
+                                                                          width, u))
+        for u in edges + [0.0, -1.0, 1.0]:
+            value = t.amplitude(u)
+            assert isinstance(value, float)
+            assert value == where_notched_amplitude(base, centers, depth, width, u)
 
     def test_notched_samples_are_magnitudes(self):
         # notching drops the base's signed form: the sampled value is the
