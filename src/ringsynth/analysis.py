@@ -161,38 +161,33 @@ def _contiguous_runs(mask: NDArray[np.bool_]) -> list[tuple[int, int]]:
     return [(int(lo), int(hi) - 1) for lo, hi in zip(edges[0::2], edges[1::2])]
 
 
-def _main_lobe_mask(cut: PatternCut, target: TargetPattern) -> NDArray[np.bool_]:
-    """Grid mask of the main lobe region(s) excluded from sidelobe search."""
-    db = cut.amplitude_db
-    if target.kind.startswith("flat_top"):
-        return cut.target_amplitude > 0.5
-
-    mask = np.zeros(db.shape, dtype=bool)
-    for lo, hi in _contiguous_runs(db > _MAIN_LOBE_EDGE_DB):
-        if db[lo : hi + 1].max() >= -_PEAK_TOL_DB:
-            mask[lo : hi + 1] = True
-    return mask
-
-
 def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
     """Sidelobe level, ripple, null depths, beamwidth, and target RMS error.
 
-    The main lobe is the connected region above -3 dB around the global
-    peak(s); for flat-top targets it is the region where the target exceeds
-    one half.  A sidelobe peak is a grid point outside that region that is
-    >= each grid neighbour outside it; a neighbour inside it marks a flank
-    truncated by the main lobe, which counts only at a grid end.  The
-    sidelobe level is the highest such peak, absent when there is none.  The
-    beamwidth needs a single main-lobe region: beyond each of its edges the
-    first point at or below -3 dB and its inner neighbour fix a line in
-    (u, dB), and the crossing is where that line meets -3 dB (an
-    extrapolation when a flat-top edge already lies below -3 dB).  The
-    target amplitude comes from the cut; ``target`` gives only its kind and
+    The lobes are the connected regions above -3 dB that hold the 0 dB peak
+    (within 0.01 dB).  The main region is the lobes; for flat-top targets
+    it is the region where the target exceeds one half, so that passband
+    ripple never counts as a sidelobe.  A sidelobe peak is a grid point
+    outside the main region that is >= each grid neighbour outside it; a
+    neighbour inside it marks a flank truncated by the main region, which
+    counts only at a grid end.  The sidelobe level is the highest such
+    peak, absent when there is none.  The beamwidth is the width between
+    the -3 dB crossings of a single lobe, each interpolated linearly
+    between the lobe's edge point and its outer neighbour; it is absent
+    when there are two lobes or the lobe reaches a grid end.  The target
+    amplitude comes from the cut; ``target`` gives only its kind and
     parameters.
     """
     u = cut.u_grid
     db = cut.amplitude_db
-    main = _main_lobe_mask(cut, target)
+    lobes = [(lo, hi) for lo, hi in _contiguous_runs(db > _MAIN_LOBE_EDGE_DB)
+             if db[lo : hi + 1].max() >= -_PEAK_TOL_DB]
+    if target.kind.startswith("flat_top"):
+        main = cut.target_amplitude > 0.5
+    else:
+        main = np.zeros(db.shape, dtype=bool)
+        for lo, hi in lobes:
+            main[lo : hi + 1] = True
 
     peaks = ~main
     peaks[1:-1] &= ~main[:-2] & ~main[2:] & (db[1:-1] >= db[:-2]) & (db[1:-1] >= db[2:])
@@ -207,21 +202,13 @@ def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
         if np.any(band):
             ripple = float(db[band].max() - db[band].min())
 
-    depths: list[tuple[float, float]] = []
-    centers = target.params.get("null_centers")
-    if centers:
-        for center in centers:  # type: ignore[union-attr]
-            depths.append((float(center), float(np.interp(float(center), u, db))))
+    centers = [float(c) for c in target.params.get("null_centers") or ()]  # type: ignore[union-attr]
+    depths = tuple(zip(centers, np.interp(centers, u, db).tolist()))
 
     hpbw: float | None = None
-    runs = _contiguous_runs(main)
-    if len(runs) == 1:
-        lo, hi = runs[0]
-        left = np.flatnonzero(db[:lo] <= _MAIN_LOBE_EDGE_DB)
-        right = np.flatnonzero(db[hi + 1 :] <= _MAIN_LOBE_EDGE_DB)
-        if left.size and right.size:
-            j, k = int(left[-1]), hi + 1 + int(right[0])
-            hpbw = _crossing(u, db, k - 1, k) - _crossing(u, db, j + 1, j)
+    if len(lobes) == 1 and lobes[0][0] > 0 and lobes[0][1] < db.size - 1:
+        lo, hi = lobes[0]
+        hpbw = _crossing(u, db, hi, hi + 1) - _crossing(u, db, lo, lo - 1)
 
     amp = cut.target_amplitude
     meaningful = amp > 1e-4
@@ -234,7 +221,7 @@ def measure_metrics(cut: PatternCut, target: TargetPattern) -> PatternMetrics:
     return PatternMetrics(
         sll_db=sll,
         passband_ripple_db=ripple,
-        null_depths_db=tuple(depths),
+        null_depths_db=depths,
         hpbw_u=hpbw,
         rms_error_vs_target_db=rms,
     )

@@ -30,9 +30,9 @@ _KINDS = {
     str: (str, "a string"),
 }
 _REQUIRED = object()  # the default of a field that must be given
-# Most design-matrix cells (samples x weights) a run may sample: 256 MiB of
-# float64, far beyond any layout the solver is meant for, so a mistyped radius
-# exits 2 instead of allocating gigabytes.
+# Most cells (rows x columns) in one dimension of a run's work (see
+# _check_problem_size): 256 MiB of float64, far beyond any layout the solver is
+# meant for, so a mistyped radius exits 2 instead of allocating gigabytes.
 _MAX_DESIGN_CELLS = 2**25
 
 # Each section's fields, once: a field's name and the rest of its _read
@@ -334,10 +334,13 @@ def _resolve_target(
 def _check_problem_size(
     geometry: RingGeometry, settings: Mapping[str, dict[str, Any]], problems: list[str]
 ) -> None:
-    """Note each array a run would build over ``_MAX_DESIGN_CELLS`` cells.
+    """Note each dimension of a run's work over ``_MAX_DESIGN_CELLS`` cells.
 
-    They are the fit's design matrix, the cut's half-grid ring block and its
-    three-column table, and a surface's ring block and theta x phi rows.
+    They are the fit's samples x weights, the cut's half grid x weights and
+    its three-column table, and a surface's angles x weights and theta x phi
+    rows.  The ring blocks are built in chunks of about 2 MB, so the limits
+    bound the J0 work and the arrays still held whole: the batch half's
+    [A b] and the cut's u, dB and target arrays.
     Rows are written in bounded pieces, never held as text, so the row limits
     bound the size of cut.csv and surface.csv, not a text copy in memory.
     """

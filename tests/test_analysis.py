@@ -266,7 +266,7 @@ def reference_main_region(db, amplitude, flat) -> list[bool]:
     return main
 
 
-def reference_sll_and_hpbw(u, db, main):
+def reference_sll_and_hpbw(u, db, main, lobes):
     """Sidelobe level and beamwidth by one pass over the grid indices, per the docstring."""
     n = len(db)
     peaks = []
@@ -275,21 +275,17 @@ def reference_sll_and_hpbw(u, db, main):
         flank = any(main[k] for k in neighbours) and 0 < i < n - 1
         if not main[i] and not flank and all(db[i] >= db[k] for k in neighbours if not main[k]):
             peaks.append(db[i])
-    regions = [i for i in range(n) if main[i] and (i == 0 or not main[i - 1])]
+    regions = [i for i in range(n) if lobes[i] and (i == 0 or not lobes[i - 1])]
     if len(regions) != 1:
         return max(peaks, default=None), None
-    edges = [regions[0], max(i for i in range(n) if main[i])]
+    edges = [regions[0], max(i for i in range(n) if lobes[i])]
     crossings = []
     for edge, step in zip(edges, (-1, 1)):
         outer = edge + step
-        while 0 <= outer < n and db[outer] > -3.0:
-            outer += step
         if not 0 <= outer < n:
             return max(peaks, default=None), None
-        inner = outer - step
-        span = db[outer] - db[inner]
-        frac = 0.0 if span == 0 else (-3.0 - db[inner]) / span
-        crossings.append(float(u[inner] + frac * (u[outer] - u[inner])))
+        frac = (-3.0 - db[edge]) / (db[outer] - db[edge])
+        crossings.append(float(u[edge] + frac * (u[outer] - u[edge])))
     return max(peaks, default=None), crossings[1] - crossings[0]
 
 
@@ -326,9 +322,10 @@ class TestMetricDefinitions:
     @given(synthetic_cuts())
     def test_sll_and_hpbw_match_per_index_reference(self, case):
         cut, target = case
-        main = reference_main_region(cut.amplitude_db.tolist(), cut.target_amplitude.tolist(),
-                                     target is FLAT_TOP)
-        sll, hpbw = reference_sll_and_hpbw(cut.u_grid, cut.amplitude_db, main)
+        db, amplitude = cut.amplitude_db.tolist(), cut.target_amplitude.tolist()
+        main = reference_main_region(db, amplitude, target is FLAT_TOP)
+        lobes = reference_main_region(db, amplitude, False)
+        sll, hpbw = reference_sll_and_hpbw(cut.u_grid, cut.amplitude_db, main, lobes)
         metrics = measure_metrics(cut, target)
         assert metrics.sll_db == sll
         assert metrics.hpbw_u == hpbw
@@ -354,18 +351,37 @@ class TestMetricDefinitions:
         metrics = measure_metrics(PatternCut(GRID, db, amplitude), FLAT_TOP)
         assert metrics.sll_db == -10.0
 
-    def test_edge_below_half_power_pairs_with_its_outer_neighbour(self):
+    def test_edge_below_half_power_gives_the_patterns_own_crossings(self):
         # the flat-top region |u| <= 0.5 ends at -6 dB and the next point is
-        # at -20 dB: the crossing is where the line through those two meets
-        # -3 dB, just inside the edge, not the pattern's own -3 dB point at
-        # |u| = 0.45
+        # at -20 dB; the beamwidth is read inside the region, between the
+        # pattern's own -3 dB points at |u| = 0.45, not extrapolated from
+        # the region's edge and its outer neighbour (0.998929)
         amplitude = np.where(np.abs(GRID) <= 0.5, 1.0, 0.1)
         db = np.minimum(0.0, -60.0 * (np.abs(GRID) - 0.4))
         db[np.abs(GRID) > 0.5] = -20.0
         metrics = measure_metrics(PatternCut(GRID, db, amplitude), FLAT_TOP)
-        edge = 0.5 - 0.0025 * 3.0 / 14.0
         assert db[np.abs(GRID) <= 0.5].min() == pytest.approx(-6.0)
-        assert metrics.hpbw_u == pytest.approx(2.0 * edge, rel=1e-12)
+        assert metrics.hpbw_u == pytest.approx(0.9)
+        assert metrics.sll_db == -20.0
+
+    @pytest.mark.parametrize("name", BUNDLED_EXAMPLES)
+    def test_bundled_hpbw_is_the_width_between_the_cuts_own_crossings(self, name):
+        path = bundled_config_path(name)
+        cfg, warnings = resolve_config(load_config_file(path), base_dir=path.parent)
+        report = run_synthesis(cfg, warnings)
+        u, db = report.cut.u_grid, report.cut.amplitude_db
+        if name == "example-b-difference":
+            assert report.metrics.hpbw_u is None  # two lobes, one each side of the null
+            return
+        crossings = []
+        for step in (-1, 1):
+            inner = int(np.argmax(db))
+            while db[inner + step] > -3.0:
+                inner += step
+            outer = inner + step
+            frac = (-3.0 - db[inner]) / (db[outer] - db[inner])
+            crossings.append(u[inner] + frac * (u[outer] - u[inner]))
+        assert report.metrics.hpbw_u == crossings[1] - crossings[0]
 
 
 class TestEvaluateSurface:
