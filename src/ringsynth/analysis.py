@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,7 +22,7 @@ _MIN_GRID = 801
 _MAIN_LOBE_EDGE_DB = -3.0
 _PEAK_TOL_DB = 0.01
 _CHUNK_ROWS = 4096  # cut rows formatted and written at a time
-_BLOCK_BYTES = 65536  # whole surface rows gathered into one write
+_BLOCK_BYTES = 65536  # bytes a surface write gathers; no write exceeds twice this
 
 
 def _set_finite_arrays(obj: object, what: str, names: tuple[str, ...]) -> None:
@@ -299,12 +299,11 @@ def _fixed6_table(v: NDArray[np.float64]) -> bytes | None:
     words = np.empty(v.shape + (3,), dtype="<u4")
     for i, (table, index) in enumerate(zip((_LEAD, _DOT, _TAIL), digits)):
         np.take(table, index, out=words[..., i])
-    del digits  # freed before the pad mask, which keeps the peak below the % path's
+    del digits  # freed before the copies that drop the pads, which keeps the peak low
     words[..., 0] |= np.signbit(v) * np.uint32(ord("-"))
     words[:, :-1, 2] |= np.uint32(ord(",") << 24)
     words[:, -1, 2] |= np.uint32(ord("\n") << 24)
-    raw = words.view(np.uint8).ravel()
-    return raw[raw != 0].tobytes()
+    return words.tobytes().translate(None, b"\0")
 
 
 def cut_rows(cut: PatternCut, out: BinaryIO) -> None:
@@ -334,25 +333,109 @@ def cut_rows(cut: PatternCut, out: BinaryIO) -> None:
         out.write(text)
 
 
+def _formatted(fmt: bytes, values: NDArray[np.float64]) -> tuple[bytes, NDArray[np.intp]]:
+    """``fmt % v`` of each value, joined, and the offset of each piece and of the end.
+
+    The last byte of ``fmt`` must not occur in ``%.6f`` text.
+    """
+    text = (fmt * values.size) % tuple(values.tolist())
+    ends = np.flatnonzero(np.frombuffer(text, np.uint8) == fmt[-1]) + 1
+    return text, np.concatenate([[0], ends])
+
+
+def _phi_labels(phi: NDArray[np.float64]) -> NDArray[np.void]:
+    """``%.6f`` of each phi as one packed array of records, NUL-padded to the widest label.
+
+    ``%.6f`` widens with |v| on each side of zero, so the widest label is the
+    smallest or the largest value's, or ``-0.000000`` when a sign bit is set.
+    """
+    signed_zero = -0.0 if np.signbit(phi).any() else 0.0
+    width = max(len(b"%.6f" % v) for v in (phi.min(), phi.max(), signed_zero))
+    labels = np.empty(phi.size, f"S{width}")
+    for start in range(0, phi.size, _CHUNK_ROWS):
+        part = slice(start, start + _CHUNK_ROWS)
+        labels[part] = _formatted(b"%.6f,", phi[part])[0].split(b",")[:-1]
+    return labels.view(f"V{width}")
+
+
+def _cell_blocks(head: NDArray[np.void], tail: NDArray[np.void],
+                 labels: NDArray[np.void]) -> Iterator[memoryview]:
+    """Cells ``head[i] + labels[j] + tail[i]`` of rows i and phis j, as 1-D byte views of one buffer.
+
+    The heads share one width, and so do the tails.  A block is whole rows,
+    or a piece of one wider row, of at least ``_BLOCK_BYTES`` except at the
+    end of the rows or of a wide row; it is valid until the next is asked
+    for.  A row's tail and head meet between its cells, so both go in by one
+    copy of their seam, laid from each cell's tail into the next cell's
+    head; each row's first head follows.
+    """
+    count, phis = head.size, labels.size
+    h_width, size = head.itemsize, head.itemsize + labels.itemsize + tail.itemsize
+    seam = np.empty(count, [("t", tail.dtype), ("h", head.dtype)])
+    seam["t"], seam["h"] = tail, head
+    seam = seam.view(f"V{seam.itemsize}")[:, None]
+    cols = min(phis, -(-_BLOCK_BYTES // size))
+    rows = min(count, -(-_BLOCK_BYTES // (cols * size)))
+    strides = (cols * size, size)
+    buf = np.empty(rows * cols * size + h_width, np.uint8)  # the last seam runs past the cells
+    seams = np.ndarray((rows, cols), seam.dtype, buf, h_width + labels.itemsize, strides)
+    row_heads = np.ndarray((rows, 1), head.dtype, buf, 0, strides)
+    cell_labels = np.ndarray((rows, cols), labels.dtype, buf, h_width, strides)
+    cell_labels[...] = labels[:cols]
+    for i in range(0, count, rows):
+        seams[: count - i] = seam[i : i + rows]
+        row_heads[: count - i] = head[i : i + rows, None]
+        for j in range(0, phis, cols):
+            if cols < phis:  # one row per block, taken in pieces
+                cell_labels[0, : phis - j] = labels[j : j + cols]
+            yield buf[: min(rows, count - i) * min(cols, phis - j) * size].data
+
+
+def _surface_blocks(surface: SurfaceGrid) -> Iterator[bytes | memoryview]:
+    """The surface table's cells in :func:`_cell_blocks` of each run of rows.
+
+    A run is a longest stretch of rows, within one chunk of ``_CHUNK_ROWS``,
+    whose heads share one width and whose tails share one width.
+    """
+    labels = _phi_labels(surface.phi)
+    ragged = not labels.view(np.uint8)[labels.itemsize - 1 :: labels.itemsize].all()
+    for start in range(0, surface.theta.size, _CHUNK_ROWS):
+        heads, head_at = _formatted(b"%.6f,", surface.theta[start : start + _CHUNK_ROWS])
+        tails, tail_at = _formatted(b",%.6f\n", surface.amplitude_db[start : start + _CHUNK_ROWS])
+        h_widths, t_widths = np.diff(head_at), np.diff(tail_at)
+        edges = [0, *(np.flatnonzero(np.diff(h_widths) | np.diff(t_widths)) + 1), h_widths.size]
+        for first, last in zip(edges[:-1], edges[1:]):
+            head = np.frombuffer(heads, f"V{h_widths[first]}", last - first, head_at[first])
+            tail = np.frombuffer(tails, f"V{t_widths[first]}", last - first, tail_at[first])
+            for block in _cell_blocks(head, tail, labels):
+                yield bytes(block).translate(None, b"\0") if ragged else block
+
+
 def surface_rows(surface: SurfaceGrid, out: BinaryIO) -> None:
     """Write the surface table to ``out``: a header, then one (theta, phi, dB) row per cell.
 
-    ``out`` is a binary stream, and the table is ASCII.  The surface holds
-    one dB value per theta, so each phi label and each theta row's head
-    and tail are formatted once, and a theta row's cells are one join of
-    the labels.  Whole theta rows are gathered until they reach
-    ``_BLOCK_BYTES`` and each block goes out in one write.
+    ``out`` is a binary stream, and the table is ASCII.  A cell is the
+    record ``head + label + tail``: ``%.6f,`` of its theta, ``%.6f`` of its
+    phi and ``,%.6f\n`` of its dB value, each formatted once with ``%``.
+    The phi labels are one packed array, about 8 bytes per phi, and heads
+    and tails are formatted ``_CHUNK_ROWS`` rows at a time.  Blocks of
+    records are filled by field copies and go out in one write each; short
+    ones are gathered until they reach ``_BLOCK_BYTES``, and no write
+    exceeds twice that.  Only a hand-built grid can hold labels of unequal
+    widths: they are NUL-padded to the widest, and the pads are deleted.
     """
-    phi_labels = [b"%.6f" % phi for phi in surface.phi.tolist()]
-    block, size = [b"theta,phi,db\n"], 0
-    for theta, db in zip(surface.theta.tolist(), surface.amplitude_db.tolist()):
-        head, tail = b"%.6f," % theta, b",%.6f\n" % db
-        block.append(head + (tail + head).join(phi_labels) + tail)
-        size += len(block[-1])
-        if size >= _BLOCK_BYTES:
-            out.write(b"".join(block))
-            block, size = [], 0
-    out.write(b"".join(block))
+    pending, size = [b"theta,phi,db\n"], 13
+    for block in _surface_blocks(surface):
+        if size + len(block) > 2 * _BLOCK_BYTES:
+            out.write(b"".join(pending))
+            pending, size = [], 0
+        size += len(block)
+        if size < _BLOCK_BYTES:
+            pending.append(bytes(block))  # a copy: the buffer behind block is refilled
+            continue
+        out.write(b"".join([*pending, block]) if pending else block)
+        pending, size = [], 0
+    out.write(b"".join(pending))
 
 
 def metrics_rows(metrics: PatternMetrics) -> list[str]:

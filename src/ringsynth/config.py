@@ -341,8 +341,9 @@ def _check_problem_size(
     rows.  The ring blocks are built in chunks of about 2 MB, so the limits
     bound the J0 work and the arrays still held whole: the batch half's
     [A b] and the cut's u, dB and target arrays.
-    Rows are written in bounded pieces, never held as text, so the row limits
-    bound the size of cut.csv and surface.csv, not a text copy in memory.
+    Rows are written in bounded pieces, never held as text; the surface keeps
+    only its phi labels, about 8 bytes per phi.  So the row limits bound the
+    size of cut.csv and surface.csv, not a text copy in memory.
     """
     try:
         total = float(effective_total_count(geometry, settings["solver"]["oversample"]))

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringsynth.analysis import (
@@ -492,6 +492,18 @@ class CountingRaw(io.RawIOBase):
         return len(data)
 
 
+class RecordingRaw(CountingRaw):
+    """A counting raw stream that also keeps the bytes."""
+
+    def __init__(self):
+        super().__init__()
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data += data
+        return super().write(data)
+
+
 @pytest.fixture(scope="module")
 def dense_report():
     """(config, report) shaped like the dense-output benchmark job.
@@ -603,6 +615,28 @@ class TestSerialization:
         assert len(raw.writes) <= math.ceil(size / _BLOCK_BYTES) + 2
         assert max(raw.writes) <= 2 * _BLOCK_BYTES
 
+    @pytest.mark.parametrize("theta_points, phi_points", [(2, 2**18), (2**17, 2)])
+    def test_wide_and_tall_surfaces_stay_within_bounded_memory(self, theta_points, phi_points):
+        # holding every phi label as a Python object and joining whole theta
+        # rows peaked at 39.7 MB and 8.3 MB for these two 2 MB grids
+        surface = SurfaceGrid(
+            theta=np.linspace(0.0, math.pi / 2.0, theta_points),
+            phi=np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False),
+            amplitude_db=np.linspace(0.0, -60.0, theta_points),
+        )
+        grid_bytes = surface.theta.nbytes + surface.phi.nbytes + surface.amplitude_db.nbytes
+        raw = CountingRaw()
+        tracemalloc.start()
+        try:
+            with io.BufferedWriter(raw) as out:
+                surface_rows(surface, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(raw.writes) > theta_points * phi_points * 25
+        assert max(raw.writes) <= 2 * _BLOCK_BYTES
+        assert peak < 3 * grid_bytes
+
     def test_table_bytes_match_per_cell_reference(self, dense_report):
         cfg, report = dense_report
         for write, table, expected in (
@@ -650,6 +684,15 @@ def cut_holding(values, db=None) -> PatternCut:
 
 
 FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+# values whose %.6f text ranges from 8 to 12 bytes: -0.0, six-decimal ties
+# and near-ties, and integer parts of one to four digits of either sign
+MIXED_WIDTHS = st.one_of(
+    FINITE,
+    st.sampled_from([-0.0, 0.0, 0.0078125, -0.0078125, -2.5e-6, 1.5e-6, 9.9999995, 10.0,
+                     -99.9999995, 100.0, -123.4567895, DB_FLOOR, 999.9999995]),
+)
 
 
 class TestFixedPointKernel:
@@ -722,6 +765,36 @@ class TestFixedPointKernel:
         with path.open("wb") as handle:
             cut_rows(cut, handle)
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(MIXED_WIDTHS, MIXED_WIDTHS), min_size=1, max_size=12),
+           st.lists(MIXED_WIDTHS, min_size=1, max_size=6), st.sampled_from([None, 2000, 2600]))
+    # np.min can return 0.0 here, so the -0.000000 label is wider than both extremes' labels
+    @example(rows=[(0.5, -1.0)], phi=[-0.0, 0.0], phis=None)
+    # wide rows of one run share a block buffer: a row's short last piece must
+    # not be overwritten by the next row's first piece before it is written
+    @example(rows=[(0.5, -1.0), (1.5, -2.0)], phi=[0.25, 1.0, 3.0], phis=2600)
+    # a one-row run left pending, then a two-row block: together over the write limit
+    @example(rows=[(0.5, -1.0), (10.5, -2.0), (11.5, -3.0)], phi=[0.25, 1.0, 3.0], phis=2000)
+    def test_surface_rows_match_per_cell_reference(self, rows, phi, phis):
+        # repeated to 2000 or 2600 phis, a row fills about one block or spans several
+        theta, db = np.array(rows).T
+        surface = SurfaceGrid(theta=theta, phi=np.resize(phi, phis or len(phi)), amplitude_db=db)
+        raw = RecordingRaw()
+        with io.BufferedWriter(raw) as out:
+            surface_rows(surface, out)
+        # compared as lines, so that a failing wide example is reported quickly
+        lines = raw.data.decode("ascii").splitlines(keepends=True)
+        assert lines == per_cell_surface_text(surface).splitlines(keepends=True)
+        assert max(raw.writes) <= 2 * _BLOCK_BYTES
+
+    @given(st.lists(st.tuples(MIXED_WIDTHS, MIXED_WIDTHS), min_size=1, max_size=40))
+    def test_cut_rows_with_mixed_widths_match_per_cell_reference(self, rows):
+        u, db = np.array(rows).T
+        db = -np.abs(db)
+        db[0] = 0.0
+        cut = cut_holding(u, db)
+        assert table_text(cut_rows, cut) == per_cell_cut_text(cut, TABLE)
 
     def test_nan_and_inf_fall_back(self):
         for bad in (np.nan, np.inf, -np.inf):
