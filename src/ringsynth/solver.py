@@ -51,12 +51,10 @@ class DesignMatrix:
     """Dense sample-by-weight coefficient matrix.
 
     Columns hold N_n * J0(k * r_n * u_m), the center element last as the
-    ring (0, 1).  ``has_center``, passed on to :func:`solve_batch`, only
-    names that column in :class:`SingularSystemError`.
+    ring (0, 1).
     """
 
     entries: NDArray[np.float64]
-    has_center: bool
 
     def __post_init__(self) -> None:
         _require_real(self.entries, "design matrix entries")
@@ -144,7 +142,7 @@ def _j0_in_place(views: list[NDArray[np.float64]]) -> None:
 
 def build_design_matrix(geom: RingGeometry, abscissas: Sequence[float]) -> DesignMatrix:
     """Coefficient matrix for the given sample directions."""
-    return DesignMatrix(entries=_ring_block(geom, abscissas), has_center=geom.has_center_element)
+    return DesignMatrix(_ring_block(geom, abscissas))
 
 
 def _row_chunks(n_rows: int, n_columns: int, split: int = 0) -> list[slice]:

@@ -102,7 +102,7 @@ def test_criterion_1_rls_matches_batch_over_full_system():
 
         batch = build_design_matrix(geom, samples.abscissas[0::2])
         x_seed, info, _ = solve_batch(
-            np.column_stack((batch.entries, samples.values[0::2])), batch.has_center
+            np.column_stack((batch.entries, samples.values[0::2])), geom.has_center_element
         )
         state = SolverState(
             estimate=_weights_from_vector(x_seed, geom.n_rings), r_factor=info[:, :-1],
@@ -113,7 +113,9 @@ def test_criterion_1_rls_matches_batch_over_full_system():
         for row, value in zip(inc.entries, samples.values[1::2]):
             state = rls_absorb(state, row, value)
 
-        want, _, _ = solve_batch(np.column_stack((full.entries, samples.values)), full.has_center)
+        want, _, _ = solve_batch(
+            np.column_stack((full.entries, samples.values)), geom.has_center_element
+        )
         got = weights_vector(state.estimate)
         rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
         worst = max(worst, rel)
@@ -225,7 +227,7 @@ def test_criterion_7_invariant_suites(inv_gramian):
     samples = build_sample_set(geom, target)
     batch = build_design_matrix(geom, samples.abscissas[0::2])
     x_seed, info, _ = solve_batch(
-        np.column_stack((batch.entries, samples.values[0::2])), batch.has_center
+        np.column_stack((batch.entries, samples.values[0::2])), geom.has_center_element
     )
     state = SolverState(
         estimate=_weights_from_vector(x_seed, geom.n_rings), r_factor=info[:, :-1],

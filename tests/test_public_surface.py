@@ -50,4 +50,5 @@ def test_retired_fields_and_parameters():
     # instance shows that the labels are gone
     matrix = solver.build_design_matrix(geometry.uniform_half_wavelength_geometry(2), [0.5])
     assert not hasattr(matrix, "column_labels")
+    assert not hasattr(matrix, "has_center")
     assert "oversample" not in inspect.signature(solver.synthesize).parameters
