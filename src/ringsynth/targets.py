@@ -67,8 +67,10 @@ def _chebyshev(order: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
     """T_order(x): cos(n acos x) inside [-1, 1], +/-cosh(n acosh |x|) only where |x| > 1."""
     out = np.cos(order * np.arccos(np.clip(x, -1.0, 1.0)))
     outside = np.abs(x) > 1.0
-    xo = x[outside]
-    out[outside] = np.cosh(order * np.arccosh(np.abs(xo))) * np.where(xo < 0.0, (-1.0) ** order, 1.0)
+    if outside.any():
+        xo = x[outside]
+        sign = np.where(xo < 0.0, (-1.0) ** order, 1.0)
+        out[outside] = np.cosh(order * np.arccosh(np.abs(xo))) * sign
     return out
 
 
@@ -77,11 +79,24 @@ def _pencil(order: int, ratio: float) -> tuple[float, Evaluator]:
 
     ``ratio`` is the main-lobe to sidelobe amplitude ratio.  Returns the
     scale point x0, which places the beam's zeros, and the signed beam.
+    On the main lobe, where x > 1, acosh would magnify the rounding of x by
+    1/sqrt(x^2 - 1) and the order again; there the beam forms
+    h = (x - 1)/2 = sinh^2(a/2) - x0 sin^2(pi u/4), with a = acosh(x0),
+    whose rounding does not grow with the order, and takes
+    T_order(x) = cosh(2 order asinh(sqrt(h))).
     """
-    x0 = math.cosh(math.acosh(ratio) / order)
+    a = math.acosh(ratio) / order
+    x0 = math.cosh(a)
+    half_rise = math.sinh(a / 2.0) ** 2  # (x0 - 1) / 2
 
     def beam(u: NDArray[np.float64]) -> NDArray[np.float64]:
-        return _chebyshev(order, x0 * np.cos(np.pi * u / 2.0)) / ratio
+        x = x0 * np.cos(np.pi * u / 2.0)
+        lobe = x > 1.0
+        out = _chebyshev(order, np.minimum(x, 1.0))  # its cosh branch stays off the lobe
+        s = np.sin(np.pi / 4.0 * u[lobe])
+        h = np.maximum(half_rise - x0 * s * s, 0.0)  # 0 where x rounded up past 1
+        out[lobe] = np.cosh(2 * order * np.arcsinh(np.sqrt(h)))
+        return out / ratio
 
     return x0, beam
 

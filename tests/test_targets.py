@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -132,6 +133,25 @@ class TestEquiRipple:
 
     def test_peak_normalized(self):
         assert scan_peak(equi_ripple(-30.0, 10)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("rings", [11, 200, 2000])
+    def test_main_lobe_to_a_few_eps_at_any_order(self, rings):
+        # x = x0 cos(pi u / 2) rounded just above 1 loses about
+        # order^2 * eps / acosh(ratio) through acosh; the reference is built
+        # from the exact a = acosh(ratio) / order, not from the rounded x0,
+        # which would carry the same cancellation
+        order, ratio = 2 * rings - 1, 10.0 ** (25.0 / 20.0)
+        errors = []
+        with mpmath.workdps(40):
+            x0 = mpmath.cosh(mpmath.acosh(ratio) / order)
+            edge = float(2 / mpmath.pi * mpmath.acos(1 / x0))
+            u = np.linspace(-edge, edge, 201)[1:-1]
+            got = equi_ripple(-25.0, rings).sample_value(u)
+            for v, g in zip(u.tolist(), got.tolist()):
+                x = x0 * mpmath.cos(mpmath.pi * mpmath.mpf(v) / 2)
+                want = mpmath.cosh(order * mpmath.acosh(x)) / ratio
+                errors.append(float(abs((g - want) / want)))
+        assert max(errors) <= 32 * np.finfo(float).eps
 
     @pytest.mark.parametrize("sll_db", [-2.0, -90.0, 0.0, 5.0])
     def test_rejects_out_of_range_sll(self, sll_db):
