@@ -1,6 +1,7 @@
 """Pattern cuts, surfaces, and metric measurement."""
 
 import io
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -477,6 +478,17 @@ def per_cell_surface_text(surface: SurfaceGrid) -> str:
     return "\n".join(rows) + "\n"
 
 
+def first_difference(got, want):
+    """(line number, got line, want line) at the first line two tables differ in, or None.
+
+    Asserting that this is None keeps a failure's report to one line: pytest
+    explains a failed == of two multi-MB strings, or (under ``CI``) of two
+    line lists, with a diff that ran for over five minutes.
+    """
+    pairs = itertools.zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next(((n, g, w) for n, (g, w) in enumerate(pairs, 1) if g != w), None)
+
+
 class CountingRaw(io.RawIOBase):
     """A raw stream that keeps the size of every write it receives and drops the bytes."""
 
@@ -577,8 +589,8 @@ class TestSerialization:
         report = run_synthesis(cfg, warnings)
         cut_text = (tmp_path / "cut.csv").read_text(encoding="utf-8")
         surface_text = (tmp_path / "surface.csv").read_text(encoding="utf-8")
-        assert cut_text == per_cell_cut_text(report.cut, cfg.target)
-        assert surface_text == per_cell_surface_text(report.surface)
+        assert first_difference(cut_text, per_cell_cut_text(report.cut, cfg.target)) is None
+        assert first_difference(surface_text, per_cell_surface_text(report.surface)) is None
 
     def test_multi_chunk_files_match_per_cell_reference(self, tmp_path):
         # the bundled default grid (2001 points) fits in one chunk; 20001 takes five
@@ -591,8 +603,8 @@ class TestSerialization:
         assert report.cut.u_grid.size > 4 * _CHUNK_ROWS
         cut_text = (tmp_path / "cut.csv").read_text(encoding="utf-8")
         surface_text = (tmp_path / "surface.csv").read_text(encoding="utf-8")
-        assert cut_text == per_cell_cut_text(report.cut, cfg.target)
-        assert surface_text == per_cell_surface_text(report.surface)
+        assert first_difference(cut_text, per_cell_cut_text(report.cut, cfg.target)) is None
+        assert first_difference(surface_text, per_cell_surface_text(report.surface)) is None
 
     def test_write_outputs_memory_stays_bounded(self, tmp_path, dense_report):
         # building each table as one string and encoding it peaked near 7.6 MB
@@ -645,7 +657,7 @@ class TestSerialization:
         ):
             out = io.BytesIO()
             write(table, out)
-            assert out.getvalue() == expected.encode()
+            assert first_difference(out.getvalue(), expected.encode()) is None
 
     def test_metrics_rows_include_nulls(self):
         target = with_nulls(flat_top(0.9, 0.0), [0.5], -40.0, 0.05)
@@ -783,9 +795,7 @@ class TestFixedPointKernel:
         raw = RecordingRaw()
         with io.BufferedWriter(raw) as out:
             surface_rows(surface, out)
-        # compared as lines, so that a failing wide example is reported quickly
-        lines = raw.data.decode("ascii").splitlines(keepends=True)
-        assert lines == per_cell_surface_text(surface).splitlines(keepends=True)
+        assert first_difference(raw.data.decode("ascii"), per_cell_surface_text(surface)) is None
         assert max(raw.writes) <= 2 * _BLOCK_BYTES
 
     @given(st.lists(st.tuples(MIXED_WIDTHS, MIXED_WIDTHS), min_size=1, max_size=40))
