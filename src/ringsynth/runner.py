@@ -33,7 +33,8 @@ WEIGHTS_FILE = "weights.csv"
 CUT_FILE = "cut.csv"
 SURFACE_FILE = "surface.csv"
 REPORT_FILE = "report.txt"
-_ZERO_IM = "0.000000000000e+00"  # weights are real; the zero im field keeps the format
+# weights are real; weights.csv's zero im column stays while perfbench/bench.py reads it
+_ZERO_IM = "0.000000000000e+00"
 
 
 @dataclass(frozen=True)
@@ -109,21 +110,15 @@ def weights_rows(report: SynthesisReport) -> list[str]:
 
 def report_rows(report: SynthesisReport) -> list[str]:
     """Flat key = value report, config echo included as one canonical line."""
-    state = report.state
     rows = [
         f"batch_samples = {report.samples.batch_count}",
         f"total_samples = {report.samples.total_count}",
-        f"passes_completed = {state.passes_completed}",
-        f"samples_absorbed = {state.samples_absorbed}",
-        "residual_trace = " + ",".join(f"{r:.12e}" for r in state.residual_trace),
+        "residual_trace = " + ",".join(f"{r:.12e}" for r in report.state.residual_trace),
     ]
     rows.extend(metrics_rows(report.metrics))
     table, peak = _weight_table(report)
     values = [row[3] for row in table]
-    rows.append(
-        "weights_raw = "
-        + ",".join(f"{v:.12e}+{_ZERO_IM}j" for v in values)
-    )
+    rows.append("weights_raw = " + ",".join(f"{v:.12e}" for v in values))
     rows.append(
         "weights_normalized_magnitude = "
         + ",".join(f"{abs(v) / peak:.12e}" for v in values)
@@ -170,7 +165,6 @@ def summary_lines(report: SynthesisReport) -> list[str]:
     lines = [
         f"samples: {report.samples.batch_count} batch + "
         f"{report.samples.total_count - report.samples.batch_count} incremental",
-        f"passes: {report.state.passes_completed}",
         f"wall time: {report.wall_time_s:.3f} s",
     ]
     if m.sll_db is not None:

@@ -66,7 +66,7 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class SolverState:
-    """Estimate, square-root information factor, and recursive bookkeeping.
+    """Estimate, square-root information factor, and residual trace.
 
     ``r_factor`` is the upper-triangular R with R^T R equal to the Gramian
     A^T A of every row absorbed so far.
@@ -74,7 +74,7 @@ class SolverState:
 
     estimate: Weights
     r_factor: NDArray[np.float64]
-    samples_absorbed: int
+    # derived (1 with incremental rows, else 0); kept while perfbench/tracing.py reads it
     passes_completed: int
     residual_trace: tuple[float, ...]
 
@@ -256,7 +256,6 @@ def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> So
         state,
         estimate=_weights_from_vector(x_new, len(state.estimate.rings)),
         r_factor=r_new,
-        samples_absorbed=state.samples_absorbed + 1,
     )
 
 
@@ -312,11 +311,10 @@ def synthesize(
     (:func:`_retriangularize`), and one back substitution gives the weights,
     which in exact arithmetic are the full least-squares solution.  The peak
     is the batch [A b] plus numpy's two working copies of it.
-    ``passes_completed`` is the one absorption pass (0 without incremental
-    rows), and every sample is absorbed once.  ``residual_trace`` holds
-    ||A x - b|| over every sample at the seed and at the final x: the batch
-    residual of :func:`solve_batch` and, in quadrature, each incremental
-    chunk's ||A_c x_seed - b_c|| or what its absorption leaves of b_c.
+    ``residual_trace`` holds ||A x - b|| over every sample at the seed and at
+    the final x: the batch residual of :func:`solve_batch` and, in
+    quadrature, each incremental chunk's ||A_c x_seed - b_c|| or what its
+    absorption leaves of b_c.
 
     Without ``samples`` the set is sized by
     :func:`~ringsynth.sampling.effective_total_count`.  A caller's set is
@@ -356,7 +354,6 @@ def synthesize(
     state = SolverState(
         estimate=weights,
         r_factor=r,
-        samples_absorbed=samples.total_count,
         passes_completed=1 if samples.total_count > samples.batch_count else 0,
         residual_trace=(math.sqrt(seed_sq), math.sqrt(final_sq)),
     )

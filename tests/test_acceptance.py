@@ -106,7 +106,6 @@ def test_criterion_1_rls_matches_batch_over_full_system():
         )
         state = SolverState(
             estimate=_weights_from_vector(x_seed, geom.n_rings), r_factor=info[:, :-1],
-            samples_absorbed=samples.batch_count,
             passes_completed=0, residual_trace=(0.0,),
         )
         inc = build_design_matrix(geom, samples.abscissas[1::2])
@@ -231,7 +230,6 @@ def test_criterion_7_invariant_suites(inv_gramian):
     )
     state = SolverState(
         estimate=_weights_from_vector(x_seed, geom.n_rings), r_factor=info[:, :-1],
-        samples_absorbed=samples.batch_count,
         passes_completed=0, residual_trace=(0.0,),
     )
     inc = build_design_matrix(geom, samples.abscissas[1::2])

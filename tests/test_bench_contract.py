@@ -1,8 +1,9 @@
-"""The names and result fields the perfbench harness reads still exist.
+"""The names, result fields and file columns the perfbench harness reads still exist.
 
 ``perfbench/tracing.py`` wraps functions at the module attribute their
-callers look them up by and reads fields of their results, so a rename, a
-moved import or a dropped field would break the traced (``--trace 1``)
+callers look them up by and reads fields of their results, and
+``perfbench/bench.py`` parses ``weights.csv`` for its correctness gate, so a
+rename, a moved import, a dropped field or a dropped column would break the
 benchmark run without any other test noticing.
 """
 
@@ -10,8 +11,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ringsynth import cli
 from ringsynth.cli import main
 from ringsynth.targets import TargetPattern
 
@@ -59,3 +62,23 @@ def test_extractors_read_a_real_run(harness, tmp_path):
     for name in ("sampling.samples", "solver.design_cells", "specialfn.j0_evals",
                  "runner.bytes_written"):
         assert metrics[name] > 0, name
+
+
+def test_read_weights_parses_a_real_run(harness, tmp_path, monkeypatch):
+    # bench.read_weights takes re and im from fields 3 and 4 of weights.csv;
+    # without the im column it would read the magnitude as the imaginary part
+    bench, _ = harness
+    reports, write_outputs = [], cli.write_outputs
+
+    def capture(report, out_dir):
+        reports.append(report)
+        return write_outputs(report, out_dir)
+
+    monkeypatch.setattr(cli, "write_outputs", capture)
+    assert main(["run", "example-d-nulls", "--out", str(tmp_path), "--quiet"]) == 0
+    weights = reports[0].weights
+    want = np.array(weights.rings + (weights.center,))
+    got = bench.read_weights(tmp_path)
+    assert got.shape == want.shape
+    assert np.array_equal(got.imag, np.zeros_like(want))
+    np.testing.assert_allclose(got.real, want, rtol=1e-12, atol=0)

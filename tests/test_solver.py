@@ -49,11 +49,11 @@ def weights_vector(w: Weights, has_center: bool = True) -> np.ndarray:
     return np.array(w.rings + ((w.center,) if has_center else ()))
 
 
-def batch_state(x: np.ndarray, info: np.ndarray, absorbed: int = 0) -> SolverState:
+def batch_state(x: np.ndarray, info: np.ndarray) -> SolverState:
     """Recursive state seeded from ``solve_batch``'s solution (center last) and [R z]."""
     return SolverState(
         estimate=_weights_from_vector(x, x.size - 1), r_factor=info[:, :-1],
-        samples_absorbed=absorbed, passes_completed=0, residual_trace=(0.0,),
+        passes_completed=0, residual_trace=(0.0,),
     )
 
 
@@ -64,7 +64,7 @@ def random_seed(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def random_state(rng, n: int) -> SolverState:
-    return batch_state(*random_seed(rng, n), absorbed=3 * n)
+    return batch_state(*random_seed(rng, n))
 
 
 def retriangularized(info: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -390,7 +390,7 @@ class TestRlsAbsorb:
         b = rng.standard_normal(40)
 
         head = np.column_stack((matrix.entries[0::2], b[0::2]))
-        state = batch_state(*solve_batch(head, geom.has_center_element)[:2], absorbed=20)
+        state = batch_state(*solve_batch(head, geom.has_center_element)[:2])
         order = rng.permutation(np.arange(1, 40, 2))
         for idx in order:
             state = rls_absorb(state, matrix.entries[idx], b[idx])
@@ -666,8 +666,10 @@ class TestSynthesize:
         # two tight rings: raw rule gives a square batch, which must be grown
         geom = RingGeometry(1.0, (0.5, 0.625), (6, 8))
         target = flat_top(0.5, 0.2)
-        w, state = synthesize(geom, target)
-        assert state.samples_absorbed >= geom.column_count + 2
+        samples = build_sample_set(geom, target)
+        assert samples.total_count >= geom.column_count + 2
+        # synthesize sizes its own set by the same rule
+        assert synthesize(geom, target)[0] == synthesize(geom, target, samples=samples)[0]
 
     @pytest.mark.parametrize("total", [20, 21])
     def test_hand_built_set_absorbs_each_sample_once(self, total):
@@ -675,9 +677,13 @@ class TestSynthesize:
         target = flat_top(0.5, 0.2)
         abscissas = midpoint_abscissas(total)
         samples = SampleSet(abscissas, target.sample_value(np.array(abscissas)))
-        _, state = synthesize(geom, target, samples=samples)
+        w, state = synthesize(geom, target, samples=samples)
         assert state.passes_completed == 1
-        assert state.samples_absorbed == samples.total_count == total
+        assert samples.total_count == total
+        # a sample absorbed twice would weigh double and move the weights
+        matrix = build_design_matrix(geom, abscissas)
+        want = np.linalg.lstsq(matrix.entries, np.array(samples.values), rcond=None)[0]
+        assert np.linalg.norm(weights_vector(w) - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_square_hand_built_batch_is_used_as_given(self):
         # 3 rings and a center: a 4-row batch half is square and solved exactly
@@ -685,8 +691,8 @@ class TestSynthesize:
         target = flat_top(0.5, 0.2)
         abscissas = midpoint_abscissas(8)
         samples = SampleSet(abscissas, target.sample_value(np.array(abscissas)))
-        w, state = synthesize(geom, target, samples=samples)
-        assert state.samples_absorbed == 8
+        w, _ = synthesize(geom, target, samples=samples)
+        assert samples.total_count == 8
         matrix = build_design_matrix(geom, abscissas)
         want = np.linalg.lstsq(matrix.entries, np.array(samples.values), rcond=None)[0]
         assert np.linalg.norm(weights_vector(w) - want) <= 1e-8 * np.linalg.norm(want)

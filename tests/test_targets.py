@@ -177,13 +177,12 @@ class TestDifference:
     @pytest.mark.parametrize("sll_db", [-80.0, -25.0, -3.0])
     def test_peak_is_the_true_peak_to_evaluation_noise(self, rings, sll_db):
         t = difference(sll_db, rings)
-        # The beam's evaluation noise grows with its order: T_n takes
-        # n * acosh(x) with x just above 1 in the main lobe, where acosh
-        # magnifies x's rounding.  Over these orders (4 to 3998) the ternary
-        # oracle's peak sits within 235 * order * eps of this one at worst
-        # (2000 rings, -25 dB), a quarter of the bound.
-        order = max(2 * (rings - 1), 2)
-        bound = 1024 * order * np.finfo(float).eps
+        # The main lobe is evaluated without cancellation, so the noise does
+        # not grow with the order.  Over these orders (4 to 3998) the
+        # ternary oracle's peak sits within 1213.5 eps of this one at worst
+        # (2000 rings, -3 dB; 789.5 eps at 200 rings, -3 dB), under a third
+        # of the bound, and the dense scan never exceeds 1.
+        bound = 4096 * np.finfo(float).eps
         # dividing by the peak is correctly rounded, so the normalized scan
         # stays <= 1 exactly when the peak is >= the raw scan's maximum
         scan = np.linspace(0.0, 1.0, 8001)
