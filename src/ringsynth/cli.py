@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             raise NotADirectoryError(f"{existing} exists and is not a directory")
         if args.command == "validate":
             for warning in warnings:
-                print(f"warning: {warning}")
+                print(f"warning = {warning}")  # as report.txt words it
             print(f"{config_path}: ok")
             return EXIT_OK
         out.mkdir(parents=True, exist_ok=True)

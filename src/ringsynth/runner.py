@@ -1,13 +1,14 @@
 """Full pipeline driver: config in, weights + cuts + metrics + report out.
 
 Output files are deterministic: the same resolved config always produces
-byte-identical text.  Wall time is therefore reported on the console and on
-the in-memory report object, never inside the emitted files.
+byte-identical text.  The synthesis time is therefore printed on the console
+and kept on the in-memory report object, never inside the emitted files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,22 +83,14 @@ def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> Syn
     )
 
 
-def _weight_table(
-    report: SynthesisReport,
-) -> tuple[list[tuple[int, float, int, float]], float]:
-    """Center-first (index, radius, count, weight) rows and the peak |weight| (1 if all 0)."""
+def weights_rows(report: SynthesisReport) -> list[str]:
+    """Comma-separated weight table: the center row first when there is one, then one per ring."""
     geom = report.config_echo["geometry"]
     table = list(zip(range(1, len(geom["radii"]) + 1), geom["radii"], geom["counts"],
                      report.weights.rings))
     if geom["center_element"]:
         table.insert(0, (0, 0.0, 1, report.weights.center))
     peak = max((abs(row[3]) for row in table), default=0.0) or 1.0
-    return table, peak
-
-
-def weights_rows(report: SynthesisReport) -> list[str]:
-    """Comma-separated weight table, one row per ring plus the center."""
-    table, peak = _weight_table(report)
     rows = ["ring_index,radius,count,re,im,magnitude,normalized_magnitude"]
     for index, radius, count, value in table:
         mag = abs(value)
@@ -116,13 +109,13 @@ def report_rows(report: SynthesisReport) -> list[str]:
         "residual_trace = " + ",".join(f"{r:.12e}" for r in report.state.residual_trace),
     ]
     rows.extend(metrics_rows(report.metrics))
-    table, peak = _weight_table(report)
-    values = [row[3] for row in table]
-    rows.append("weights_raw = " + ",".join(f"{v:.12e}" for v in values))
-    rows.append(
-        "weights_normalized_magnitude = "
-        + ",".join(f"{abs(v) / peak:.12e}" for v in values)
-    )
+    # max|w| / min|w| over the weights weights.csv writes, inf when one is exactly 0
+    magnitudes = [abs(w) for w in report.weights.rings]
+    if report.config_echo["geometry"]["center_element"]:
+        magnitudes.append(abs(report.weights.center))
+    smallest = min(magnitudes)
+    dynamic_range = max(magnitudes) / smallest if smallest else math.inf
+    rows.append(f"weights_dynamic_range = {dynamic_range:.6e}")
     for warning in report.warnings:
         rows.append(f"warning = {warning}")
     echo = json.dumps(report.config_echo, sort_keys=True, separators=(",", ":"))
@@ -160,20 +153,11 @@ def write_outputs(report: SynthesisReport, out_dir: str | Path) -> list[Path]:
 
 
 def summary_lines(report: SynthesisReport) -> list[str]:
-    """Console summary for non-quiet runs."""
-    m = report.metrics
-    lines = [
-        f"samples: {report.samples.batch_count} batch + "
-        f"{report.samples.total_count - report.samples.batch_count} incremental",
-        f"wall time: {report.wall_time_s:.3f} s",
-    ]
-    if m.sll_db is not None:
-        lines.append(f"sidelobe level: {m.sll_db:.2f} dB")
-    if m.passband_ripple_db is not None:
-        lines.append(f"passband ripple: {m.passband_ripple_db:.2f} dB")
-    for center, depth in m.null_depths_db:
-        lines.append(f"null at u={center:g}: {depth:.2f} dB")
-    lines.append(f"rms error vs target: {m.rms_error_vs_target_db:.2f} dB")
-    for warning in report.warnings:
-        lines.append(f"warning: {warning}")
+    """Console summary of a non-quiet run: report.txt's lines but the config echo, then the time.
+
+    ``synthesis_s`` is ``wall_time_s``, which times ``run_synthesis`` alone:
+    config resolution and file writes fall outside it.
+    """
+    lines = [line for line in report_rows(report) if not line.startswith("config = ")]
+    lines.append(f"synthesis_s = {report.wall_time_s:.3f}")
     return lines

@@ -1,7 +1,9 @@
 """Config schema validation and end-to-end CLI behavior."""
 
 import argparse
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -9,6 +11,7 @@ from ringsynth import runner
 from ringsynth.cli import BUNDLED_EXAMPLES, bundled_config_path, main
 from ringsynth.config import load_config_file, resolve_config
 from ringsynth.errors import ConfigError
+from ringsynth.geometry import Weights
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -542,6 +545,25 @@ class TestCliRun:
         assert lines[1].startswith("0,0,1,")  # center row
         assert len(lines) == 1 + 1 + 9  # header + center + rings
 
+    @pytest.mark.parametrize("name", BUNDLED_EXAMPLES)
+    def test_dynamic_range_reads_off_the_weights_file(self, tmp_path, name):
+        assert main(["run", name, "--out", str(tmp_path), "--quiet"]) == 0
+        rows = (tmp_path / "weights.csv").read_text().splitlines()[1:]
+        magnitudes = [abs(float(row.split(",")[3])) for row in rows]
+        report = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+        line = next(l for l in report if l.startswith("weights_dynamic_range = "))
+        value = line[len("weights_dynamic_range = "):]
+        assert value == f"{float(value):.6e}"
+        assert float(value) == pytest.approx(max(magnitudes) / min(magnitudes), rel=1e-6)
+
+    def test_dynamic_range_of_a_zero_weight_is_inf(self):
+        path = bundled_config_path("example-a-flattop")
+        cfg, warnings = resolve_config(load_config_file(path), base_dir=path.parent)
+        report = runner.run_synthesis(cfg, warnings)
+        rings = (0.0, *report.weights.rings[1:])
+        zeroed = dataclasses.replace(report, weights=Weights(report.weights.center, rings))
+        assert "weights_dynamic_range = inf" in runner.report_rows(zeroed)
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(
             tmp_path, {"geometry": {"wavelength": 1.0}, "target": {"kind": "flat_top"}}
@@ -662,6 +684,9 @@ class TestCliRun:
         lines = (tmp_path / "weights.csv").read_text().splitlines()
         assert lines[1].startswith("1,")  # no center row
         assert len(lines) == 1 + 9
+        # the unwritten center weight, 0.0, does not make the range inf
+        report = (tmp_path / "report.txt").read_text(encoding="utf-8")
+        assert "weights_dynamic_range = inf" not in report
 
     def test_table_config_end_to_end(self, tmp_path):
         (tmp_path / "shape.csv").write_text(
@@ -829,3 +854,28 @@ class TestCliValidate:
         assert main(["validate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "warning" in out
+
+    def test_console_prints_the_report_lines(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            {
+                "geometry": {"wavelength": 1.0, "rings": 2},
+                "target": {"kind": "flat_top", "passband_edge": 0.9},
+                "output": {"directory": str(out_dir)},
+            },
+        )
+        assert main(["run", str(path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        report = (out_dir / "report.txt").read_text(encoding="utf-8").splitlines()
+        assert report[-1].startswith("config = ")
+        timing = len(report) - 1
+        assert printed[:timing] == report[:-1]
+        assert re.fullmatch(r"synthesis_s = \d+\.\d{3}", printed[timing])
+        assert printed[timing + 1:] == [
+            f"wrote {out_dir / name}" for name in ("weights.csv", "cut.csv", "report.txt")
+        ]
+        warnings = [line for line in report if line.startswith("warning = ")]
+        assert warnings
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [*warnings, f"{path}: ok"]
