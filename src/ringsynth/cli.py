@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .config import load_config_file, resolve_config
@@ -25,30 +24,23 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-BUNDLED_EXAMPLES = (
-    "example-a-flattop",
-    "example-b-difference",
-    "example-c-equiripple",
-    "example-d-nulls",
-)
+# the bundled examples are the JSON files shipped in the package's configs directory
+_BUNDLED = {path.stem: path for path in Path(__file__).with_name("configs").glob("*.json")}
+BUNDLED_EXAMPLES = tuple(sorted(_BUNDLED))
 
 
 def bundled_config_path(name: str) -> Path:
     """Filesystem path of a bundled example config."""
-    stem = name.removesuffix(".json")
-    if stem not in BUNDLED_EXAMPLES:
-        raise KeyError(f"no bundled config named {name!r}; have {BUNDLED_EXAMPLES}")
-    return Path(str(resources.files("ringsynth.configs").joinpath(f"{stem}.json")))
+    try:
+        return _BUNDLED[name.removesuffix(".json")]
+    except KeyError:
+        raise KeyError(f"no bundled config named {name!r}; have {BUNDLED_EXAMPLES}") from None
 
 
 def _locate_config(argument: str) -> Path:
     path = Path(argument)
-    if path.exists():
-        return path
-    try:
-        return bundled_config_path(argument)
-    except KeyError:
-        return path  # let the loader report the missing file
+    # a missing file that names no bundled example is left for the loader to report
+    return path if path.exists() else _BUNDLED.get(argument.removesuffix(".json"), path)
 
 
 @functools.cache  # one parser per process; parse_args keeps no state between calls

@@ -19,7 +19,7 @@ from . import targets
 from .analysis import _MIN_GRID
 from .errors import ConfigError, DomainError, TableFormatError
 from .geometry import RingGeometry, elements_for_spacing
-from .sampling import effective_total_count
+from .sampling import effective_total_count, midpoint_abscissas
 from .targets import TargetPattern
 
 # The JSON types each field kind accepts, and how a wrong type is named.
@@ -406,6 +406,11 @@ def resolve_config(
     if problems or geometry is None or resolved_target is None:
         raise ConfigError(problems or ["config could not be resolved"])
     target, target_echo = resolved_target
+    # the fit samples the target at the run's own midpoints: a target zero at all
+    # of them gives all-zero weights, whose pattern cannot be peak-normalized
+    total = effective_total_count(geometry, settings["solver"]["oversample"])
+    if not target.sample_value(midpoint_abscissas(total)).any():
+        raise ConfigError([f"target: zero at every one of the run's {total} sample points"])
     out_dir = settings["output"].pop("directory")  # the run's location, not its settings
     echo = {
         "geometry": {

@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import BinaryIO, Callable
 
 from .analysis import (
     PatternCut,
@@ -48,7 +48,7 @@ class SynthesisReport:
     metrics: PatternMetrics
     surface: SurfaceGrid | None
     samples: SampleSet
-    config_echo: dict[str, Any]
+    config: ResolvedConfig
     warnings: tuple[str, ...]
     wall_time_s: float
 
@@ -77,19 +77,25 @@ def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> Syn
         metrics=metrics,
         surface=surface,
         samples=samples,
-        config_echo=cfg.echo,
+        config=cfg,
         warnings=tuple(warnings or []),
         wall_time_s=elapsed,
     )
 
 
-def weights_rows(report: SynthesisReport) -> list[str]:
-    """Comma-separated weight table: the center row first when there is one, then one per ring."""
-    geom = report.config_echo["geometry"]
-    table = list(zip(range(1, len(geom["radii"]) + 1), geom["radii"], geom["counts"],
+def _weight_table(report: SynthesisReport) -> list[tuple[int, float, int, float]]:
+    """The weights weights.csv writes, as (ring_index, radius, count, value): center first."""
+    geom = report.config.geometry
+    table = list(zip(range(1, geom.n_rings + 1), geom.radii, geom.elements_per_ring,
                      report.weights.rings))
-    if geom["center_element"]:
+    if geom.has_center_element:
         table.insert(0, (0, 0.0, 1, report.weights.center))
+    return table
+
+
+def weights_rows(report: SynthesisReport) -> list[str]:
+    """Comma-separated weight table, one row per weight of :func:`_weight_table`."""
+    table = _weight_table(report)
     peak = max((abs(row[3]) for row in table), default=0.0) or 1.0
     rows = ["ring_index,radius,count,re,im,magnitude,normalized_magnitude"]
     for index, radius, count, value in table:
@@ -109,16 +115,14 @@ def report_rows(report: SynthesisReport) -> list[str]:
         "residual_trace = " + ",".join(f"{r:.12e}" for r in report.state.residual_trace),
     ]
     rows.extend(metrics_rows(report.metrics))
-    # max|w| / min|w| over the weights weights.csv writes, inf when one is exactly 0
-    magnitudes = [abs(w) for w in report.weights.rings]
-    if report.config_echo["geometry"]["center_element"]:
-        magnitudes.append(abs(report.weights.center))
+    # max|w| / min|w|, inf when one is exactly 0
+    magnitudes = [abs(row[3]) for row in _weight_table(report)]
     smallest = min(magnitudes)
     dynamic_range = max(magnitudes) / smallest if smallest else math.inf
     rows.append(f"weights_dynamic_range = {dynamic_range:.6e}")
     for warning in report.warnings:
         rows.append(f"warning = {warning}")
-    echo = json.dumps(report.config_echo, sort_keys=True, separators=(",", ":"))
+    echo = json.dumps(report.config.echo, sort_keys=True, separators=(",", ":"))
     rows.append(f"config = {echo}")
     return rows
 

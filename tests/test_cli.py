@@ -99,6 +99,25 @@ BROKEN_CASES = {
         minimal_config(target={"kind": "table", "path": "shape.csv"}),
         "config error: target: cannot read table file",
     ),
+    # targets that are zero at every midpoint the run samples: the passband
+    # falls between the samples, or the table is nonzero only for u < 0
+    "passband_between_samples": (
+        minimal_config(geometry={"wavelength": 1.0, "rings": 1},
+                       target={"kind": "flat_top", "passband_edge": 0.05,
+                               "transition_width": 0}),
+        "config error: target: zero at every one of the run's 8 sample points",
+    ),
+    "passband_between_samples_radii": (
+        minimal_config(geometry={"wavelength": 1.0, "radii": [0.05]},
+                       target={"kind": "flat_top", "passband_edge": 0.05,
+                               "transition_width": 0}),
+        "config error: target: zero at every one of the run's 8 sample points",
+    ),
+    "table_zero_for_positive_u": (
+        minimal_config(target={"kind": "table",
+                               "points": [[-1.0, 1.0], [-0.5, 0.0], [1.0, 0.0]]}),
+        "config error: target: zero at every one of the run's 12 sample points",
+    ),
 }
 
 
@@ -465,6 +484,16 @@ class TestCliRun:
     def test_bundled_names_resolve(self):
         for name in BUNDLED_EXAMPLES:
             assert bundled_config_path(name).exists()
+
+    def test_bundled_names_are_the_shipped_config_files(self):
+        # read from the package's configs/*.json; were the list empty, every
+        # test parametrized over it would run no case at all
+        assert BUNDLED_EXAMPLES == ("example-a-flattop", "example-b-difference",
+                                    "example-c-equiripple", "example-d-nulls")
+        path = bundled_config_path("example-d-nulls.json")
+        assert (path.parent.name, path.name) == ("configs", "example-d-nulls.json")
+        with pytest.raises(KeyError, match="no bundled config named 'example-e'"):
+            bundled_config_path("example-e")
 
     def test_run_emits_artifacts(self, tmp_path):
         rc = main(["run", "example-a-flattop", "--out", str(tmp_path), "--quiet"])
