@@ -332,15 +332,16 @@ def _resolve_target(
 
 
 def _check_problem_size(
-    geometry: RingGeometry, settings: Mapping[str, dict[str, Any]], problems: list[str]
+    geometry: RingGeometry, total: float, out: Mapping[str, Any], problems: list[str]
 ) -> None:
     """Note each dimension of a run's work over ``_MAX_DESIGN_CELLS`` cells.
 
-    They are the fit's samples x weights, the cut's half grid x weights and
-    its three-column table, and a surface's angles x weights and theta x phi
-    rows.  The ring blocks are built in chunks of about 2 MB, so the limits
-    bound the J0 work and the arrays still held whole: the batch half's
-    [A b] and the cut's u, dB and target arrays.
+    They are the fit's ``total`` samples x weights, then from the ``output``
+    section ``out`` the cut's half grid x weights and its three-column table,
+    and a surface's angles x weights and theta x phi rows.  The ring blocks
+    are built in chunks of about 2 MB, so the limits bound the J0 work and
+    the arrays still held whole: the batch half's [A b] and the cut's u, dB
+    and target arrays.
     Rows are written in bounded pieces, never held as text; the surface keeps
     only its phi labels, about 8 bytes per phi.  So the row limits bound the
     size of cut.csv and surface.csv, not a text copy in memory.
@@ -351,17 +352,13 @@ def _check_problem_size(
     157 MiB at 2000, and 11.6 s and 328 MiB at the limit, 2896 rings: the
     batch [A b] plus numpy's two QR copies of it.
     """
-    try:
-        total = float(effective_total_count(geometry, settings["solver"]["oversample"]))
-    except OverflowError:  # a sample count beyond the float range
-        total = math.inf
-    if total * geometry.column_count > _MAX_DESIGN_CELLS:
+    columns = geometry.column_count
+    if total * columns > _MAX_DESIGN_CELLS:
         problems.append(
-            f"geometry: the fit would take {total:.4g} samples x {geometry.column_count} "
+            f"geometry: the fit would take {total:.4g} samples x {columns} "
             f"weights, over the {_MAX_DESIGN_CELLS} design-cell limit; check radii, "
             f"wavelength and solver.oversample"
         )
-    out, columns = settings["output"], geometry.column_count
     grid, theta, phi = out["grid_points"], out["theta_points"], out["phi_points"]
     # the cut's half-grid ring block, or its u, dB, target table if that is larger
     blocks = [max(("grid_points", grid // 2 + 1, "cut points", columns, "weights"),
@@ -402,13 +399,16 @@ def resolve_config(
         settings[name] = _read_fields(section, fields, name, problems)
 
     if geometry is not None:
-        _check_problem_size(geometry, settings, problems)
+        try:  # the run's sample count, sized once for both checks below
+            total = effective_total_count(geometry, settings["solver"]["oversample"])
+        except OverflowError:  # a sample count beyond the float range
+            total = math.inf
+        _check_problem_size(geometry, total, settings["output"], problems)
     if problems or geometry is None or resolved_target is None:
         raise ConfigError(problems or ["config could not be resolved"])
     target, target_echo = resolved_target
     # the fit samples the target at the run's own midpoints: a target zero at all
     # of them gives all-zero weights, whose pattern cannot be peak-normalized
-    total = effective_total_count(geometry, settings["solver"]["oversample"])
     if not target.sample_value(midpoint_abscissas(total)).any():
         raise ConfigError([f"target: zero at every one of the run's {total} sample points"])
     out_dir = settings["output"].pop("directory")  # the run's location, not its settings
@@ -440,30 +440,29 @@ def feasibility_warnings(cfg: ResolvedConfig) -> list[str]:
     if geom.n_rings == 0:
         return ["geometry has no rings; only a constant pattern is representable"]
     resolution = geom.wavelength / (2.0 * geom.radii[-1])
-    target = cfg.echo["target"]
+    params: Mapping[str, Any] = cfg.target.params
 
-    edge = target.get("passband_edge")
+    edge = params.get("passband_edge")
     if edge is not None:
         if edge < resolution:
             warnings.append(
                 f"passband half-width {edge:g} is below the aperture "
                 f"resolution {resolution:g}; expect a poor fit"
             )
-        stop_margin = 1.0 - (edge + target["transition_width"])
+        stop_margin = 1.0 - (edge + params["transition_width"])
         if stop_margin < resolution:
             warnings.append(
                 f"stopband span {stop_margin:g} beyond the transition is below the "
                 f"aperture resolution {resolution:g}; expect a poor fit"
             )
-    nulls = target.get("nulls", [])
-    if nulls:
-        null_width = nulls[0]["width"]
+    null_width = params.get("null_width")
+    if null_width is not None:
         if null_width < resolution / 2.0:
             warnings.append(
                 f"null half-width {null_width:g} is below half the aperture "
                 f"resolution {resolution:g}; nulls may not reach depth"
             )
-        for null in nulls:
-            if abs(null["center"]) + null_width > 1.0:
-                warnings.append(f"null at u={null['center']:g} extends beyond visible space")
+        for center in params["null_centers"]:
+            if abs(center) + null_width > 1.0:
+                warnings.append(f"null at u={center:g} extends beyond visible space")
     return warnings

@@ -7,11 +7,12 @@ import re
 
 import pytest
 
-from ringsynth import runner
+from ringsynth import config, runner
 from ringsynth.cli import BUNDLED_EXAMPLES, bundled_config_path, main
 from ringsynth.config import load_config_file, resolve_config
 from ringsynth.errors import ConfigError
 from ringsynth.geometry import Weights
+from ringsynth.sampling import effective_total_count
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -62,6 +63,35 @@ def echo_case(tmp_path, name):
         "u,amplitude\n-1.0,0.0\n-0.2,1.0\n0.2,1.0\n1.0,0.0\n", encoding="utf-8"
     )
     return write_config(tmp_path, ECHO_CASES[name])
+
+
+# One config per feasibility warning text, each with its whole warning list.
+WARNING_CASES = {
+    "no_rings": ({"radii": []}, {"kind": "flat_top", "passband_edge": 0.4},
+                 ["geometry has no rings; only a constant pattern is representable"]),
+    "thin_passband_and_stopband": (
+        {"rings": 2}, {"kind": "flat_top", "passband_edge": 0.1, "transition_width": 0.85},
+        ["passband half-width 0.1 is below the aperture resolution 0.5; expect a poor fit",
+         "stopband span 0.05 beyond the transition is below the aperture resolution 0.5; "
+         "expect a poor fit"],
+    ),
+    "narrow_nulls": (
+        {"rings": 14},
+        {"kind": "equi_ripple", "sll_db": -20,
+         "nulls": [{"center": 0.95, "depth_db": -40, "width": 0.01},
+                   {"center": -0.5, "depth_db": -40, "width": 0.01}]},
+        ["null half-width 0.01 is below half the aperture resolution 0.0714286; "
+         "nulls may not reach depth"],
+    ),
+    "null_past_visible_space": (
+        {"rings": 14},
+        {"kind": "flat_top", "passband_edge": 0.3, "transition_width": 0.1,
+         "nulls": [{"center": 0.9, "depth_db": -40, "width": 0.15}]},
+        ["null at u=0.9 extends beyond visible space"],
+    ),
+    "table": ({"rings": 3}, {"kind": "table", "points": [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]},
+              []),
+}
 
 
 # Configs that fail to resolve, each with one problem its config errors must
@@ -346,6 +376,24 @@ class TestConfigResolution:
         cfg, warnings = resolve_config(raw)
         assert warnings
         assert any("resolution" in w for w in warnings)
+
+    @pytest.mark.parametrize("case", WARNING_CASES)
+    def test_feasibility_warnings_exact_text(self, case):
+        geometry, target, expected = WARNING_CASES[case]
+        _, warnings = resolve_config(minimal_config(geometry=geometry, target=target))
+        assert warnings == expected
+
+    def test_resolve_sizes_the_run_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return effective_total_count(*args)
+
+        monkeypatch.setattr(config, "effective_total_count", counting)
+        path = bundled_config_path("example-d-nulls")
+        resolve_config(load_config_file(path), base_dir=path.parent)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("case", ECHO_CASES)
     def test_echo_is_resolvable(self, tmp_path, case):

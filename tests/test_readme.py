@@ -1,8 +1,11 @@
-"""The README's library examples run, and its report tables name every report key."""
+"""The README's library examples run, its report tables name every report key, and
+its config schema table matches the fields the config module reads."""
 
+import json
 import re
 from pathlib import Path
 
+from ringsynth import config
 from ringsynth.analysis import PatternMetrics, metrics_rows
 from ringsynth.cli import BUNDLED_EXAMPLES, bundled_config_path
 from ringsynth.config import load_config_file, resolve_config
@@ -20,6 +23,24 @@ def documented_keys(heading: str) -> set[str]:
     """Keys of the rows of the README table under ``heading``."""
     section = README.split(heading + "\n", 1)[1].split("\n#", 1)[0]
     return {key_of(key) for key in re.findall(r"^\| `([^`]+)` \|", section, re.M)}
+
+
+def schema_table() -> dict[str, tuple[str, str]]:
+    """Field path -> (default, lower bound) cells of the README's config schema table."""
+    section = README.split("## Config schema\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| .*? \| (.*?) \| (.*?) \|$", section, re.M)
+    return {field: (default, bound) for field, default, bound in rows}
+
+
+def schema_fields() -> dict[str, tuple]:
+    """Field path -> ``_read`` arguments of every field the config module reads."""
+    fields = {"target.kind": (str, config._REQUIRED)}  # the key that picks a kind's fields
+    tables = [("geometry", config._GEOMETRY_FIELDS), ("target.nulls[i]", config._NULL_FIELDS),
+              *(("target", specs) for specs in config._TARGET_FIELDS.values()),
+              *config._OPTIONAL_SECTIONS.items()]
+    for prefix, specs in tables:
+        fields.update({f"{prefix}.{name}": spec for name, spec in specs.items()})
+    return fields
 
 
 def test_python_blocks_run_in_order():
@@ -56,3 +77,33 @@ def test_report_keys_table_has_a_row_per_key(tmp_path):
     # both ways, so a key that is no longer written loses its row too
     assert written == keys | metrics
     assert not keys & metrics
+
+
+def test_config_schema_table_names_every_field():
+    assert set(schema_table()) == set(schema_fields())
+
+
+def test_config_schema_table_defaults_match_the_code():
+    # repr, so a float, an integer and a bool of one value stay apart
+    documented = {}
+    for field, (default, _) in schema_table().items():
+        literal = re.fullmatch(r"`(.+)`", default)
+        if literal:
+            try:
+                documented[field] = repr(json.loads(literal[1]))
+            except json.JSONDecodeError:  # a rule such as `wavelength / 2`
+                pass
+    defaults = {field: repr(spec[1]) for field, spec in schema_fields().items()
+                if len(spec) > 1 and spec[1] not in (None, config._REQUIRED)}
+    assert documented == defaults
+
+
+def test_config_schema_table_bounds_match_the_code():
+    documented = {field: bound for field, (_, bound) in schema_table().items()
+                  if re.fullmatch(r">=? \S+", bound)}
+    bounds = {}
+    for field, spec in schema_fields().items():
+        if len(spec) > 2 and spec[2] is not None:
+            strict = len(spec) > 3 and spec[3]
+            bounds[field] = f"{'>' if strict else '>='} {spec[2]:g}"
+    assert documented == bounds
