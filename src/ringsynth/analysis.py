@@ -69,7 +69,9 @@ class SurfaceGrid:
     """Pattern magnitude in dB over (theta, phi), one value per theta.
 
     The pattern has no azimuth dependence, so ``amplitude_db[i]`` holds the
-    value at ``theta[i]`` for every phi.
+    value at ``theta[i]`` for every phi.  The axes span the hemisphere that
+    :func:`evaluate_surface` samples: theta in [0, pi/2] and phi in
+    [0, 2*pi), neither with a sign bit (not even -0.0).
     """
 
     theta: NDArray[np.float64]
@@ -86,6 +88,9 @@ class SurfaceGrid:
                 f"surface needs non-empty axes and one dB value per theta "
                 f"{theta.shape}, got {db.shape}"
             )
+        if (np.signbit(theta).any() or np.signbit(phi).any()
+                or theta.max() > math.pi / 2.0 or phi.max() >= 2.0 * math.pi):
+            raise DomainError("surface theta must lie in [0, pi/2] and phi in [0, 2*pi)")
 
 
 def _symmetric_grid(n: int) -> NDArray[np.float64]:
@@ -343,19 +348,14 @@ def _formatted(fmt: bytes, values: NDArray[np.float64]) -> tuple[bytes, NDArray[
     return text, np.concatenate([[0], ends])
 
 
-def _phi_labels(phi: NDArray[np.float64]) -> NDArray[np.void]:
-    """``%.6f`` of each phi as one packed array of records, NUL-padded to the widest label.
-
-    ``%.6f`` widens with |v| on each side of zero, so the widest label is the
-    smallest or the largest value's, or ``-0.000000`` when a sign bit is set.
-    """
-    signed_zero = -0.0 if np.signbit(phi).any() else 0.0
-    width = max(len(b"%.6f" % v) for v in (phi.min(), phi.max(), signed_zero))
-    labels = np.empty(phi.size, f"S{width}")
-    for start in range(0, phi.size, _CHUNK_ROWS):
-        part = slice(start, start + _CHUNK_ROWS)
-        labels[part] = _formatted(b"%.6f,", phi[part])[0].split(b",")[:-1]
-    return labels.view(f"V{width}")
+def _records(fmt: bytes, values: NDArray[np.float64], width: int) -> NDArray[np.void]:
+    """Packed ``width``-byte records of ``fmt % v``, formatted ``_CHUNK_ROWS`` values at a time."""
+    records = np.empty(values.size, f"V{width}")
+    for start in range(0, values.size, _CHUNK_ROWS):
+        part = values[start : start + _CHUNK_ROWS]
+        text = (fmt * part.size) % tuple(part.tolist())
+        records[start : start + part.size] = np.frombuffer(text, records.dtype)
+    return records
 
 
 def _cell_blocks(head: NDArray[np.void], tail: NDArray[np.void],
@@ -391,38 +391,34 @@ def _cell_blocks(head: NDArray[np.void], tail: NDArray[np.void],
             yield buf[: min(rows, count - i) * min(cols, phis - j) * size].data
 
 
-def _surface_blocks(surface: SurfaceGrid) -> Iterator[bytes | memoryview]:
+def _surface_blocks(surface: SurfaceGrid) -> Iterator[memoryview]:
     """The surface table's cells in :func:`_cell_blocks` of each run of rows.
 
-    A run is a longest stretch of rows, within one chunk of ``_CHUNK_ROWS``,
-    whose heads share one width and whose tails share one width.
+    On the hemisphere every head is 9 bytes and every label 8, so a run is a
+    longest stretch of rows, within one chunk of ``_CHUNK_ROWS``, whose tails
+    share one width.
     """
-    labels = _phi_labels(surface.phi)
-    ragged = not labels.view(np.uint8)[labels.itemsize - 1 :: labels.itemsize].all()
+    labels = _records(b"%.6f", surface.phi, 8)
     for start in range(0, surface.theta.size, _CHUNK_ROWS):
-        heads, head_at = _formatted(b"%.6f,", surface.theta[start : start + _CHUNK_ROWS])
+        heads = _records(b"%.6f,", surface.theta[start : start + _CHUNK_ROWS], 9)
         tails, tail_at = _formatted(b",%.6f\n", surface.amplitude_db[start : start + _CHUNK_ROWS])
-        h_widths, t_widths = np.diff(head_at), np.diff(tail_at)
-        edges = [0, *(np.flatnonzero(np.diff(h_widths) | np.diff(t_widths)) + 1), h_widths.size]
+        widths = np.diff(tail_at)
+        edges = [0, *(np.flatnonzero(np.diff(widths)) + 1), widths.size]
         for first, last in zip(edges[:-1], edges[1:]):
-            head = np.frombuffer(heads, f"V{h_widths[first]}", last - first, head_at[first])
-            tail = np.frombuffer(tails, f"V{t_widths[first]}", last - first, tail_at[first])
-            for block in _cell_blocks(head, tail, labels):
-                yield bytes(block).translate(None, b"\0") if ragged else block
+            tail = np.frombuffer(tails, f"V{widths[first]}", last - first, tail_at[first])
+            yield from _cell_blocks(heads[first:last], tail, labels)
 
 
 def surface_rows(surface: SurfaceGrid, out: BinaryIO) -> None:
     """Write the surface table to ``out``: a header, then one (theta, phi, dB) row per cell.
 
     ``out`` is a binary stream, and the table is ASCII.  A cell is the
-    record ``head + label + tail``: ``%.6f,`` of its theta, ``%.6f`` of its
-    phi and ``,%.6f\n`` of its dB value, each formatted once with ``%``.
-    The phi labels are one packed array, about 8 bytes per phi, and heads
-    and tails are formatted ``_CHUNK_ROWS`` rows at a time.  Blocks of
-    records are filled by field copies and go out in one write each; short
-    ones are gathered until they reach ``_BLOCK_BYTES``, and no write
-    exceeds twice that.  Only a hand-built grid can hold labels of unequal
-    widths: they are NUL-padded to the widest, and the pads are deleted.
+    record ``head + label + tail``: ``%.6f,`` of its theta (9 bytes),
+    ``%.6f`` of its phi (8 bytes, one packed array) and ``,%.6f\n`` of its
+    dB value, each formatted once with ``%``, heads and tails ``_CHUNK_ROWS``
+    rows at a time.  Blocks of records are filled by field copies and go out
+    in one write each; short ones are gathered until they reach
+    ``_BLOCK_BYTES``, and no write exceeds twice that.
     """
     pending, size = [b"theta,phi,db\n"], 13
     for block in _surface_blocks(surface):

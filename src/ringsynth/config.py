@@ -19,7 +19,7 @@ from . import targets
 from .analysis import _MIN_GRID
 from .errors import ConfigError, DomainError, TableFormatError
 from .geometry import RingGeometry, elements_for_spacing
-from .sampling import effective_total_count, midpoint_abscissas
+from .sampling import build_sample_set, effective_total_count
 from .targets import TargetPattern
 
 # The JSON types each field kind accepts, and how a wrong type is named.
@@ -336,21 +336,18 @@ def _check_problem_size(
 ) -> None:
     """Note each dimension of a run's work over ``_MAX_DESIGN_CELLS`` cells.
 
-    They are the fit's ``total`` samples x weights, then from the ``output``
-    section ``out`` the cut's half grid x weights and its three-column table,
-    and a surface's angles x weights and theta x phi rows.  The ring blocks
-    are built in chunks of about 2 MB, so the limits bound the J0 work and
-    the arrays still held whole: the batch half's [A b] and the cut's u, dB
-    and target arrays.
-    Rows are written in bounded pieces, never held as text; the surface keeps
-    only its phi labels, about 8 bytes per phi.  So the row limits bound the
-    size of cut.csv and surface.csv, not a text copy in memory.
-
-    The limit bounds memory, not time.  ``synthesize`` on uniform half-wave
-    rings (one BLAS thread, numpy 2.4 with OpenBLAS, a 2-core x86-64 host)
-    took 0.47 s with a 39 MiB traced heap peak at 1000 rings, 3.5 s and
-    157 MiB at 2000, and 11.6 s and 328 MiB at the limit, 2896 rings: the
-    batch [A b] plus numpy's two QR copies of it.
+    Each limit bounds one thing.  The fit's ``total`` samples x weights
+    bounds memory: the batch half's [A b] and numpy's two QR copies of it.
+    ``synthesize`` on uniform half-wave rings (one BLAS thread, numpy 2.4
+    with OpenBLAS, a 2-core x86-64 host) took 0.47 s with a 39 MiB traced
+    heap peak at 1000 rings, 3.5 s and 157 MiB at 2000, and 11.6 s and
+    328 MiB at the limit, 2896 rings.  From the ``output`` section ``out``,
+    the cut's half grid x weights and a surface's angles x weights bound the
+    J0 work; their ring blocks are built in chunks of about 2 MB.  The cut's
+    three-column table and the surface's theta x phi rows bound the size of
+    cut.csv and surface.csv (and the cut's u, dB and target arrays, held
+    whole): rows are written in bounded pieces, never held as text, and the
+    surface keeps only its phi labels, 8 bytes per phi.
     """
     columns = geometry.column_count
     if total * columns > _MAX_DESIGN_CELLS:
@@ -407,9 +404,9 @@ def resolve_config(
     if problems or geometry is None or resolved_target is None:
         raise ConfigError(problems or ["config could not be resolved"])
     target, target_echo = resolved_target
-    # the fit samples the target at the run's own midpoints: a target zero at all
-    # of them gives all-zero weights, whose pattern cannot be peak-normalized
-    if not target.sample_value(midpoint_abscissas(total)).any():
+    # a target zero at every one of the run's samples gives all-zero weights,
+    # whose pattern cannot be peak-normalized
+    if not build_sample_set(geometry, target, total_count=total).values.any():
         raise ConfigError([f"target: zero at every one of the run's {total} sample points"])
     out_dir = settings["output"].pop("directory")  # the run's location, not its settings
     echo = {

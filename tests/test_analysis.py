@@ -434,6 +434,26 @@ class TestEvaluateSurface:
         with pytest.raises(DomainError, match="finite"):
             SurfaceGrid(**values)
 
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [
+            ([-0.0, 0.5], [0.0, 1.0]),
+            ([0.0, np.nextafter(math.pi / 2.0, 4.0)], [0.0, 1.0]),
+            ([0.0, 0.5], [-0.0, 1.0]),
+            ([0.0, 0.5], [0.0, 2.0 * math.pi]),
+        ],
+    )
+    def test_surface_grid_rejects_angles_off_the_hemisphere(self, theta, phi):
+        with pytest.raises(DomainError, match=r"\[0, pi/2\] and phi in \[0, 2\*pi\)"):
+            SurfaceGrid(theta=theta, phi=phi, amplitude_db=[0.0, -3.0])
+
+    @pytest.mark.parametrize("theta_points, phi_points", [(2, 2), (721, 181), (3, 40000)])
+    def test_every_evaluated_grid_is_on_the_hemisphere(self, theta_points, phi_points):
+        # the default grid, the dense-output job's and the wide-rows config's
+        w = Weights(center=1, rings=(1, 1))
+        surface = evaluate_surface(uniform_half_wavelength_geometry(2), w, theta_points, phi_points)
+        assert surface.theta[-1] == math.pi / 2.0 and surface.phi[-1] < 2.0 * math.pi
+
     def test_rejects_tiny_grid(self):
         geom = uniform_half_wavelength_geometry(2)
         w = Weights(center=1, rings=(1, 1))
@@ -541,6 +561,14 @@ EDGE_VALUES = np.array(
      -199.9999995, -1e-12, -3.0000005]
 )
 
+# surface angles on the hemisphere: both ends of each axis and values at or
+# near 6-decimal rounding ties
+THETA_EDGES = np.array(
+    [0.0, 5e-7, 2.5e-6, 1.5e-6, 0.0000125, 1e-12, 0.0078125, 0.5, 1.0000005, 1.5707955,
+     math.pi / 2.0]
+)
+PHI_EDGES = np.concatenate([THETA_EDGES, [3.0000005, 6.2831845, np.nextafter(2.0 * math.pi, 0.0)]])
+
 
 class TestSerialization:
     def test_cut_rows_format(self):
@@ -574,10 +602,9 @@ class TestSerialization:
             cut = PatternCut(u_grid=u, amplitude_db=db, target_amplitude=target.amplitude(u))
             assert table_text(cut_rows, cut) == per_cell_cut_text(cut, target)
 
-        theta = np.concatenate([EDGE_VALUES, [0.5, 123.4567895]])
-        phi = -EDGE_VALUES
-        db_theta = np.resize(EDGE_VALUES[::-1], theta.size)
-        surface = SurfaceGrid(theta=theta, phi=phi, amplitude_db=db_theta)
+        theta = np.resize(THETA_EDGES, EDGE_VALUES.size)  # one row per dB edge value
+        db_theta = EDGE_VALUES[::-1]
+        surface = SurfaceGrid(theta=theta, phi=PHI_EDGES, amplitude_db=db_theta)
         assert table_text(surface_rows, surface) == per_cell_surface_text(surface)
 
     @pytest.mark.parametrize("name", BUNDLED_EXAMPLES)
@@ -707,6 +734,13 @@ MIXED_WIDTHS = st.one_of(
 )
 
 
+# hemisphere angles, with the six-decimal ties and near-ties of THETA_EDGES and PHI_EDGES
+THETAS = st.one_of(st.floats(min_value=0.0, max_value=math.pi / 2.0),
+                   st.sampled_from(THETA_EDGES.tolist()))
+PHIS = st.one_of(st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+                 st.sampled_from(PHI_EDGES.tolist()))
+
+
 class TestFixedPointKernel:
     @given(st.lists(FINITE, min_size=1, max_size=40))
     def test_cut_rows_match_per_cell_reference(self, values):
@@ -779,15 +813,14 @@ class TestFixedPointKernel:
         assert path.read_bytes() == expected.encode("utf-8")
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(MIXED_WIDTHS, MIXED_WIDTHS), min_size=1, max_size=12),
-           st.lists(MIXED_WIDTHS, min_size=1, max_size=6), st.sampled_from([None, 2000, 2600]))
-    # np.min can return 0.0 here, so the -0.000000 label is wider than both extremes' labels
-    @example(rows=[(0.5, -1.0)], phi=[-0.0, 0.0], phis=None)
+    @given(st.lists(st.tuples(THETAS, MIXED_WIDTHS), min_size=1, max_size=12),
+           st.lists(PHIS, min_size=1, max_size=6), st.sampled_from([None, 2000, 2600]))
     # wide rows of one run share a block buffer: a row's short last piece must
     # not be overwritten by the next row's first piece before it is written
     @example(rows=[(0.5, -1.0), (1.5, -2.0)], phi=[0.25, 1.0, 3.0], phis=2600)
-    # a one-row run left pending, then a two-row block: together over the write limit
-    @example(rows=[(0.5, -1.0), (10.5, -2.0), (11.5, -3.0)], phi=[0.25, 1.0, 3.0], phis=2000)
+    # a one-row run (11-byte tail) left pending, then a two-row block (12-byte
+    # tails): together over the write limit
+    @example(rows=[(0.5, -1.0), (1.0, -12.0), (1.5, -13.0)], phi=[0.25, 1.0, 3.0], phis=2000)
     def test_surface_rows_match_per_cell_reference(self, rows, phi, phis):
         # repeated to 2000 or 2600 phis, a row fills about one block or spans several
         theta, db = np.array(rows).T

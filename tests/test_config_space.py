@@ -6,10 +6,15 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ringsynth.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from ringsynth.config import resolve_config
+from ringsynth.runner import run_synthesis
+from ringsynth.sampling import build_sample_set, effective_total_count
+from ringsynth.solver import build_design_matrix
 
 RADIUS = st.floats(min_value=0.05, max_value=3.0)
 
@@ -80,10 +85,49 @@ ZERO_ON_THE_SAMPLES = {
     "output": {"grid_points": 801},
 }
 
+# a table whose samples on [0, 1] are all the subnormal 4e-313: the weights
+# carry gradual underflow (see weight_error_and_bound)
+SUBNORMAL_ON_THE_SAMPLES = {
+    "geometry": {"wavelength": 1.0, "rings": 3},
+    "target": {"kind": "table", "points": [[-1.0, 1.0], [-0.5, 4e-313]]},
+    "output": {"grid_points": 801},
+}
+
+
+def weight_error_and_bound(raw) -> tuple[float, float]:
+    """The run's relative weight error against lstsq over its samples, and the bound on it.
+
+    The bound is 50 (k + k^2 ||r|| / (s_1 ||x_ls||)) eps with k = s_1 / s_n
+    from numpy's SVD of the m-row design, the least-squares forward-error
+    bound (Wedin; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 20).  Its rounding model ignores gradual underflow, which adds an
+    absolute error of up to one subnormal step t per operation, so the bound
+    also carries 50 sqrt(m) t / (s_n ||x_ls||).  That term is negligible
+    unless the target's samples are subnormal: a constant table near 4e-313
+    gives weights about 1.2e-11 (relative) off lstsq's.
+    """
+    cfg, warnings = resolve_config(raw)
+    weights = run_synthesis(cfg, warnings).weights
+    samples = build_sample_set(cfg.geometry, cfg.target,
+                               total_count=effective_total_count(cfg.geometry, cfg.oversample))
+    a, b = build_design_matrix(cfg.geometry, samples.abscissas).entries, samples.values
+    x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
+    x = np.array(weights.rings + (weights.center,))[: a.shape[1]]
+    # a subnormal target's weights would underflow when squared in the norms
+    scale = np.abs(x_ls).max()
+    x, x_ls, r = x / scale, x_ls / scale, (a @ x_ls - b) / scale
+    sigma = np.linalg.svd(a, compute_uv=False)
+    kappa, norm_x = sigma[0] / sigma[-1], np.linalg.norm(x_ls)
+    rounding = (kappa + kappa**2 * np.linalg.norm(r) / (sigma[0] * norm_x)) * np.finfo(float).eps
+    underflow = np.sqrt(len(b)) * np.finfo(float).smallest_subnormal / (sigma[-1] * scale * norm_x)
+    bound = 50.0 * (rounding + underflow)
+    return float(np.linalg.norm(x - x_ls) / norm_x), float(bound)
+
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
 @example((ZERO_ON_THE_SAMPLES, False))
+@example((SUBNORMAL_ON_THE_SAMPLES, False))
 def test_small_configs_end_in_an_exit_code(case):
     raw, out_is_a_file = case
     raw = {**raw, "output": dict(raw["output"])}  # leaves the module's example as it is
@@ -111,3 +155,5 @@ def test_small_configs_end_in_an_exit_code(case):
         if ran == EXIT_OK:
             for name in ("weights.csv", "cut.csv", "report.txt"):
                 assert (out / name).is_file()
+            error, bound = weight_error_and_bound(raw)
+            assert error <= bound, (error, bound)
