@@ -113,7 +113,7 @@ def pattern_on_grid(
 
     Each chunk of whole J0 panels is multiplied and dropped; the block never exists whole.
     """
-    if not w.matches(geom):
+    if len(w.rings) != geom.n_rings:
         raise DomainError(
             f"weights carry {len(w.rings)} rings but geometry has {geom.n_rings}"
         )

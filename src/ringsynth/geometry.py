@@ -96,9 +96,6 @@ class Weights:
         object.__setattr__(self, "center", float(self.center))
         object.__setattr__(self, "rings", tuple(float(w) for w in self.rings))
 
-    def matches(self, geom: RingGeometry) -> bool:
-        return len(self.rings) == geom.n_rings
-
 
 def elements_for_spacing(radius: float, target_spacing: float) -> int:
     """Element count that realizes roughly the requested arc spacing.

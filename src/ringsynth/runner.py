@@ -137,8 +137,7 @@ def write_outputs(report: SynthesisReport, out_dir: str | Path) -> list[Path]:
     a warning line can carry user text, and the rest is ASCII.
     """
     out = Path(out_dir)
-    if not out.is_dir():
-        out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     written = []
 
     def emit(name: str, write: Callable[[BinaryIO], object]) -> None:

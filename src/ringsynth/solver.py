@@ -102,7 +102,8 @@ def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.fl
     radii, counts = geom.radii, geom.elements_per_ring
     if geom.has_center_element:
         radii, counts = radii + (0.0,), counts + (1,)
-    # J0 overwrites its own argument, so the block is the only basis-sized array
+    # the block is the only basis-sized array: J0 is written back over it
+    # panel by panel, so a panel's J0 takes at most a panel-sized temporary
     block = np.multiply.outer(u, np.asarray(radii, dtype=float))
     np.multiply(block, geom.wavenumber, out=block)
     n_rings, n_columns = geom.n_rings, block.shape[1]
@@ -115,7 +116,7 @@ def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.fl
         panel = block[lo : lo + step]
         first = j0_hankel_columns(u[lo : lo + step], panel[:, :n_rings])
         if first == n_rings:
-            bessel_j0_grid(panel, out=panel)
+            panel[...] = bessel_j0_grid(panel)
             continue
         pending += [panel[:, :first], panel[:, n_rings:]]
         held += panel.shape[0] * (first + n_columns - n_rings)

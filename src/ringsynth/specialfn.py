@@ -4,8 +4,9 @@
 :func:`j0_hankel_columns` evaluates it over the part of a rank-one argument
 block x[m, n] = k r_n u_m that lies in the Hankel branch, where the
 modulus-phase polynomials in 1/x^2 factor over rows and columns and become
-two small matrix products.  Everything here is pure and stateless, so the
-functions are safe to call from any number of threads or processes.
+two small matrix products.  Nothing here keeps state, so the functions are
+safe to call from any number of threads or processes; only
+:func:`j0_hankel_columns` writes into its argument.
 """
 
 from __future__ import annotations
@@ -87,10 +88,8 @@ _HANKEL_COLUMNS = np.array([_HANKEL_M[::-1], _HANKEL_G[::-1]])[:, :, None]
 _PIO4 = 7.853981633974483e-1
 
 
-def bessel_j0_grid(
-    x: ArrayLike, out: NDArray[np.float64] | None = None
-) -> NDArray[np.float64]:
-    """Bessel J0 over an array of finite values, returned in the input's shape.
+def bessel_j0_grid(x: ArrayLike) -> NDArray[np.float64]:
+    """Bessel J0 over an array of finite values, as a new array of the input's shape.
 
     Evaluates on |x|, so the even symmetry J0(x) == J0(-x) holds exactly:
     below |x| = 8 as 1 - x^2 r, with r a degree-14 Chebyshev fit in x^2, and
@@ -105,29 +104,21 @@ def bessel_j0_grid(
     the grid; beyond the output, working memory is a few blocks.  Every
     element sees the same operations in the same order as in an unblocked
     evaluation, so the result does not depend on the blocking.
-
-    ``out``, a C-contiguous float64 array of x's shape, receives the result;
-    it may be x itself, since each block is read (as |x|) before it is
-    written.  A non-finite argument then raises with x partly overwritten.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    if out is None:
-        out = np.empty(x.shape)
-    elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise DomainError("out must be a C-contiguous float64 array of the argument's shape")
-    dest_flat = out.reshape(-1)
+    values = np.empty(flat.size)
     for lo in range(0, flat.size, _BLOCK):
         ax = np.abs(flat[lo : lo + _BLOCK])
         if not np.isfinite(ax).all():
             raise DomainError("bessel_j0_grid requires finite arguments")
-        dest = dest_flat[lo : lo + _BLOCK]
+        dest = values[lo : lo + _BLOCK]
         small = ax < _SERIES_CUTOFF
         big = ~small
         near, far = ax[small], ax[big]
         dest[small] = _j0_series(near, np.empty_like(near))
         dest[big] = _j0_hankel(far, np.empty_like(far))
-    return out
+    return values.reshape(x.shape)
 
 
 def _polevl(

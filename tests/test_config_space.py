@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +95,16 @@ SUBNORMAL_ON_THE_SAMPLES = {
 }
 
 
+def run_weights_and_system(raw):
+    """The weights a run of ``raw`` returns, as lstsq orders them, and its sampled [A b]."""
+    cfg, warnings = resolve_config(raw)
+    weights = run_synthesis(cfg, warnings).weights
+    samples = build_sample_set(cfg.geometry, cfg.target,
+                               total_count=effective_total_count(cfg.geometry, cfg.oversample))
+    a, b = build_design_matrix(cfg.geometry, samples.abscissas).entries, samples.values
+    return np.array(weights.rings + (weights.center,))[: a.shape[1]], a, b
+
+
 def weight_error_and_bound(raw) -> tuple[float, float]:
     """The run's relative weight error against lstsq over its samples, and the bound on it.
 
@@ -104,15 +115,13 @@ def weight_error_and_bound(raw) -> tuple[float, float]:
     absolute error of up to one subnormal step t per operation, so the bound
     also carries 50 sqrt(m) t / (s_n ||x_ls||).  That term is negligible
     unless the target's samples are subnormal: a constant table near 4e-313
-    gives weights about 1.2e-11 (relative) off lstsq's.
+    gives weights about 1.2e-11 (relative) off lstsq's.  That error is one
+    subnormal step, 2^-1074, in one entry, and lstsq over the samples scaled
+    by 2^1000 is no closer (test_subnormal_weights_are_faithfully_rounded), so
+    the weights already hold all that a double can.
     """
-    cfg, warnings = resolve_config(raw)
-    weights = run_synthesis(cfg, warnings).weights
-    samples = build_sample_set(cfg.geometry, cfg.target,
-                               total_count=effective_total_count(cfg.geometry, cfg.oversample))
-    a, b = build_design_matrix(cfg.geometry, samples.abscissas).entries, samples.values
+    x, a, b = run_weights_and_system(raw)
     x_ls = np.linalg.lstsq(a, b, rcond=None)[0]
-    x = np.array(weights.rings + (weights.center,))[: a.shape[1]]
     # a subnormal target's weights would underflow when squared in the norms
     scale = np.abs(x_ls).max()
     x, x_ls, r = x / scale, x_ls / scale, (a @ x_ls - b) / scale
@@ -157,3 +166,15 @@ def test_small_configs_end_in_an_exit_code(case):
                 assert (out / name).is_file()
             error, bound = weight_error_and_bound(raw)
             assert error <= bound, (error, bound)
+
+
+@pytest.mark.parametrize("tail", [4e-313, 1e-320])
+def test_subnormal_weights_are_faithfully_rounded(tail):
+    # lstsq on the samples scaled into the normal range, then scaled back:
+    # the run's weights lie within two units of their spacing of it, so
+    # scaling the solve would buy no digit that a double can hold
+    raw = {**SUBNORMAL_ON_THE_SAMPLES,
+           "target": {"kind": "table", "points": [[-1.0, 1.0], [-0.5, tail]]}}
+    x, a, b = run_weights_and_system(raw)
+    reference = np.ldexp(np.linalg.lstsq(a, np.ldexp(b, 1000), rcond=None)[0], -1000)
+    assert np.all(np.abs(x - reference) <= 2 * np.spacing(np.abs(reference))), x - reference

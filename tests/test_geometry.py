@@ -187,6 +187,13 @@ class TestArrayFactor:
         geom = uniform_half_wavelength_geometry(2)
         with pytest.raises(DomainError):
             pattern_on_grid(geom, Weights(center=1, rings=(1,)), self.U)
+        # the two that fit the design's column count: a ring weight read as
+        # the center, and the center read as a ring
+        with pytest.raises(DomainError, match="3 rings but geometry has 2"):
+            pattern_on_grid(geom, Weights(center=1, rings=(1, 1, 1)), self.U)
+        no_center = replace(geom, has_center_element=False)
+        with pytest.raises(DomainError, match="1 rings but geometry has 2"):
+            pattern_on_grid(no_center, Weights(center=1, rings=(1,)), self.U)
 
     def test_center_flag_respected(self, pattern_oracle):
         geom = RingGeometry(1.0, (0.5,), (6,), has_center_element=False)

@@ -4,6 +4,7 @@ import inspect
 
 import ringsynth
 from ringsynth import config, geometry, sampling, solver, specialfn, targets
+from ringsynth.geometry import Weights
 from ringsynth.sampling import SampleSet
 from ringsynth.solver import DesignMatrix, SolverState
 from ringsynth.targets import TargetPattern
@@ -18,6 +19,7 @@ RETIRED = [
     (sampling, "reconstruct"),
     (geometry, "chord_spacing"),
     (geometry, "array_factor"),
+    (Weights, "matches"),
     (SampleSet, "batch_abscissas"),
     (SampleSet, "batch_values"),
     (SampleSet, "incremental_abscissas"),
@@ -52,3 +54,4 @@ def test_retired_fields_and_parameters():
     assert not hasattr(matrix, "column_labels")
     assert not hasattr(matrix, "has_center")
     assert "oversample" not in inspect.signature(solver.synthesize).parameters
+    assert "out" not in inspect.signature(specialfn.bessel_j0_grid).parameters
