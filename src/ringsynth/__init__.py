@@ -33,7 +33,6 @@ from .sampling import (
     SampleSet,
     build_sample_set,
     min_batch_samples,
-    min_total_samples,
 )
 from .solver import (
     DesignMatrix,
@@ -86,7 +85,6 @@ __all__ = [
     "load_table",
     "measure_metrics",
     "min_batch_samples",
-    "min_total_samples",
     "resolve_config",
     "rls_absorb",
     "run_synthesis",

@@ -68,10 +68,11 @@ class PatternMetrics:
 class SurfaceGrid:
     """Pattern magnitude in dB over (theta, phi), one value per theta.
 
-    The pattern has no azimuth dependence, so ``amplitude_db[i]`` holds the
-    value at ``theta[i]`` for every phi.  The axes span the hemisphere that
-    :func:`evaluate_surface` samples: theta in [0, pi/2] and phi in
-    [0, 2*pi), neither with a sign bit (not even -0.0).
+    The continuous-ring model (see :mod:`ringsynth.geometry`) has no azimuth
+    dependence, so ``amplitude_db[i]`` holds its value at ``theta[i]`` for
+    every phi.  The axes span the hemisphere that :func:`evaluate_surface`
+    samples: theta in [0, pi/2] and phi in [0, 2*pi), neither with a sign bit
+    (not even -0.0).
     """
 
     theta: NDArray[np.float64]
@@ -247,8 +248,8 @@ def evaluate_surface(
 ) -> SurfaceGrid:
     """|F| in dB over theta in [0, pi/2] and phi in [0, 2*pi).
 
-    The pattern has no azimuth dependence, so the grid holds one dB value
-    per theta, shared by every phi.
+    The continuous-ring model (see :mod:`ringsynth.geometry`) has no azimuth
+    dependence, so the grid holds one dB value per theta, shared by every phi.
     """
     if theta_points < 2 or phi_points < 2:
         raise DomainError("surface needs at least 2 points along each axis")

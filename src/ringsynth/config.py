@@ -226,9 +226,6 @@ def _resolve_geometry(raw: Mapping[str, Any], problems: list[str]) -> RingGeomet
 
     if radii is None or counts is None or has_rings == has_radii:
         return None
-    if len(radii) == 0 and not values["center_element"]:
-        problems.append("geometry: needs at least one ring or a center element")
-        return None
     try:
         return RingGeometry(wavelength, radii, counts, values["center_element"])
     except DomainError as exc:
@@ -314,11 +311,14 @@ def _resolve_target(
         if kind == "flat_top":
             target = targets.flat_top(values["passband_edge"], values["transition_width"])
         else:
-            # the ring count only shapes the beam: without a valid geometry the
-            # target is still built, for one ring, so its own fields are checked
+            # the ring count only shapes the beam: without a valid geometry or
+            # ring the target is still built, for one ring, so its fields are checked
             rings = 1 if geometry is None else geometry.n_rings
             build = targets.equi_ripple if kind == "equi_ripple" else targets.difference
-            target = build(values["sll_db"], rings)
+            target = build(values["sll_db"], max(rings, 1))
+            if rings == 0:
+                problems.append(f"target: a {kind} target needs at least one ring")
+                return None
         if nulls:
             centers = [null["center"] for null in nulls]
             target = targets.with_nulls(target, centers, nulls[0]["depth_db"], nulls[0]["width"])

@@ -7,11 +7,15 @@ the direction cosine u = sin(theta) reduces to
 
     F(u) = I0 + sum_n I_n * N_n * J0(k * r_n * u),      k = 2*pi / wavelength
 
-which is azimuth independent and even in u.  Because J0(0) = 1, the center
-term I0 is a ring of radius 0 with one element.  This module only describes
-the array; ``ringsynth.solver._ring_block`` evaluates every term
-N_n * J0(k * r_n * u), the center as the ring (0, 1), for the fit and for
-every pattern the analysis stage draws.
+which is azimuth independent and even in u.  That is the continuous-ring
+model, which the fit, every reported figure and surface.csv describe: a ring
+of N_n discrete elements, the first at phi = 0, adds the Jacobi-Anger terms
+2 I_n N_n sum_{q>=1} i^(q N_n) J_{q N_n}(k r_n u) cos(q N_n phi) (Abramowitz
+and Stegun 9.1.41-45), small while k r_n u stays well below N_n.  Because
+J0(0) = 1, the center term I0 is a ring of radius 0 with one element.  This
+module only describes the array; ``ringsynth.solver._ring_block`` evaluates
+every term N_n * J0(k * r_n * u), the center as the ring (0, 1), for the fit
+and for every pattern the analysis stage draws.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class RingGeometry:
     """Immutable description of a concentric ring array.
 
     ``radii`` must be strictly increasing and positive; ``elements_per_ring``
-    pairs with it one to one.  The wavenumber is always derived from the
+    pairs with it one to one, in whole counts of at least one.  A layout needs
+    a ring or a center element.  The wavenumber is always derived from the
     wavelength so the two can never disagree.
     """
 
@@ -48,9 +53,14 @@ class RingGeometry:
         _require_real(self.wavelength, "wavelength")
         _require_real(self.radii, "radii")
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        object.__setattr__(
-            self, "elements_per_ring", tuple(int(n) for n in self.elements_per_ring)
-        )
+        counts = tuple(self.elements_per_ring)
+        try:
+            whole = all(float(n).is_integer() for n in counts)
+        except OverflowError:  # an int beyond the float range
+            whole = False
+        if not whole:
+            raise DomainError("element counts must be whole numbers in the float range")
+        object.__setattr__(self, "elements_per_ring", tuple(int(n) for n in counts))
         if not (math.isfinite(self.wavelength) and self.wavelength > 0):
             raise DomainError(f"wavelength must be positive, got {self.wavelength!r}")
         if not math.isfinite(self.wavenumber):
@@ -69,6 +79,8 @@ class RingGeometry:
         for n in self.elements_per_ring:
             if n < 1:
                 raise DomainError(f"each ring needs at least one element, got {n}")
+        if self.column_count == 0:
+            raise DomainError("needs at least one ring or a center element")
 
     @property
     def n_rings(self) -> int:

@@ -61,7 +61,7 @@ def run_synthesis(cfg: ResolvedConfig, warnings: list[str] | None = None) -> Syn
         cfg.target,
         total_count=effective_total_count(cfg.geometry, cfg.oversample),
     )
-    weights, state = synthesize(cfg.geometry, cfg.target, samples=samples)
+    weights, state = synthesize(cfg.geometry, samples=samples)
     cut = evaluate_cut(cfg.geometry, weights, cfg.target, grid_points=cfg.grid_points)
     metrics = measure_metrics(cut, cfg.target)
     surface = None

@@ -7,8 +7,8 @@ interleaves the recursive stage's samples halfway between the batch ones.
 The batch portion is the 1st, 3rd, 5th, ... midpoint (even indices, counted
 from zero); the remaining interleaved points feed the recursive refinement.
 
-Sample sizing has one rule, :func:`effective_total_count`: every sample set
-the pipeline builds without an explicit ``total_count`` is sized by it.
+Sample sizing has one rule, :func:`effective_total_count`, built on the
+paper's batch minimum :func:`min_batch_samples`; it sizes every run.
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ def min_batch_samples(geom: RingGeometry) -> int:
     return max(raw, floor)
 
 
-def min_total_samples(geom: RingGeometry) -> int:
-    """Total sample count for both stages: twice the batch minimum."""
-    return 2 * min_batch_samples(geom)
-
-
 def midpoint_abscissas(count: int) -> NDArray[np.float64]:
     """Midpoint grid u_m = (m - 1/2) / count for m = 1..count."""
     if count < 1:
@@ -97,15 +92,15 @@ def midpoint_abscissas(count: int) -> NDArray[np.float64]:
 def effective_total_count(geom: RingGeometry, oversample: float = 1.0) -> int:
     """Total sample count the pipeline uses: the one sample-sizing rule.
 
-    The doubled minimum scaled by ``oversample`` (rounded up to even), except
-    when that would leave the batch stage square or underdetermined, in which
-    case the batch is grown two rows past the weight count.  Both
-    :func:`build_sample_set` and :func:`~ringsynth.solver.synthesize` called
-    without a sample set size through here, at ``oversample`` 1.
+    Twice :func:`min_batch_samples`, one batch and one incremental sample
+    each, scaled by ``oversample`` and rounded up to even, except when that
+    would leave the batch stage square or underdetermined, in which case the
+    batch is grown two rows past the weight count.  :func:`build_sample_set`
+    called without ``total_count`` sizes through here, at ``oversample`` 1.
     """
     if not (math.isfinite(oversample) and oversample >= 1.0):
         raise DomainError(f"oversample factor must be >= 1, got {oversample!r}")
-    total = math.ceil(min_total_samples(geom) * oversample)
+    total = math.ceil(2 * min_batch_samples(geom) * oversample)
     total += total % 2
     if total // 2 <= geom.column_count:
         total = 2 * (geom.column_count + 2)

@@ -36,10 +36,10 @@ from numpy.typing import NDArray
 
 from .errors import DomainError, SingularSystemError
 from .geometry import RingGeometry, Weights, _require_real
+# build_sample_set and effective_total_count: unused; kept while perfbench/tracing.py wraps them
 from .sampling import SampleSet, build_sample_set, effective_total_count
 from .specialfn import _BLOCK as _J0_PANEL
 from .specialfn import bessel_j0_grid, j0_hankel_columns
-from .targets import TargetPattern
 
 _CONDITION_LIMIT = 1e12
 _BLOCK = 64  # rows of a back-substitution block, columns of an absorption panel
@@ -299,10 +299,8 @@ def _retriangularize(info: NDArray[np.float64], low: NDArray[np.float64]) -> Non
         low[:, end:] -= v @ w
 
 
-def synthesize(
-    geom: RingGeometry, target: TargetPattern, samples: SampleSet | None = None
-) -> tuple[Weights, SolverState]:
-    """Run the two-stage synthesis pipeline for a geometry and target.
+def synthesize(geom: RingGeometry, samples: SampleSet) -> tuple[Weights, SolverState]:
+    """Fit the geometry's weights to a sample set by the two-stage least squares.
 
     The rows come in chunks of whole J0 panels, batch half first, and a
     chunk holds rows of both halves only when it holds every row, so that
@@ -317,15 +315,10 @@ def synthesize(
     quadrature, each incremental chunk's ||A_c x_seed - b_c|| or what its
     absorption leaves of b_c.
 
-    Without ``samples`` the set is sized by
-    :func:`~ringsynth.sampling.effective_total_count`.  A caller's set is
-    used as given: a batch half exactly as tall as the weight count is solved
-    exactly, and a shorter one raises :class:`DomainError` from
-    :func:`solve_batch`.
+    The set is used as given: a batch half exactly as tall as the weight
+    count is solved exactly, and a shorter one raises :class:`DomainError`
+    from :func:`solve_batch`.
     """
-    if samples is None:
-        samples = build_sample_set(geom, target, total_count=effective_total_count(geom))
-
     n, n_batch = geom.column_count, samples.batch_count
     u = np.concatenate((samples.abscissas[0::2], samples.abscissas[1::2]))
     b = np.concatenate((samples.values[0::2], samples.values[1::2]))

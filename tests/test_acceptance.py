@@ -22,7 +22,6 @@ from ringsynth.sampling import (
     build_sample_set,
     effective_total_count,
     min_batch_samples,
-    min_total_samples,
 )
 from ringsynth.solver import (
     SolverState,
@@ -131,13 +130,13 @@ def test_criterion_2_minimum_sample_rules():
     nine = uniform_half_wavelength_geometry(9)
     fourteen = uniform_half_wavelength_geometry(14)
     assert min_batch_samples(nine) == 16
-    assert min_total_samples(nine) == 32
+    assert effective_total_count(nine) == 32
     assert min_batch_samples(fourteen) == 26
-    assert min_total_samples(fourteen) == 52
+    assert effective_total_count(fourteen) == 52
     for n in (9, 14):
         geom = uniform_half_wavelength_geometry(n)
         assert min_batch_samples(geom) == int(np.ceil(4 * (n - 1) * 0.5))
-        assert min_total_samples(geom) == 2 * min_batch_samples(geom)
+        assert effective_total_count(geom) == 2 * min_batch_samples(geom)
     report("PASS criterion 2: sample-count rules give 16/32 (9 rings) "
            "and 26/52 (14 rings)")
 
@@ -190,7 +189,7 @@ def test_criterion_6_round_trip_recovery():
         x_true = rng.standard_normal(rings + 1)
         target = manufactured_target(geom, x_true)
         peak = float(target.params["peak"])
-        w, _ = synthesize(geom, target)
+        w, _ = synthesize(geom, build_sample_set(geom, target))
         got = weights_vector(w) * peak
         rel = float(np.linalg.norm(got - x_true) / np.linalg.norm(x_true))
         worst = max(worst, rel)
@@ -272,7 +271,7 @@ def test_criterion_8_a_few_refinements_suffice():
         geom, target = cfg.geometry, cfg.target
         base = effective_total_count(geom)
         levels = [
-            weights_vector(synthesize(geom, target, build_sample_set(geom, target, total))[0])
+            weights_vector(synthesize(geom, build_sample_set(geom, target, total))[0])
             for total in (base * 3**k for k in range(4))
         ]
         changes = [

@@ -32,6 +32,7 @@ from ringsynth.config import load_config_file, resolve_config
 from ringsynth.errors import DegeneratePatternError, DomainError
 from ringsynth.geometry import RingGeometry, Weights, uniform_half_wavelength_geometry
 from ringsynth.runner import run_synthesis, write_outputs
+from ringsynth.sampling import build_sample_set
 from ringsynth.solver import _ring_block, _vector_from_weights, synthesize
 from ringsynth.targets import equi_ripple, flat_top, from_table, with_nulls
 
@@ -226,7 +227,7 @@ class TestMeasureMetrics:
     def test_flat_top_ripple_measured_in_passband(self):
         geom = uniform_half_wavelength_geometry(9)
         target = flat_top(0.4, 0.12)
-        w, _ = synthesize(geom, target)
+        w, _ = synthesize(geom, build_sample_set(geom, target))
         metrics = measure_metrics(evaluate_cut(geom, w, target), target)
         assert metrics.passband_ripple_db is not None
         assert 0.0 < metrics.passband_ripple_db < 3.0
@@ -240,7 +241,7 @@ class TestMeasureMetrics:
     def test_sll_stable_under_grid_refinement(self):
         geom = uniform_half_wavelength_geometry(10)
         target = equi_ripple(-30.0, 10)
-        w, _ = synthesize(geom, target)
+        w, _ = synthesize(geom, build_sample_set(geom, target))
         coarse = measure_metrics(evaluate_cut(geom, w, target, grid_points=2001), target)
         fine = measure_metrics(evaluate_cut(geom, w, target, grid_points=8001), target)
         assert abs(coarse.sll_db - fine.sll_db) <= 0.1

@@ -121,6 +121,22 @@ BROKEN_CASES = {
         minimal_config(geometry={"wavelength": -1.0, "radii": [0.5, 1.0], "counts": [0, 6]}),
         "geometry.counts: each ring needs at least one element, got [0, 6]",
     ),
+    # the rule lives in RingGeometry; config reports it under geometry
+    "no_weights": (
+        minimal_config(geometry={"wavelength": 1.0, "radii": [], "center_element": False}),
+        "config error: geometry: needs at least one ring or a center element",
+    ),
+    # a center-only layout has no ring to shape a pencil or difference beam
+    "ringless_equi_ripple": (
+        minimal_config(geometry={"radii": [], "center_element": True},
+                       target={"kind": "equi_ripple", "sll_db": -20}),
+        "config error: target: a equi_ripple target needs at least one ring",
+    ),
+    "ringless_difference": (
+        minimal_config(geometry={"radii": [], "center_element": True},
+                       target={"kind": "difference", "sll_db": -20}),
+        "config error: target: a difference target needs at least one ring",
+    ),
     "huge_sample_count": (
         minimal_config(geometry={"wavelength": 0.01, "radii": [1e308], "counts": [6]}),
         "design-cell limit",

@@ -96,6 +96,22 @@ class TestRingGeometryValidation:
         with pytest.raises(DomainError):
             RingGeometry(1.0, (1.0,), (0,))
 
+    def test_rejects_a_layout_without_weights(self):
+        # no ring and no center: nothing to fit, and the ring block would be 0 columns wide
+        with pytest.raises(DomainError, match="at least one ring or a center element"):
+            RingGeometry(1.0, (), (), False)
+
+    @pytest.mark.parametrize("count", [2.7, math.nan, math.inf, 10**400],
+                             ids=["fraction", "nan", "inf", "beyond-float"])
+    def test_rejects_counts_that_are_no_whole_float_range_number(self, count):
+        with pytest.raises(DomainError, match="whole numbers in the float range"):
+            RingGeometry(1.0, (0.5,), (count,))
+
+    def test_whole_counts_read_as_int(self):
+        geom = RingGeometry(1.0, (0.5, 1.0), (6.0, np.int64(13)))
+        assert geom.elements_per_ring == (6, 13)
+        assert all(type(n) is int for n in geom.elements_per_ring)
+
     def test_rejects_complex_radius(self):
         with pytest.raises(DomainError, match="radii must be real"):
             RingGeometry(1.0, (np.complex128(0.5 + 1j),), (6,))

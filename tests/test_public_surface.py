@@ -17,6 +17,7 @@ RETIRED = [
     (specialfn, "bessel_j0"),
     (sampling, "_interpolation_kernel"),
     (sampling, "reconstruct"),
+    (sampling, "min_total_samples"),
     (geometry, "chord_spacing"),
     (geometry, "array_factor"),
     (Weights, "matches"),
@@ -53,5 +54,7 @@ def test_retired_fields_and_parameters():
     matrix = solver.build_design_matrix(geometry.uniform_half_wavelength_geometry(2), [0.5])
     assert not hasattr(matrix, "column_labels")
     assert not hasattr(matrix, "has_center")
-    assert "oversample" not in inspect.signature(solver.synthesize).parameters
+    # the solver fits the sample set it is given: no target, no sizing of its own
+    assert list(inspect.signature(solver.synthesize).parameters) == ["geom", "samples"]
+    assert not hasattr(solver, "TargetPattern")
     assert "out" not in inspect.signature(specialfn.bessel_j0_grid).parameters

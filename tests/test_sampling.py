@@ -14,7 +14,6 @@ from ringsynth.sampling import (
     effective_total_count,
     midpoint_abscissas,
     min_batch_samples,
-    min_total_samples,
 )
 from ringsynth.runner import run_synthesis
 from ringsynth.targets import flat_top, from_table
@@ -28,7 +27,7 @@ class TestMinimumCounts:
     def test_nine_rings_half_wavelength(self):
         geom = uniform_half_wavelength_geometry(9)
         assert min_batch_samples(geom) == 16
-        assert min_total_samples(geom) == 32
+        assert effective_total_count(geom) == 32
 
     def test_eleven_rings(self):
         geom = uniform_half_wavelength_geometry(11)
@@ -37,17 +36,15 @@ class TestMinimumCounts:
     def test_fourteen_rings(self):
         geom = uniform_half_wavelength_geometry(14)
         assert min_batch_samples(geom) == 26
-        assert min_total_samples(geom) == 52
+        assert effective_total_count(geom) == 52
 
     def test_floor_dominates_tight_rings(self):
         geom = RingGeometry(1.0, (0.5, 0.625), (6, 8))
         assert min_batch_samples(geom) == 3
-        assert min_total_samples(geom) == 6
 
     def test_single_ring_uses_floor(self):
         geom = RingGeometry(1.0, (0.5,), (6,))
         assert min_batch_samples(geom) == 2
-        assert min_total_samples(geom) == 4
 
     def test_total_always_doubles_batch(self):
         rng = np.random.default_rng(5)
@@ -56,7 +53,10 @@ class TestMinimumCounts:
             gaps = rng.uniform(0.1, 0.9, n)
             radii = tuple(np.cumsum(gaps))
             geom = RingGeometry(1.0, radii, tuple([6] * n))
-            assert min_total_samples(geom) == 2 * min_batch_samples(geom)
+            batch = min_batch_samples(geom)
+            if batch <= geom.column_count:  # a square or short batch grows past the weights
+                batch = geom.column_count + 2
+            assert effective_total_count(geom) == 2 * batch
 
     def test_uses_largest_adjacent_gap(self):
         geom = RingGeometry(1.0, (0.5, 1.0, 2.5), (6, 13, 31))
@@ -96,7 +96,7 @@ class TestBuildSampleSet:
         # one sizing rule grows it two rows past the weight count
         geom = RingGeometry(1.0, (0.5, 0.625), (6, 8))
         samples = build_sample_set(geom, constant_target())
-        assert min_total_samples(geom) // 2 == geom.column_count
+        assert min_batch_samples(geom) == geom.column_count
         assert samples.total_count == effective_total_count(geom)
         assert samples.batch_count == geom.column_count + 2
 

@@ -574,7 +574,7 @@ def assert_exact_residual_trace(rings: int, total: int) -> None:
     target = flat_top(0.5, 0.2)
     abscissas = midpoint_abscissas(total)
     samples = SampleSet(abscissas, target.sample_value(abscissas))
-    _, state = synthesize(geom, target, samples=samples)
+    _, state = synthesize(geom, samples)
     eps = np.finfo(float).eps
     with mpmath.workdps(40):
         k = 2 * mpmath.pi / mpmath.mpf(geom.wavelength)
@@ -601,13 +601,13 @@ class TestSynthesize:
         x_true = rng.standard_normal(6)
         target = manufactured_target(geom, x_true)
         peak = float(target.params["peak"])
-        w, state = synthesize(geom, target)
+        w, state = synthesize(geom, build_sample_set(geom, target))
         got = weights_vector(w) * peak
         assert np.linalg.norm(got - x_true) <= 1e-8 * np.linalg.norm(x_true)
 
     def test_residual_trace_non_increasing(self):
         geom = uniform_half_wavelength_geometry(9)
-        _, state = synthesize(geom, flat_top(0.4, 0.12))
+        _, state = synthesize(geom, build_sample_set(geom, flat_top(0.4, 0.12)))
         trace = state.residual_trace
         assert len(trace) == state.passes_completed + 1
         for earlier, later in zip(trace, trace[1:]):
@@ -629,7 +629,7 @@ class TestSynthesize:
         samples = build_sample_set(geom, target)
         tracemalloc.start()
         try:
-            synthesize(geom, target, samples=samples)
+            synthesize(geom, samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -643,8 +643,8 @@ class TestSynthesize:
             params=base.params,
             evaluator=lambda u: 2.0 * base.evaluator(u),
         )
-        w1, _ = synthesize(geom, base)
-        w2, _ = synthesize(geom, doubled)
+        w1, _ = synthesize(geom, build_sample_set(geom, base))
+        w2, _ = synthesize(geom, build_sample_set(geom, doubled))
         assert weights_vector(w2) == pytest.approx(2.0 * weights_vector(w1), abs=0)
 
     def test_target_scaling_general_factor(self):
@@ -656,8 +656,8 @@ class TestSynthesize:
             params=base.params,
             evaluator=lambda u: scale * base.evaluator(u),
         )
-        w1, _ = synthesize(geom, base)
-        w2, _ = synthesize(geom, scaled)
+        w1, _ = synthesize(geom, build_sample_set(geom, base))
+        w2, _ = synthesize(geom, build_sample_set(geom, scaled))
         assert np.linalg.norm(weights_vector(w2) - scale * weights_vector(w1)) <= (
             1e-12 * scale * np.linalg.norm(weights_vector(w1))
         )
@@ -667,9 +667,9 @@ class TestSynthesize:
         geom = RingGeometry(1.0, (0.5, 0.625), (6, 8))
         target = flat_top(0.5, 0.2)
         samples = build_sample_set(geom, target)
-        assert samples.total_count >= geom.column_count + 2
-        # synthesize sizes its own set by the same rule
-        assert synthesize(geom, target)[0] == synthesize(geom, target, samples=samples)[0]
+        assert samples.batch_count == geom.column_count + 2
+        _, state = synthesize(geom, samples)
+        assert state.residual_trace[0] > 0.0  # an overdetermined batch leaves a residual
 
     @pytest.mark.parametrize("total", [20, 21])
     def test_hand_built_set_absorbs_each_sample_once(self, total):
@@ -677,7 +677,7 @@ class TestSynthesize:
         target = flat_top(0.5, 0.2)
         abscissas = midpoint_abscissas(total)
         samples = SampleSet(abscissas, target.sample_value(np.array(abscissas)))
-        w, state = synthesize(geom, target, samples=samples)
+        w, state = synthesize(geom, samples)
         assert state.passes_completed == 1
         assert samples.total_count == total
         # a sample absorbed twice would weigh double and move the weights
@@ -691,7 +691,7 @@ class TestSynthesize:
         target = flat_top(0.5, 0.2)
         abscissas = midpoint_abscissas(8)
         samples = SampleSet(abscissas, target.sample_value(np.array(abscissas)))
-        w, _ = synthesize(geom, target, samples=samples)
+        w, _ = synthesize(geom, samples)
         assert samples.total_count == 8
         matrix = build_design_matrix(geom, abscissas)
         want = np.linalg.lstsq(matrix.entries, np.array(samples.values), rcond=None)[0]
@@ -703,7 +703,7 @@ class TestSynthesize:
         abscissas = midpoint_abscissas(6)
         samples = SampleSet(abscissas, target.sample_value(np.array(abscissas)))
         with pytest.raises(DomainError, match="underdetermined"):
-            synthesize(geom, target, samples=samples)
+            synthesize(geom, samples)
 
     @pytest.mark.parametrize("rings", [200, 500])
     @pytest.mark.parametrize("kind", ["flat_top", "equi_ripple"])
@@ -711,7 +711,7 @@ class TestSynthesize:
         geom = uniform_half_wavelength_geometry(rings)
         target = flat_top(0.35, 0.12) if kind == "flat_top" else equi_ripple(-30.0, rings)
         samples = build_sample_set(geom, target)
-        w, _ = synthesize(geom, target, samples=samples)
+        w, _ = synthesize(geom, samples)
         matrix = build_design_matrix(geom, samples.abscissas)
         want = np.linalg.lstsq(matrix.entries, np.array(samples.values), rcond=None)[0]
         got = weights_vector(w)
@@ -727,7 +727,7 @@ class TestSynthesize:
         samples = build_sample_set(
             geom, cfg.target, total_count=effective_total_count(geom, cfg.oversample)
         )
-        w, _ = synthesize(geom, cfg.target, samples=samples)
+        w, _ = synthesize(geom, samples)
         a = build_design_matrix(geom, samples.abscissas).entries
         with mpmath.workdps(40):
             exact, _ = mpmath.qr_solve(mpmath.matrix(a.tolist()), mpmath.matrix(samples.values))
