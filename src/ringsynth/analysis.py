@@ -10,7 +10,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegeneratePatternError, DomainError
-from .geometry import RingGeometry, Weights
+from .geometry import RingGeometry, Weights, _real_array, _whole
 from .solver import _ring_block, _row_chunks, _vector_from_weights
 # unused here; kept while perfbench/tracing.py wraps J0 under this module's name
 from .specialfn import bessel_j0_grid
@@ -28,7 +28,7 @@ _BLOCK_BYTES = 65536  # bytes a surface write gathers; no write exceeds twice th
 def _set_finite_arrays(obj: object, what: str, names: tuple[str, ...]) -> None:
     """Store each named field of a frozen dataclass as a float array; NaN and inf raise."""
     for name in names:
-        values = np.asarray(getattr(obj, name), dtype=float)
+        values = _real_array(getattr(obj, name), f"{what} {name}")
         if not np.isfinite(values).all():
             raise DomainError(f"{what} {name} must be finite")
         object.__setattr__(obj, name, values)
@@ -152,9 +152,9 @@ def evaluate_cut(geom: RingGeometry, w: Weights, target: TargetPattern,
     :class:`DegeneratePatternError`.  The target is evaluated once over the
     whole grid: tables and notched targets need not be even in u.
     """
-    if grid_points < _MIN_GRID:
+    n = _whole(grid_points, "grid_points")
+    if n < _MIN_GRID:
         raise DomainError(f"grid_points must be >= {_MIN_GRID}, got {grid_points}")
-    n = int(grid_points)
     u = _symmetric_grid(n)
     db = _to_db(np.abs(pattern_on_grid(geom, w, u[n // 2 :])))
     return PatternCut(u, np.concatenate([db[::-1][: n // 2], db]), target.amplitude(u))
@@ -251,10 +251,11 @@ def evaluate_surface(
     The continuous-ring model (see :mod:`ringsynth.geometry`) has no azimuth
     dependence, so the grid holds one dB value per theta, shared by every phi.
     """
-    if theta_points < 2 or phi_points < 2:
+    n_theta, n_phi = _whole(theta_points, "theta_points"), _whole(phi_points, "phi_points")
+    if n_theta < 2 or n_phi < 2:
         raise DomainError("surface needs at least 2 points along each axis")
-    theta = np.linspace(0.0, math.pi / 2.0, int(theta_points))
-    phi = np.linspace(0.0, 2.0 * math.pi, int(phi_points), endpoint=False)
+    theta = np.linspace(0.0, math.pi / 2.0, n_theta)
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     db = _to_db(np.abs(pattern_on_grid(geom, w, np.sin(theta))))
     return SurfaceGrid(theta=theta, phi=phi, amplitude_db=db)
 

@@ -24,14 +24,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import DomainError
 
 
-def _require_real(values: object, what: str) -> None:
-    """Raise :class:`DomainError` for complex input, which a float cast would truncate."""
-    if np.iscomplexobj(values):
+def _real_array(values: object, what: str) -> NDArray[np.float64]:
+    """``values`` as a float array, uncopied if it is one; complex ones raise DomainError."""
+    array = np.asarray(values)
+    if np.iscomplexobj(array):
         raise DomainError(f"{what} must be real, got complex values")
+    return array.astype(float, copy=False)
+
+
+def _whole(value: object, what: str) -> int:
+    """``value`` as an int; complex input, or no whole number in the float range, raises."""
+    try:  # a Python int skips the array cast
+        number = value if isinstance(value, int) else _real_array(value, what)
+        whole = float(number).is_integer()
+    except OverflowError:  # an int beyond the float range
+        whole = False
+    if not whole:
+        raise DomainError(f"{what} must be a whole number in the float range")
+    return int(value)  # type: ignore[call-overload]
 
 
 @dataclass(frozen=True)
@@ -50,17 +65,10 @@ class RingGeometry:
     has_center_element: bool = True
 
     def __post_init__(self) -> None:
-        _require_real(self.wavelength, "wavelength")
-        _require_real(self.radii, "radii")
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        counts = tuple(self.elements_per_ring)
-        try:
-            whole = all(float(n).is_integer() for n in counts)
-        except OverflowError:  # an int beyond the float range
-            whole = False
-        if not whole:
-            raise DomainError("element counts must be whole numbers in the float range")
-        object.__setattr__(self, "elements_per_ring", tuple(int(n) for n in counts))
+        object.__setattr__(self, "wavelength", float(_real_array(self.wavelength, "wavelength")))
+        object.__setattr__(self, "radii", tuple(_real_array(self.radii, "radii").tolist()))
+        counts = tuple(_whole(n, "each element count") for n in self.elements_per_ring)
+        object.__setattr__(self, "elements_per_ring", counts)
         if not (math.isfinite(self.wavelength) and self.wavelength > 0):
             raise DomainError(f"wavelength must be positive, got {self.wavelength!r}")
         if not math.isfinite(self.wavenumber):
@@ -98,15 +106,18 @@ class RingGeometry:
 
 @dataclass(frozen=True)
 class Weights:
-    """Real excitation weights, per ring and for the center; complex ones raise DomainError."""
+    """Real, finite excitation weights, per ring and for the center; others raise DomainError."""
 
     center: float
     rings: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _require_real((self.center, *self.rings), "excitation weights")
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "rings", tuple(float(w) for w in self.rings))
+        values = _real_array((self.center, *self.rings), "excitation weights")
+        if not np.isfinite(values).all():  # None, too, which the cast reads as NaN
+            raise DomainError("excitation weights must be finite")
+        center, *rings = values.tolist()
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "rings", tuple(rings))
 
 
 def elements_for_spacing(radius: float, target_spacing: float) -> int:

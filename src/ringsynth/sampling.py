@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError
-from .geometry import RingGeometry, _require_real
+from .geometry import RingGeometry, _real_array, _whole
 from .targets import TargetPattern
 
 
@@ -38,10 +38,8 @@ class SampleSet:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        _require_real(self.abscissas, "abscissas")
-        _require_real(self.values, "sample values")
-        u = np.array(self.abscissas, dtype=float)
-        v = np.array(self.values, dtype=float)
+        u = _real_array(self.abscissas, "abscissas").copy()
+        v = _real_array(self.values, "sample values").copy()
         if u.ndim != 1 or u.shape != v.shape:
             raise DomainError(
                 f"abscissas {u.shape} and values {v.shape} must be 1-D and of one length"
@@ -115,9 +113,10 @@ def build_sample_set(
     """Sample a target on the midpoint grid sized for the geometry.
 
     Without ``total_count`` the grid holds :func:`effective_total_count`
-    samples; ``total_count`` overrides the sizing and must be even.
+    samples; ``total_count`` overrides the sizing and must be a whole even number.
     """
-    total = effective_total_count(geom) if total_count is None else int(total_count)
+    total = (effective_total_count(geom) if total_count is None
+             else _whole(total_count, "total_count"))
     if total < 2 or total % 2:
         raise DomainError(f"total_count must be even and >= 2, got {total_count}")
     abscissas = midpoint_abscissas(total)

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError, SingularSystemError
-from .geometry import RingGeometry, Weights, _require_real
+from .geometry import RingGeometry, Weights, _real_array
 # build_sample_set and effective_total_count: unused; kept while perfbench/tracing.py wraps them
 from .sampling import SampleSet, build_sample_set, effective_total_count
 from .specialfn import _BLOCK as _J0_PANEL
@@ -57,8 +57,7 @@ class DesignMatrix:
     entries: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        _require_real(self.entries, "design matrix entries")
-        entries = np.asarray(self.entries, dtype=float)
+        entries = _real_array(self.entries, "design matrix entries")
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2:
             raise DomainError(f"design matrix must be 2-D, got shape {entries.shape}")
@@ -79,7 +78,7 @@ class SolverState:
     residual_trace: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r_factor", np.asarray(self.r_factor, dtype=float))
+        object.__setattr__(self, "r_factor", _real_array(self.r_factor, "r_factor"))
 
 
 def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.float64]:
@@ -95,8 +94,7 @@ def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.fl
     """
     if len(abscissas) == 0:
         raise DomainError("design matrix needs at least one sample abscissa")
-    _require_real(abscissas, "sample abscissas")
-    u = np.asarray(abscissas, dtype=float)
+    u = _real_array(abscissas, "sample abscissas")
     if not np.all(np.isfinite(u)):
         raise DomainError("sample abscissas must be finite")
     radii, counts = geom.radii, geom.elements_per_ring
@@ -203,13 +201,12 @@ def solve_batch(
     :class:`SingularSystemError` naming the offending column, the last one
     ``center`` when ``has_center``.
     """
-    _require_real(augmented, "augmented system")
-    ab = np.asarray(augmented, dtype=float)
+    ab = _real_array(augmented, "augmented system")
     m, n = ab.shape[0], ab.shape[-1] - 1
     if ab.ndim != 2 or m < n:
         raise DomainError(f"system [A b] of shape {ab.shape} is not 2-D or is underdetermined")
-    if not np.all(np.isfinite(ab[:, n])):
-        raise DomainError("rhs must be finite")
+    if not np.isfinite(ab).all():
+        raise DomainError("system [A b] must be finite")
 
     factor = np.linalg.qr(ab, mode="r")
     info = factor[:n]
@@ -234,8 +231,8 @@ def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> So
     minus prediction), and R is carried forward by re-triangularizing
     [R; a^T], so P is never formed.
     """
-    a = np.asarray(row, dtype=float)
-    rhs_value = float(rhs_value)
+    a = _real_array(row, "row")
+    rhs_value = float(_real_array(rhs_value, "rhs value"))
     if a.ndim != 1:
         raise DomainError(f"row must be 1-D, got shape {a.shape}")
     if not (np.all(np.isfinite(a)) and math.isfinite(rhs_value)):

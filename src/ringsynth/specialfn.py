@@ -15,6 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError
+from .geometry import _real_array
 
 # Switchover between the two branches.  Each branch is fitted on its own side
 # of this point (the series on x < 8, the Hankel form on x >= 8), and both
@@ -105,7 +106,7 @@ def bessel_j0_grid(x: ArrayLike) -> NDArray[np.float64]:
     element sees the same operations in the same order as in an unblocked
     evaluation, so the result does not depend on the blocking.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "bessel_j0_grid arguments")
     flat = x.ravel()
     values = np.empty(flat.size)
     for lo in range(0, flat.size, _BLOCK):

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError, TableFormatError
-from .geometry import _require_real
+from .geometry import _real_array, _whole
 
 FLAT_TOP = "flat_top"
 EQUI_RIPPLE = "equi_ripple"
@@ -39,8 +39,7 @@ Evaluator = Callable[[NDArray[np.float64]], NDArray[np.float64]]
 
 def _evaluate(fn: Evaluator, u: ArrayLike) -> NDArray[np.float64] | np.float64:
     """Run an evaluator on u flattened to 1-D; a scalar u gives a scalar back."""
-    _require_real(u, "target abscissas")
-    u = np.asarray(u, dtype=float)
+    u = _real_array(u, "target abscissas")
     return fn(u.ravel()).reshape(u.shape)[()]
 
 
@@ -106,15 +105,17 @@ def _first_null(order: int, x0: float) -> float:
     return (2.0 / math.pi) * math.acos(math.cos(math.pi / (2.0 * order)) / x0)
 
 
-def _check_sll(sll_db: float, aperture_rings: int) -> float:
+def _check_sll(sll_db: float, aperture_rings: int) -> tuple[float, int]:
+    """The sidelobe level as a float and the aperture's ring count as an int, both checked."""
     sll_db = float(sll_db)
     if not (math.isfinite(sll_db) and _SLL_MIN <= sll_db <= _SLL_MAX):
         raise DomainError(
             f"sidelobe level must lie in [{_SLL_MIN:g}, {_SLL_MAX:g}] dB, got {sll_db!r}"
         )
-    if aperture_rings < 1:
+    rings = _whole(aperture_rings, "aperture_rings")
+    if rings < 1:
         raise DomainError(f"aperture_rings must be >= 1, got {aperture_rings}")
-    return sll_db
+    return sll_db, rings
 
 
 def flat_top(passband_edge: float, transition_width: float = 0.0) -> TargetPattern:
@@ -148,17 +149,17 @@ def equi_ripple(sll_db: float, aperture_rings: int) -> TargetPattern:
     2n - 1 for n rings, ties the main-lobe width to the aperture diameter of
     the ring layout the target is meant for.
     """
-    sll_db = _check_sll(sll_db, aperture_rings)
+    sll_db, rings = _check_sll(sll_db, aperture_rings)
     # The order matches a half-wavelength-sampled line source spanning the
     # ring aperture (2*n - 1 elements across the diameter).  The odd order
     # also zeroes the shape at |u| = 1, which the ring basis reproduces far
     # more accurately than a ripple peak pinned at the edge of visible space.
-    order = 2 * int(aperture_rings) - 1
+    order = 2 * rings - 1
     x0, signed = _pencil(order, 10.0 ** (-sll_db / 20.0))
 
     params = {
         "sll_db": sll_db,
-        "aperture_rings": int(aperture_rings),
+        "aperture_rings": rings,
         "main_lobe_edge": _first_null(order, x0),
     }
     return TargetPattern(kind=EQUI_RIPPLE, params=params, evaluator=signed)
@@ -192,8 +193,8 @@ def difference(sll_db: float, aperture_rings: int) -> TargetPattern:
     level, a margin that keeps the normalized shape's sidelobes at or below
     it from -80 to -3 dB (the test suite sweeps that range).
     """
-    sll_db = _check_sll(sll_db, aperture_rings)
-    order = max(2 * (int(aperture_rings) - 1), 2)
+    sll_db, rings = _check_sll(sll_db, aperture_rings)
+    order = max(2 * (rings - 1), 2)
     x0, beam = _pencil(order, 10.0 ** ((-sll_db + 10.0) / 20.0))
     shift = _first_null(order, x0)
 
@@ -207,7 +208,7 @@ def difference(sll_db: float, aperture_rings: int) -> TargetPattern:
 
     params = {
         "sll_db": sll_db,
-        "aperture_rings": int(aperture_rings),
+        "aperture_rings": rings,
         "lobe_shift": shift,
         "main_lobe_edge": 2.0 * shift + _first_null(order, x0),
     }

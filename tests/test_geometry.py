@@ -104,7 +104,7 @@ class TestRingGeometryValidation:
     @pytest.mark.parametrize("count", [2.7, math.nan, math.inf, 10**400],
                              ids=["fraction", "nan", "inf", "beyond-float"])
     def test_rejects_counts_that_are_no_whole_float_range_number(self, count):
-        with pytest.raises(DomainError, match="whole numbers in the float range"):
+        with pytest.raises(DomainError, match="whole number in the float range"):
             RingGeometry(1.0, (0.5,), (count,))
 
     def test_whole_counts_read_as_int(self):

@@ -20,6 +20,7 @@ RETIRED = [
     (sampling, "min_total_samples"),
     (geometry, "chord_spacing"),
     (geometry, "array_factor"),
+    (geometry, "_require_real"),
     (Weights, "matches"),
     (SampleSet, "batch_abscissas"),
     (SampleSet, "batch_values"),

@@ -100,10 +100,6 @@ class TestFlatTop:
         with pytest.raises(DomainError):
             flat_top(0.9, 0.2)
 
-    def test_rejects_complex_abscissas(self):
-        with pytest.raises(DomainError, match="must be real"):
-            flat_top(0.3, 0.1).amplitude(np.array([0.1 + 0.5j]))
-
 
 class TestEquiRipple:
     def test_peak_at_boresight(self):
