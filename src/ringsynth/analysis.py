@@ -26,12 +26,9 @@ _BLOCK_BYTES = 65536  # bytes a surface write gathers; no write exceeds twice th
 
 
 def _set_finite_arrays(obj: object, what: str, names: tuple[str, ...]) -> None:
-    """Store each named field of a frozen dataclass as a float array; NaN and inf raise."""
+    """Store each named field of a frozen dataclass as a finite 1-D float array."""
     for name in names:
-        values = _real_array(getattr(obj, name), f"{what} {name}")
-        if not np.isfinite(values).all():
-            raise DomainError(f"{what} {name} must be finite")
-        object.__setattr__(obj, name, values)
+        object.__setattr__(obj, name, _real_array(getattr(obj, name), f"{what} {name}", 1))
 
 
 @dataclass(frozen=True)
@@ -45,8 +42,8 @@ class PatternCut:
     def __post_init__(self) -> None:
         _set_finite_arrays(self, "cut", ("u_grid", "amplitude_db", "target_amplitude"))
         u, db = self.u_grid, self.amplitude_db
-        if u.ndim != 1 or db.shape != u.shape or self.target_amplitude.shape != u.shape:
-            raise DomainError("u grid, dB values and target amplitude must be matching 1-D arrays")
+        if db.shape != u.shape or self.target_amplitude.shape != u.shape:
+            raise DomainError("u grid, dB values and target amplitude must be of one length")
         if u.size < _MIN_GRID:
             raise DomainError(f"cut needs at least {_MIN_GRID} grid points, got {u.size}")
         if abs(float(db.max())) > 1e-9:
@@ -82,8 +79,6 @@ class SurfaceGrid:
     def __post_init__(self) -> None:
         _set_finite_arrays(self, "surface", ("theta", "phi", "amplitude_db"))
         theta, phi, db = self.theta, self.phi, self.amplitude_db
-        if theta.ndim != 1 or phi.ndim != 1:
-            raise DomainError("surface theta and phi must be 1-D arrays")
         if db.shape != theta.shape or 0 in (theta.size, phi.size):
             raise DomainError(
                 f"surface needs non-empty axes and one dB value per theta "

@@ -29,24 +29,47 @@ from numpy.typing import NDArray
 from .errors import DomainError
 
 
-def _real_array(values: object, what: str) -> NDArray[np.float64]:
-    """``values`` as a float array, uncopied if it is one; complex ones raise DomainError."""
-    array = np.asarray(values)
-    if np.iscomplexobj(array):
+def _real_array(
+    values: object, what: str, ndim: int | None = None, finite: bool = True
+) -> NDArray[np.float64]:
+    """``values`` as a float array, uncopied if it is one; else DomainError naming ``what``.
+
+    Complex values, values numpy cannot read as floats, a rank other than
+    ``ndim`` (when given) and, unless ``finite`` is False, NaN and inf raise.
+    """
+    try:
+        array = np.asarray(values)
+        if not np.iscomplexobj(array):  # a complex one stays, and raises below
+            array = array.astype(float, copy=False)
+    except OverflowError:  # an int beyond the float range
+        raise DomainError(f"{what} beyond the float range") from None
+    except (TypeError, ValueError):  # a ragged sequence, or no numbers
+        raise DomainError(f"{what} cannot be read as floats") from None
+    if array.dtype != np.float64:
         raise DomainError(f"{what} must be real, got complex values")
-    return array.astype(float, copy=False)
+    if ndim is not None and array.ndim != ndim:
+        raise DomainError(f"{what} must be {ndim}-D, got shape {array.shape}")
+    if finite and not np.isfinite(array).all():
+        raise DomainError(f"{what} must be finite")
+    return array
+
+
+def _real(value: object, what: str) -> float:
+    """``value`` as a finite float, read by :func:`_real_array` as a 0-D array."""
+    try:  # a finite Python int or float skips the array cast
+        if isinstance(value, (int, float)) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range, which the reader names
+        pass
+    return float(_real_array(value, what, 0))
 
 
 def _whole(value: object, what: str) -> int:
-    """``value`` as an int; complex input, or no whole number in the float range, raises."""
-    try:  # a Python int skips the array cast
-        number = value if isinstance(value, int) else _real_array(value, what)
-        whole = float(number).is_integer()
-    except OverflowError:  # an int beyond the float range
-        whole = False
-    if not whole:
+    """``value`` as an int; complex, non-finite or fractional input raises DomainError."""
+    number = _real(value, what)
+    if not number.is_integer():
         raise DomainError(f"{what} must be a whole number in the float range")
-    return int(value)  # type: ignore[call-overload]
+    return int(value) if isinstance(value, int) else int(number)
 
 
 @dataclass(frozen=True)
@@ -65,11 +88,11 @@ class RingGeometry:
     has_center_element: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wavelength", float(_real_array(self.wavelength, "wavelength")))
-        object.__setattr__(self, "radii", tuple(_real_array(self.radii, "radii").tolist()))
+        object.__setattr__(self, "wavelength", _real(self.wavelength, "wavelength"))
+        object.__setattr__(self, "radii", tuple(_real_array(self.radii, "radii", 1).tolist()))
         counts = tuple(_whole(n, "each element count") for n in self.elements_per_ring)
         object.__setattr__(self, "elements_per_ring", counts)
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
+        if not self.wavelength > 0:
             raise DomainError(f"wavelength must be positive, got {self.wavelength!r}")
         if not math.isfinite(self.wavenumber):
             raise DomainError(
@@ -81,7 +104,7 @@ class RingGeometry:
             )
         prev = 0.0
         for r in self.radii:
-            if not (math.isfinite(r) and r > prev):
+            if not r > prev:
                 raise DomainError(f"radii must be strictly increasing and positive, got {self.radii}")
             prev = r
         for n in self.elements_per_ring:
@@ -112,9 +135,7 @@ class Weights:
     rings: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = _real_array((self.center, *self.rings), "excitation weights")
-        if not np.isfinite(values).all():  # None, too, which the cast reads as NaN
-            raise DomainError("excitation weights must be finite")
+        values = _real_array((self.center, *self.rings), "excitation weights", 1)
         center, *rings = values.tolist()
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "rings", tuple(rings))
@@ -126,9 +147,10 @@ def elements_for_spacing(radius: float, target_spacing: float) -> int:
     Rounds the circumference over the spacing to the nearest integer,
     never returning less than one element.
     """
-    if not (math.isfinite(radius) and radius > 0):
+    radius, target_spacing = _real(radius, "radius"), _real(target_spacing, "target spacing")
+    if not radius > 0:
         raise DomainError(f"radius must be positive, got {radius!r}")
-    if not (math.isfinite(target_spacing) and target_spacing > 0):
+    if not target_spacing > 0:
         raise DomainError(f"target spacing must be positive, got {target_spacing!r}")
     ratio = 2.0 * math.pi * radius / target_spacing
     if not math.isfinite(ratio):
@@ -145,11 +167,12 @@ def uniform_half_wavelength_geometry(n_rings: int, wavelength: float = 1.0) -> R
     The element counts follow the spacing rule, which for these radii is
     round(2*pi*n), and a center element is included.
     """
-    if n_rings < 1:
+    rings, wavelength = _whole(n_rings, "n_rings"), _real(wavelength, "wavelength")
+    if rings < 1:
         raise DomainError(f"need at least one ring, got {n_rings}")
-    if not (math.isfinite(wavelength) and wavelength > 0):
+    if not wavelength > 0:
         raise DomainError(f"wavelength must be positive, got {wavelength!r}")
-    radii = tuple(n * wavelength / 2.0 for n in range(1, n_rings + 1))
+    radii = tuple(n * wavelength / 2.0 for n in range(1, rings + 1))
     spacing = wavelength / 2.0
     counts = tuple(elements_for_spacing(r, spacing) for r in radii)
     return RingGeometry(

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError
-from .geometry import RingGeometry, _real_array, _whole
+from .geometry import RingGeometry, _real, _real_array, _whole
 from .targets import TargetPattern
 
 
@@ -28,8 +28,8 @@ from .targets import TargetPattern
 class SampleSet:
     """Ordered target samples split into batch and incremental portions.
 
-    Abscissas and values are read-only 1-D float arrays of one length;
-    complex input raises :class:`DomainError`.  The split is fixed: even
+    Abscissas and values are read-only, real, finite 1-D float arrays of one
+    length; other input raises :class:`DomainError`.  The split is fixed: even
     indices (counted from zero) form the batch, odd indices the incremental
     portion.
     """
@@ -38,16 +38,12 @@ class SampleSet:
     values: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        u = _real_array(self.abscissas, "abscissas").copy()
-        v = _real_array(self.values, "sample values").copy()
-        if u.ndim != 1 or u.shape != v.shape:
-            raise DomainError(
-                f"abscissas {u.shape} and values {v.shape} must be 1-D and of one length"
-            )
-        if not (np.all(np.isfinite(u)) and np.all(u[1:] > u[:-1])):
-            raise DomainError("abscissas must be finite and strictly increasing")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("sample values must be finite")
+        u = _real_array(self.abscissas, "abscissas", 1).copy()
+        v = _real_array(self.values, "sample values", 1).copy()
+        if u.shape != v.shape:
+            raise DomainError(f"abscissas {u.shape} and values {v.shape} must be of one length")
+        if not np.all(u[1:] > u[:-1]):
+            raise DomainError("abscissas must be strictly increasing")
         u.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "abscissas", u)
         object.__setattr__(self, "values", v)
@@ -96,7 +92,8 @@ def effective_total_count(geom: RingGeometry, oversample: float = 1.0) -> int:
     batch is grown two rows past the weight count.  :func:`build_sample_set`
     called without ``total_count`` sizes through here, at ``oversample`` 1.
     """
-    if not (math.isfinite(oversample) and oversample >= 1.0):
+    oversample = _real(oversample, "oversample factor")
+    if not oversample >= 1.0:
         raise DomainError(f"oversample factor must be >= 1, got {oversample!r}")
     total = math.ceil(2 * min_batch_samples(geom) * oversample)
     total += total % 2

@@ -20,8 +20,8 @@ the test suite leans on.
 
 Targets here are real valued and the basis is real, so the solver works in
 real arithmetic on plain arrays and builds the real :class:`Weights` once,
-when it returns.  Complex abscissas, values, matrix entries or weights raise
-:class:`DomainError` rather than losing their imaginary part to a float cast.
+when it returns.  Abscissas, values, matrix entries and weights that are
+complex, non-finite or of the wrong rank raise :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError, SingularSystemError
-from .geometry import RingGeometry, Weights, _real_array
+from .geometry import RingGeometry, Weights, _real, _real_array
 # build_sample_set and effective_total_count: unused; kept while perfbench/tracing.py wraps them
 from .sampling import SampleSet, build_sample_set, effective_total_count
 from .specialfn import _BLOCK as _J0_PANEL
@@ -57,10 +57,8 @@ class DesignMatrix:
     entries: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        entries = _real_array(self.entries, "design matrix entries")
+        entries = _real_array(self.entries, "design matrix entries", 2)
         object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2:
-            raise DomainError(f"design matrix must be 2-D, got shape {entries.shape}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ class SolverState:
     residual_trace: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r_factor", _real_array(self.r_factor, "r_factor"))
+        object.__setattr__(self, "r_factor", _real_array(self.r_factor, "r_factor", 2))
 
 
 def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.float64]:
@@ -92,11 +90,9 @@ def _ring_block(geom: RingGeometry, abscissas: Sequence[float]) -> NDArray[np.fl
     series branch, columns that straddle x = 8, the center, and panels
     holding u = 0) go through :func:`bessel_j0_grid`.
     """
-    if len(abscissas) == 0:
+    u = _real_array(abscissas, "sample abscissas", 1)
+    if u.size == 0:
         raise DomainError("design matrix needs at least one sample abscissa")
-    u = _real_array(abscissas, "sample abscissas")
-    if not np.all(np.isfinite(u)):
-        raise DomainError("sample abscissas must be finite")
     radii, counts = geom.radii, geom.elements_per_ring
     if geom.has_center_element:
         radii, counts = radii + (0.0,), counts + (1,)
@@ -201,12 +197,10 @@ def solve_batch(
     :class:`SingularSystemError` naming the offending column, the last one
     ``center`` when ``has_center``.
     """
-    ab = _real_array(augmented, "augmented system")
-    m, n = ab.shape[0], ab.shape[-1] - 1
-    if ab.ndim != 2 or m < n:
-        raise DomainError(f"system [A b] of shape {ab.shape} is not 2-D or is underdetermined")
-    if not np.isfinite(ab).all():
-        raise DomainError("system [A b] must be finite")
+    ab = _real_array(augmented, "augmented system", 2)
+    m, n = ab.shape[0], ab.shape[1] - 1
+    if m < n:
+        raise DomainError(f"system [A b] of shape {ab.shape} is underdetermined")
 
     factor = np.linalg.qr(ab, mode="r")
     info = factor[:n]
@@ -231,12 +225,7 @@ def rls_absorb(state: SolverState, row: Sequence[float], rhs_value: float) -> So
     minus prediction), and R is carried forward by re-triangularizing
     [R; a^T], so P is never formed.
     """
-    a = _real_array(row, "row")
-    rhs_value = float(_real_array(rhs_value, "rhs value"))
-    if a.ndim != 1:
-        raise DomainError(f"row must be 1-D, got shape {a.shape}")
-    if not (np.all(np.isfinite(a)) and math.isfinite(rhs_value)):
-        raise DomainError("row and rhs value must be finite")
+    a, rhs_value = _real_array(row, "row", 1), _real(rhs_value, "rhs value")
     r = state.r_factor
     if a.shape[0] != r.shape[0]:
         raise DomainError(f"row length {a.shape[0]} does not match state size {r.shape[0]}")

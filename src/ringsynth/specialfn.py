@@ -102,17 +102,16 @@ def bessel_j0_grid(x: ArrayLike) -> NDArray[np.float64]:
 
     The argument is walked in blocks of ``_BLOCK`` elements, and each block's
     Horner steps run in place, so the temporaries stay cache-sized whatever
-    the grid; beyond the output, working memory is a few blocks.  Every
-    element sees the same operations in the same order as in an unblocked
-    evaluation, so the result does not depend on the blocking.
+    the grid; beyond the output, working memory is a few blocks and the
+    finiteness check's one byte per element.  Every element sees the same
+    operations in the same order as in an unblocked evaluation, so the
+    result does not depend on the blocking.
     """
     x = _real_array(x, "bessel_j0_grid arguments")
     flat = x.ravel()
     values = np.empty(flat.size)
     for lo in range(0, flat.size, _BLOCK):
         ax = np.abs(flat[lo : lo + _BLOCK])
-        if not np.isfinite(ax).all():
-            raise DomainError("bessel_j0_grid requires finite arguments")
         dest = values[lo : lo + _BLOCK]
         small = ax < _SERIES_CUTOFF
         big = ~small

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import DomainError, TableFormatError
-from .geometry import _real_array, _whole
+from .geometry import _real, _real_array, _whole
 
 FLAT_TOP = "flat_top"
 EQUI_RIPPLE = "equi_ripple"
@@ -107,8 +107,8 @@ def _first_null(order: int, x0: float) -> float:
 
 def _check_sll(sll_db: float, aperture_rings: int) -> tuple[float, int]:
     """The sidelobe level as a float and the aperture's ring count as an int, both checked."""
-    sll_db = float(sll_db)
-    if not (math.isfinite(sll_db) and _SLL_MIN <= sll_db <= _SLL_MAX):
+    sll_db = _real(sll_db, "sidelobe level")
+    if not _SLL_MIN <= sll_db <= _SLL_MAX:
         raise DomainError(
             f"sidelobe level must lie in [{_SLL_MIN:g}, {_SLL_MAX:g}] dB, got {sll_db!r}"
         )
@@ -120,11 +120,11 @@ def _check_sll(sll_db: float, aperture_rings: int) -> tuple[float, int]:
 
 def flat_top(passband_edge: float, transition_width: float = 0.0) -> TargetPattern:
     """Unit passband for |u| <= edge with a raised-cosine rolloff beyond it."""
-    edge = float(passband_edge)
-    width = float(transition_width)
-    if not (math.isfinite(edge) and 0.0 < edge < 1.0):
+    edge = _real(passband_edge, "passband edge")
+    width = _real(transition_width, "transition width")
+    if not 0.0 < edge < 1.0:
         raise DomainError(f"passband edge must lie in (0, 1), got {edge!r}")
-    if not (math.isfinite(width) and width >= 0.0):
+    if not width >= 0.0:
         raise DomainError(f"transition width must be >= 0, got {width!r}")
     if edge + width > 1.0:
         raise DomainError(
@@ -227,17 +227,17 @@ def with_nulls(
     the factor 10^(depth/20) at its center and exactly 1 outside its support,
     so the base is untouched away from the requested centers.
     """
-    centers = [float(c) for c in null_centers]
+    centers = _real_array(null_centers, "null centers", 1).tolist()
     if not centers:
         return base
-    depth_db = float(null_depth_db)
-    width = float(null_width)
-    if not (math.isfinite(width) and width > 0.0):
+    depth_db = _real(null_depth_db, "null depth")
+    width = _real(null_width, "null width")
+    if not width > 0.0:
         raise DomainError(f"null width must be positive, got {null_width!r}")
-    if not math.isfinite(depth_db) or depth_db >= 0.0:
+    if depth_db >= 0.0:
         raise DomainError(f"null depth must be negative dB, got {null_depth_db!r}")
     for c in centers:
-        if not (math.isfinite(c) and -1.0 < c < 1.0):
+        if not -1.0 < c < 1.0:
             raise DomainError(f"null centers must lie inside (-1, 1), got {c!r}")
     base_sll = base.params.get("sll_db")
     if base_sll is not None and depth_db >= float(base_sll):  # type: ignore[arg-type]
@@ -285,10 +285,7 @@ def from_table(samples: Sequence[tuple[float, float]]) -> TargetPattern:
     at their boundary values and the whole table is normalized by its largest
     magnitude.
     """
-    try:
-        points = [(float(u), float(v)) for u, v in samples]
-    except OverflowError:
-        raise TableFormatError("table entry beyond the float range") from None
+    points = [(u, v) for u, v in _real_array(samples, "table entry", finite=False).tolist()]
     if len(points) < 2:
         raise TableFormatError(f"need at least 2 table points, got {len(points)}")
     us = [p[0] for p in points]

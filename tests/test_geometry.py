@@ -101,24 +101,20 @@ class TestRingGeometryValidation:
         with pytest.raises(DomainError, match="at least one ring or a center element"):
             RingGeometry(1.0, (), (), False)
 
-    @pytest.mark.parametrize("count", [2.7, math.nan, math.inf, 10**400],
-                             ids=["fraction", "nan", "inf", "beyond-float"])
-    def test_rejects_counts_that_are_no_whole_float_range_number(self, count):
-        with pytest.raises(DomainError, match="whole number in the float range"):
+    @pytest.mark.parametrize(
+        "count, problem",
+        [(2.7, "must be a whole number in the float range"), (math.nan, "must be finite"),
+         (math.inf, "must be finite"), (10**400, "beyond the float range")],
+        ids=["fraction", "nan", "inf", "beyond-float"],
+    )
+    def test_rejects_counts_that_are_no_whole_float_range_number(self, count, problem):
+        with pytest.raises(DomainError, match=f"^each element count {problem}$"):
             RingGeometry(1.0, (0.5,), (count,))
 
     def test_whole_counts_read_as_int(self):
         geom = RingGeometry(1.0, (0.5, 1.0), (6.0, np.int64(13)))
         assert geom.elements_per_ring == (6, 13)
         assert all(type(n) is int for n in geom.elements_per_ring)
-
-    def test_rejects_complex_radius(self):
-        with pytest.raises(DomainError, match="radii must be real"):
-            RingGeometry(1.0, (np.complex128(0.5 + 1j),), (6,))
-
-    def test_rejects_complex_wavelength(self):
-        with pytest.raises(DomainError, match="wavelength must be real"):
-            RingGeometry(np.complex128(1 + 1j), (0.5,), (6,))
 
     def test_wavenumber(self):
         geom = RingGeometry(2.0, (1.0,), (6,))
