@@ -116,6 +116,14 @@ class TestRingGeometryValidation:
         assert geom.elements_per_ring == (6, 13)
         assert all(type(n) is int for n in geom.elements_per_ring)
 
+    def test_rejects_complex_radius(self):
+        with pytest.raises(DomainError, match="radii must be real"):
+            RingGeometry(1.0, (np.complex128(0.5 + 1j),), (6,))
+
+    def test_rejects_complex_wavelength(self):
+        with pytest.raises(DomainError, match="wavelength must be real"):
+            RingGeometry(np.complex128(1 + 1j), (0.5,), (6,))
+
     def test_wavenumber(self):
         geom = RingGeometry(2.0, (1.0,), (6,))
         assert geom.wavenumber == pytest.approx(math.pi, abs=1e-15)

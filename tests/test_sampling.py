@@ -159,6 +159,16 @@ class TestSampleSetValidation:
         with pytest.raises(DomainError):
             SampleSet(abscissas, values)
 
+    @pytest.mark.parametrize(
+        "abscissas, values",
+        [([0.1, 0.2], np.array([1 + 1j, 2])), (np.array([0.1, 0.2 + 0j]), [1.0, 2.0])],
+        ids=["complex-values", "complex-abscissas"],
+    )
+    def test_rejects_complex_input(self, abscissas, values):
+        # a float cast of a complex array would keep only the real parts
+        with pytest.raises(DomainError):
+            SampleSet(abscissas, values)
+
     def test_holds_read_only_float_arrays(self):
         given = np.array([0.25, 0.75])
         samples = SampleSet(given, [1, 2])
